@@ -4,13 +4,18 @@ build() explores states breadth-first from the all-empty initial state, with
 rows fed in ascending numeric order, so state indices are a deterministic
 discovery order.  The transition table is dense: one row per state, one slot
 per alphabet letter, -1 marking undefined transitions.
+
+Side flags never affect the word transition, so build() and deserialize()
+step each distinct (kernel word, letter) pair once, through a per-word memo
+that lives only as long as the call.  While building, a state is the plain
+tuple (kernel word, left, right); AutomatonState objects, and with them word
+validation, are made once per discovered state at the end.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -20,9 +25,11 @@ from .errors import (
     AutomatonVersionError,
     ResourceLimitError,
 )
-from .rowconfig import MAX_WIDTH, RowConfig, enumerate_alphabet
-from .states import AutomatonState, LabeledWord, initial_state, is_accepting
-from .transition import step
+from .rowconfig import MAX_WIDTH, RowConfig, letter_runs
+from .states import (
+    AutomatonState, LabeledWord, initial_state, is_accepting, word_labels, word_masks,
+)
+from .transition import advance
 
 FORMAT_VERSION = 1
 DEFAULT_STATE_CEILING = 10**6
@@ -88,17 +95,49 @@ class Automaton:
         return None if t < 0 else t
 
 
-def build(
-    width: int,
-    max_states: int = DEFAULT_STATE_CEILING,
-    workers: int | None = None,
-) -> Automaton:
+def _explore(width: int, keys: list, max_states: int) -> list[array]:
+    """Transition rows of keys, appending every newly reached state to keys.
+
+    keys holds (kernel word, left, right) tuples; walking it while it grows
+    is the breadth-first search.
+    """
+    letters = [
+        (bits - 1, bits, letter_runs(bits), bool(bits >> (width - 1)), bool(bits & 1))
+        for bits in range(1, 1 << width)
+    ]
+    memo: dict[tuple[int, ...], list] = {}
+    index = {key: i for i, key in enumerate(keys)}
+    rows = []
+    for word, left, right in keys:
+        steps = memo.get(word)
+        if steps is None:
+            steps = memo[word] = [
+                (rank, nxt, touches_left, touches_right)
+                for rank, bits, runs, touches_left, touches_right in letters
+                if (nxt := advance(word, bits, runs)) is not None
+            ]
+        row = array("i", [-1]) * len(letters)
+        for rank, nxt, touches_left, touches_right in steps:
+            key = (nxt, left or touches_left, right or touches_right)
+            j = index.get(key)
+            if j is None:
+                j = len(keys)
+                if j >= max_states:
+                    raise ResourceLimitError(
+                        f"state ceiling {max_states} hit while building width {width}"
+                    )
+                index[key] = j
+                keys.append(key)
+            row[rank] = j
+        rows.append(row)
+    return rows
+
+
+def build(width: int, max_states: int = DEFAULT_STATE_CEILING) -> Automaton:
     """Breadth-first closure of the transition map from the initial state.
 
-    workers > 1 expands each BFS level in a thread pool; results are merged
-    in (state, letter) order, so the output is identical to the sequential
-    build.  Raises ResourceLimitError when the projected or discovered state
-    count exceeds max_states.
+    Raises ResourceLimitError when the projected or discovered state count
+    exceeds max_states.
     """
     if not 1 <= width <= MAX_WIDTH:
         raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
@@ -107,46 +146,14 @@ def build(
         raise ResourceLimitError(
             f"width {width} projects {projected} states, ceiling is {max_states}"
         )
-    alphabet = enumerate_alphabet(width)
-
-    def expand(state: AutomatonState) -> list[AutomatonState | None]:
-        return [step(state, row) for row in alphabet]
-
-    states: list[AutomatonState] = [initial_state(width)]
-    index: dict[AutomatonState, int] = {states[0]: 0}
-    rows: list[array] = []
-    frontier = [0]
-    pool = ThreadPoolExecutor(workers) if workers and workers > 1 else None
-    try:
-        while frontier:
-            if pool is not None:
-                expanded = list(pool.map(expand, [states[i] for i in frontier]))
-            else:
-                expanded = [expand(states[i]) for i in frontier]
-            next_frontier: list[int] = []
-            for results in expanded:
-                row = array("i", [-1]) * len(alphabet)
-                for rank, target in enumerate(results):
-                    if target is None:
-                        continue
-                    j = index.get(target)
-                    if j is None:
-                        j = len(states)
-                        if j >= max_states:
-                            raise ResourceLimitError(
-                                f"state ceiling {max_states} hit while building width {width}"
-                            )
-                        index[target] = j
-                        states.append(target)
-                        next_frontier.append(j)
-                    row[rank] = j
-                rows.append(row)
-            frontier = next_frontier
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    keys = [((), False, False)]
+    rows = _explore(width, keys, max_states)
+    states = tuple(
+        AutomatonState(LabeledWord(word_labels(word, width)), left, right)
+        for word, left, right in keys
+    )
     accepting = frozenset(i for i, s in enumerate(states) if is_accepting(s))
-    return Automaton(width, tuple(states), accepting, tuple(rows))
+    return Automaton(width, states, accepting, tuple(rows))
 
 
 def transfer_matrix(a: Automaton) -> list[list[int]]:
@@ -264,7 +271,8 @@ def deserialize(data: bytes | str) -> Automaton:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(v, int) for v in pair)
+                or not isinstance(pair[0], int)
+                or not isinstance(pair[1], int)
             ):
                 raise AutomatonFormatError(f"bad transition entry {pair!r} in row {i}")
             bits, target = pair
@@ -277,21 +285,16 @@ def deserialize(data: bytes | str) -> Automaton:
 
     # Every defined transition must agree with the transition map, and every
     # defined step must be present.
-    for i, state in enumerate(states):
-        row = rows[i]
-        for bits in range(1, n_letters + 1):
-            want = step(state, RowConfig(width, bits))
-            have = row[bits - 1]
-            if want is None:
-                if have != -1:
-                    raise AutomatonInvariantError(
-                        f"row {i} defines letter {bits} but the step is undefined"
-                    )
-            else:
-                if have < 0 or states[have] != want:
-                    raise AutomatonInvariantError(
-                        f"row {i} letter {bits} should map to {want}"
-                    )
+    keys = [(word_masks(s.word.labels), s.left_touched, s.right_touched) for s in states]
+    try:
+        want_rows = _explore(width, keys, n)
+    except ResourceLimitError as exc:
+        raise AutomatonInvariantError("a step leaves the listed states") from exc
+    for i, (want, have) in enumerate(zip(want_rows, rows)):
+        if want != have:
+            bits = 1 + next(k for k in range(n_letters) if want[k] != have[k])
+            target = states[want[bits - 1]] if want[bits - 1] >= 0 else "nothing (undefined)"
+            raise AutomatonInvariantError(f"row {i} letter {bits} should map to {target}")
 
     want_accepting = frozenset(i for i, s in enumerate(states) if is_accepting(s))
     if frozenset(raw_accepting) != want_accepting:

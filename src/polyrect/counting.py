@@ -55,77 +55,46 @@ class SeriesTable:
                     raise AssertionError(f"area support out of bounds at h={h}")
 
 
-def _collapse(a: Automaton) -> list[list[tuple[int, int]]]:
-    """Per state: (target, letter multiplicity), letters collapsed."""
-    agg = []
-    for row in a.transitions:
-        counts: dict[int, int] = {}
-        for t in row:
-            if t >= 0:
-                counts[t] = counts.get(t, 0) + 1
-        agg.append(sorted(counts.items()))
-    return agg
+def _accepted(a: Automaton, h_max: int, shifts: list[int] | None = None):
+    """Total accepting weight after each of 1..h_max steps.
 
-
-def _collapse_area(a: Automaton) -> list[list[tuple[int, int, int]]]:
-    """Per state: (target, filled cells of the letter, multiplicity)."""
-    agg = []
-    for row in a.transitions:
-        counts: dict[tuple[int, int], int] = {}
-        for rank, t in enumerate(row):
-            if t >= 0:
-                key = (t, (rank + 1).bit_count())
-                counts[key] = counts.get(key, 0) + 1
-        agg.append(sorted((t, f, m) for (t, f), m in counts.items()))
-    return agg
+    With shifts, a step into state t multiplies by 2^shifts[t].  A target's
+    filled cells are its letter's, so no two letters share a target.
+    """
+    targets = [[t for t in row if t >= 0] for row in a.transitions]
+    accepting = sorted(a.accepting)
+    v = [0] * a.n_states
+    v[0] = 1
+    for _ in range(h_max):
+        w = [0] * a.n_states
+        for s, weight in enumerate(v):
+            if weight:
+                for t in targets[s]:
+                    w[t] += weight
+        v = [x << k for x, k in zip(w, shifts)] if shifts else w
+        yield sum(v[f] for f in accepting)
 
 
 def count_series(a: Automaton, h_max: int) -> SeriesTable:
     """Exact number of accepted stacks for every height 0..h_max."""
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
-    agg = _collapse(a)
-    accepting = sorted(a.accepting)
-    n = a.n_states
-    v = [0] * n
-    v[0] = 1
-    counts = [1]
-    for _ in range(h_max):
-        w = [0] * n
-        for s, weight in enumerate(v):
-            if weight:
-                for t, mult in agg[s]:
-                    w[t] += weight * mult
-        v = w
-        counts.append(sum(v[f] for f in accepting))
-    return SeriesTable(a.width, tuple(counts))
+    return SeriesTable(a.width, (1, *_accepted(a, h_max)))
 
 
 def count_area_series(a: Automaton, h_max: int) -> SeriesTable:
     """Counts refined by area: one polynomial in q per height."""
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
-    agg = _collapse_area(a)
-    accepting = sorted(a.accepting)
-    n = a.n_states
     # Coefficients are below (2^b - 1)^h_max, so width*h_max + 8 bits per slot
     # can never collide.
     slot = a.width * max(h_max, 1) + 8
     mask = (1 << slot) - 1
-    v = [0] * n
-    v[0] = 1
+    # a step's area is its letter's cell count, which is its target's
+    shifts = [slot * sum(1 for c in s.word.labels if c) for s in a.states]
     counts = [1]
     polys = [Polynomial((1,))]
-    for _ in range(h_max):
-        w = [0] * n
-        for s, weight in enumerate(v):
-            if weight:
-                for t, fill, mult in agg[s]:
-                    w[t] += (weight * mult) << (slot * fill)
-        v = w
-        acc = 0
-        for f in accepting:
-            acc += v[f]
+    for acc in _accepted(a, h_max, shifts):
         coeffs = []
         while acc:
             coeffs.append(acc & mask)

@@ -381,6 +381,7 @@ def gf_height_area(
     width: int,
     *,
     max_width: int = AREA_WIDTH_LIMIT,
+    max_states: int = DEFAULT_STATE_CEILING,
     automaton: Automaton | None = None,
     cancel=None,
 ) -> RationalGF:
@@ -393,14 +394,12 @@ def gf_height_area(
         raise ResourceLimitError(
             f"area generating functions are desk-scale for width <= {max_width}"
         )
-    a = automaton if automaton is not None else build(width)
+    a = automaton if automaton is not None else build(width, max_states)
     n = a.n_states
     fit_len = 2 * n + 10
     total = fit_len + VERIFY_WINDOW
     table = count_area_series(a, total - 1)
-    series = [
-        p if isinstance(p, Polynomial) else Polynomial((p,)) for p in table.area_counts
-    ]
+    series = list(table.area_counts)
     gf = _fit_bivariate(series, fit_len, n, cancel)
     if not _matches(gf, series):
         raise FitError("verification window mismatch for the area series fit")

@@ -52,6 +52,16 @@ class RowConfig:
         return self.bits.bit_count()
 
 
+def letter_runs(bits: int) -> tuple[int, ...]:
+    """Maximal blocks of filled cells of a letter, as masks, leftmost first."""
+    runs = []
+    while bits:
+        run = bits & ~(bits + (bits & -bits))
+        runs.append(run)
+        bits ^= run
+    return tuple(reversed(runs))
+
+
 def enumerate_alphabet(width: int) -> list[RowConfig]:
     """All 2^width - 1 nonempty rows in ascending numeric order."""
     if not 1 <= width <= MAX_WIDTH:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .rowconfig import letter_runs
+
 
 def max_label(width: int) -> int:
     """Largest label a width-b word can need: ceil(b / 2)."""
@@ -75,6 +77,23 @@ def first_occurrence_relabel(labels: Sequence[int]) -> tuple[int, ...]:
             mapping[a] = len(mapping) + 1
         out.append(mapping[a])
     return tuple(out)
+
+
+def word_masks(labels: Sequence[int]) -> tuple[int, ...]:
+    """Kernel form of a canonical label word: one cell mask per component."""
+    top = len(labels) - 1
+    return tuple(
+        sum(1 << (top - i) for i, a in enumerate(labels) if a == k)
+        for k in range(1, max(labels, default=0) + 1)
+    )
+
+
+def word_labels(masks: Sequence[int], width: int) -> tuple[int, ...]:
+    """Canonical label word of a kernel word; inverse of word_masks."""
+    return tuple(
+        next((k for k, m in enumerate(masks, 1) if m >> (width - 1 - i) & 1), 0)
+        for i in range(width)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,22 +221,6 @@ def is_accepting(state: AutomatonState) -> bool:
     )
 
 
-def _run_spans(width: int, mask: int) -> list[tuple[int, int]]:
-    """Maximal blocks of filled cells, as inclusive (start, end) cell indices."""
-    spans = []
-    start = None
-    for i in range(width):
-        filled = (mask >> (width - 1 - i)) & 1
-        if filled and start is None:
-            start = i
-        elif not filled and start is not None:
-            spans.append((start, i - 1))
-            start = None
-    if start is not None:
-        spans.append((start, width - 1))
-    return spans
-
-
 def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
     """Restricted growth strings of length n: every set partition, first-occurrence numbered."""
     a = [0] * n
@@ -251,15 +254,15 @@ def enumerate_valid_states(width: int) -> list[AutomatonState]:
         return [AutomatonState(LabeledWord(()), False, False)]
     states = [initial_state(width)]
     for mask in range(1, 1 << width):
-        spans = _run_spans(width, mask)
-        for rgs in _growth_strings(len(spans)):
-            labels = [0] * width
-            for (start, end), block in zip(spans, rgs):
-                for i in range(start, end + 1):
-                    labels[i] = block + 1
+        runs = letter_runs(mask)
+        for rgs in _growth_strings(len(runs)):
+            masks = [0] * (max(rgs) + 1)
+            for run, block in zip(runs, rgs):
+                masks[block] |= run
+            labels = word_labels(masks, width)
             if not non_crossing_ok(labels):
                 continue
-            word = LabeledWord(tuple(labels))
+            word = LabeledWord(labels)
             left_choices = (True,) if labels[0] else (False, True)
             right_choices = (True,) if labels[-1] else (False, True)
             for left in left_choices:

@@ -1,19 +1,25 @@
 """The transition map: feed one row to a state, get the successor state.
 
-Three phases.  Continuation: every current component must receive at least
-one cell of the new row, else the row kills a component and the transition is
+The paper's three phases, kept as the reference the kernel is tested
+against.  Continuation: every current component must receive at least one
+cell of the new row, else the row kills a component and the transition is
 undefined.  Vertical: each new cell inherits the label above it, or a fresh
 label if the cell above is empty.  Horizontal: cells adjacent in the new row
 are connected, so runs sharing a letter merge transitively and the result is
 relabeled canonically.
+
+step() and the automaton run advance() instead: a word is one cell mask per
+component in leftmost-cell order, so canonical by construction.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .rowconfig import RowConfig
-from .states import AutomatonState, LabeledWord
+from .rowconfig import RowConfig, letter_runs
+from .states import (
+    AutomatonState, LabeledWord, first_occurrence_relabel, word_labels, word_masks,
+)
 
 __all__ = [
     "continuation_allowed",
@@ -98,26 +104,45 @@ def horizontal_connexity(raw: Sequence[int]) -> LabeledWord:
             union(prev, label)
         prev = label
 
-    final: dict[int, int] = {}
-    out = []
-    for label in raw:
-        if not label:
-            out.append(0)
-            continue
-        root = find(label)
-        if root not in final:
-            final[root] = len(final) + 1
-        out.append(final[root])
-    return LabeledWord(tuple(out))
+    return LabeledWord(first_occurrence_relabel([find(a) if a else 0 for a in raw]))
+
+
+def advance(word: tuple[int, ...], bits: int, runs: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Successor of a kernel word under a letter, or None when a component misses it.
+
+    runs is letter_runs(bits).  Each old component unites the groups of runs
+    it touches; groups are disjoint masks, so decreasing order is leftmost-run
+    order.
+    """
+    for comp in word:
+        if not comp & bits:
+            return None
+    if len(runs) == 1:
+        return runs
+    groups = list(runs)
+    for comp in word:
+        joined = 0
+        rest = []
+        for g in groups:
+            if g & comp:
+                joined |= g
+            else:
+                rest.append(g)
+        rest.append(joined)
+        groups = rest
+    groups.sort(reverse=True)
+    return tuple(groups)
 
 
 def step(state: AutomatonState, row: RowConfig) -> AutomatonState | None:
     """Successor state after reading row, or None when undefined."""
-    if not continuation_allowed(state.word, row):
+    if state.width != row.width:
+        raise ValueError(f"width mismatch: {state.width} vs {row.width}")
+    word = advance(word_masks(state.word.labels), row.bits, letter_runs(row.bits))
+    if word is None:
         return None
-    word = horizontal_connexity(vertical_connexity(state.word, row))
     return AutomatonState(
-        word,
+        LabeledWord(word_labels(word, row.width)),
         state.left_touched or row.touches_left(),
         state.right_touched or row.touches_right(),
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,19 @@ from polyrect.automaton import catalan, runs_of_ones
 
 # closed-form state counts for b = 0..11
 FORMULA_TABLE = [1, 2, 6, 16, 40, 99, 247, 625, 1605, 4178, 11006, 29292]
+
+# sha256 of serialize(build(b)) for b = 1..8, as produced by the three-phase
+# transition map before the mask kernel replaced it
+SERIALIZED_SHA256 = {
+    1: "00859872de3f3c7eb673412a7743c3635088a85475a38bcaff86dd67a6e74c74",
+    2: "4b22e114a9b74f8884aa0f3cf7f7b861758a2fd76343e934d1333c3cdbf0de51",
+    3: "1fe6bdaccd046801d1bb2b9418e66b8af59814d1f9c2322091f80f0fe790d7e4",
+    4: "8e152fa4606c5d283a9abd163a0be437a6e43418ce9bd0c14f90037909e35d98",
+    5: "1696b6bbebe814922148674db83690f860d03a8f7ec3a53d687a6946102d964b",
+    6: "8b3145509337f05ff42d29e55d3474a3a95c3109d57f2756c1a076d3f48ce68b",
+    7: "2b48487e3d58245b946ddfc2ea0055bf09db8ec7d166b511bc84a0aad217c298",
+    8: "9ecaa74ca91d7775b3ab0c4408fe753379f238d0789085e5f12abfc44e5eefaf",
+}
 
 
 def test_catalan():
@@ -105,9 +119,23 @@ def test_transfer_matrix_counts_letters():
     assert m[0] == [0, 1, 1, 1, 0, 0]
 
 
-def test_parallel_build_identical():
-    assert build(4, workers=4) == build(4)
-    assert serialize(build(3, workers=2)) == serialize(build(3))
+def test_letters_reach_distinct_targets(automaton):
+    # a target's filled cells are exactly its letter's, so every transfer
+    # matrix entry is 0 or 1 and the counting DP needs no multiplicities
+    for width in range(1, 7):
+        a = automaton(width)
+        assert all(entry in (0, 1) for row in transfer_matrix(a) for entry in row)
+        for row in a.transitions:
+            for rank, t in enumerate(row):
+                if t >= 0:
+                    labels = a.states[t].word.labels
+                    fill = sum(1 << (width - 1 - i) for i, c in enumerate(labels) if c)
+                    assert fill == rank + 1
+
+
+def test_serialize_matches_pinned_digests(automaton):
+    for width, digest in SERIALIZED_SHA256.items():
+        assert hashlib.sha256(serialize(automaton(width))).hexdigest() == digest, width
 
 
 def test_serialize_round_trip():
@@ -179,6 +207,15 @@ def test_deserialize_invariant_errors():
     ):
         with pytest.raises(AutomatonInvariantError):
             deserialize(tampered(mutate))
+
+
+def test_deserialize_rejects_one_wrong_target(automaton):
+    doc = json.loads(serialize(automaton(5)))
+    row = doc["transitions"][40]
+    entry = row[len(row) // 2]
+    entry[1] = (entry[1] + 1) % len(doc["states"])
+    with pytest.raises(AutomatonInvariantError, match="row 40 letter"):
+        deserialize(json.dumps(doc, separators=(",", ":")).encode())
 
 
 def test_deserialize_accepts_str_input():

@@ -198,6 +198,23 @@ def test_env_ceiling(monkeypatch, capsys):
     assert code == 0
 
 
+def test_bad_env_ceiling_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("POLYRECT_MAX_STATES", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["states", "--b", "2"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_area_gf_respects_state_ceiling(capsys):
+    code, out, err = run(capsys, "area-gf", "--b", "3", "--max-states", "5")
+    assert code == 3
+    assert out == ""
+    assert "ceiling" in err
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "series", "--b", "4", "--h-max", "12", "--format", "json")
     second = run(capsys, "series", "--b", "4", "--h-max", "12", "--format", "json")

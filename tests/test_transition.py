@@ -13,8 +13,8 @@ from polyrect import (
     step,
     vertical_connexity,
 )
-from polyrect.rowconfig import enumerate_alphabet
-from polyrect.states import max_label
+from polyrect.rowconfig import enumerate_alphabet, letter_runs
+from polyrect.states import max_label, word_labels, word_masks
 
 
 def word(text):
@@ -156,3 +156,26 @@ def test_step_preserves_validity_on_random_states():
                 assert max(got.word.labels) <= bound
                 filled = {i for i, c in enumerate(row.cells) if c}
                 assert {i for i, a in enumerate(got.word.labels) if a} == filled
+
+
+def test_letter_runs_leftmost_first():
+    assert letter_runs(0b1101101) == (0b1100000, 0b0001100, 0b0000001)
+    assert letter_runs(0b0111) == (0b0111,)
+
+
+def test_step_matches_three_phase_reference():
+    # the mask kernel against the paper's phases, every (state, letter) pair
+    for width in range(1, 7):
+        for s in enumerate_valid_states(width):
+            assert word_labels(word_masks(s.word.labels), width) == s.word.labels
+            for row in enumerate_alphabet(width):
+                got = step(s, row)
+                if not continuation_allowed(s.word, row):
+                    assert got is None, (s, row)
+                    continue
+                want = AutomatonState(
+                    horizontal_connexity(vertical_connexity(s.word, row)),
+                    s.left_touched or row.touches_left(),
+                    s.right_touched or row.touches_right(),
+                )
+                assert got == want, (s, row)
