@@ -284,6 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default_ceiling = int(env_ceiling)
     except ValueError:
         raise SystemExit(_usage(f"POLYRECT_MAX_STATES must be an integer, got {env_ceiling!r}"))
+    if default_ceiling <= 0:
+        raise SystemExit(_usage(f"POLYRECT_MAX_STATES must be positive, got {env_ceiling!r}"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, *, height=False, h_max=False, stack=False, fmts=("text", "json")):

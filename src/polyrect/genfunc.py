@@ -7,18 +7,23 @@ integers) and re-checked against a window of extra series terms.  A fit that
 fails its verification window is never returned.
 
 The area-refined series lives over polynomials in q.  Fitting there works by
-exact specialization: evaluate q at rational points, fit each specialized
-integer series, interpolate the recurrence coefficients back to polynomials
-in q (Newton form over exact fractions), and verify the candidate against
-every computed term with full polynomial arithmetic.
+exact specialization: evaluate q at the integer points 1, -1, 2, -2, ...
+(integer Horner), fit each specialized integer series, and interpolate the
+fitted coefficients back to polynomials in q in Newton form.  Integer
+polynomials have integer divided differences at integer nodes, so the
+interpolation divides exactly in the integers.  The candidate is then checked
+once, exactly, against every computed term by substituting q = 2^s with a
+slot width s large enough that the integer identity implies the identity in
+Z[q] (see `_matches`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd as _int_gcd
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .automaton import Automaton, DEFAULT_STATE_CEILING, build, transfer_matrix
 from .counting import count_area_series, count_series
@@ -29,6 +34,7 @@ from .polynomial import (
     ZERO,
     divmod_exact,
     json_ready,
+    pack_coefficients,
     poly_gcd,
 )
 
@@ -160,7 +166,10 @@ def fit_rational(
 
     Raises FitError("insufficient terms ...") when fewer than
     2 * degree_bound + 2 terms are supplied or when no rational function with
-    denominator degree <= degree_bound fits.
+    denominator degree <= degree_bound and numerator degree <= degree_bound + 1
+    fits.  Within those bounds 2 * degree_bound + 2 terms determine the fit:
+    for two such fits P/Q and P'/Q', PQ' - P'Q has degree at most
+    2 * degree_bound + 1 and vanishes to order 2 * degree_bound + 2, so it is 0.
     """
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
@@ -192,6 +201,11 @@ def fit_rational(
         for i in range(min(j, deg_c) + 1):
             acc += c[i] * series[j - i]
         num.append(acc)
+    deg_num = max((j for j, v in enumerate(num) if v), default=-1)
+    if deg_num > degree_bound + 1:
+        raise FitError(
+            f"insufficient terms: numerator degree {deg_num} exceeds bound {degree_bound + 1}"
+        )
     c0 = c[0]
     if c0 != 1:
         den_coeffs = [Fraction(v, c0) for v in c]
@@ -199,15 +213,9 @@ def fit_rational(
     else:
         den_coeffs = c
     return RationalGF(
-        Polynomial(_untangle(num)),
-        Polynomial(_untangle(den_coeffs)),
+        Polynomial(map(_scalar_tidy, num)),
+        Polynomial(map(_scalar_tidy, den_coeffs)),
     )
-
-
-def _untangle(coeffs) -> list:
-    return [
-        int(v) if isinstance(v, Fraction) and v.denominator == 1 else v for v in coeffs
-    ]
 
 
 def gf_height(
@@ -235,31 +243,28 @@ def gf_height(
     return gf
 
 
-def _rational_points() -> Iterator[Fraction]:
-    total = 2
-    while True:
-        for q in range(1, total):
-            p = total - q
-            if _int_gcd(p, q) == 1:
-                yield Fraction(p, q)
-        total += 1
-
-
 class _NewtonTable:
-    """Incremental Newton interpolation over exact fractions."""
+    """Incremental Newton interpolation at distinct integer nodes.
+
+    Divided differences of an integer polynomial at integer nodes are
+    integers, so each one is an exact divmod.  A nonzero remainder means no
+    integer polynomial fits the values; that difference falls back to a
+    Fraction, which keeps the table exact and makes the result non-integer.
+    """
 
     __slots__ = ("xs", "diag", "coeffs")
 
     def __init__(self):
-        self.xs: list[Fraction] = []
-        self.diag: list[Fraction] = []
-        self.coeffs: list[Fraction] = []
+        self.xs: list[int] = []
+        self.diag: list = []
+        self.coeffs: list = []
 
-    def add(self, x: Fraction, y) -> None:
-        y = Fraction(y)
+    def add(self, x: int, y) -> None:
         new_diag = [y]
         for k, prev in enumerate(self.diag):
-            new_diag.append((new_diag[k] - prev) / (x - self.xs[-1 - k]))
+            diff, gap = new_diag[k] - prev, x - self.xs[-1 - k]
+            quot, rem = divmod(diff, gap)
+            new_diag.append(Fraction(diff, gap) if rem else quot)
         self.xs.append(x)
         self.diag = new_diag
         self.coeffs.append(new_diag[-1])
@@ -279,9 +284,7 @@ class _NewtonTable:
                 acc = acc + basis * c
             if k < len(self.coeffs) - 1:
                 basis = basis * Polynomial((-self.xs[k], 1))
-        return acc.map_coefficients(
-            lambda v: int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
-        )
+        return acc
 
 
 def _fit_bivariate(
@@ -292,87 +295,95 @@ def _fit_bivariate(
 ) -> RationalGF:
     """Fit over polynomials in q by exact specialization and interpolation.
 
-    Specializations whose minimal denominator degree falls short of the
-    generic degree (roots of leading or cancelling factors) are discarded.
-    The interpolated candidate must reproduce every supplied series term
-    under exact polynomial arithmetic before it is returned.
+    q runs over the integers 1, -1, 2, -2, ...; specializations whose minimal
+    denominator degree falls short of the generic degree (roots of leading or
+    cancelling factors) are discarded.  The interpolated candidate must
+    reproduce every supplied series term exactly (`_matches`) before it is
+    returned.
     """
     prefix = series[:fit_len]
-    fits: list[tuple[Fraction, tuple, tuple]] = []
+    fits: list[tuple[int, tuple]] = []
     generic_degree = -1
     den_tables: list[_NewtonTable] = []
     num_tables: list[_NewtonTable] = []
-    num_len = 0
     # q-degrees of the recurrence coefficients are at most width * x-degree,
     # so this leaves generous room past the expected stabilization point
     cap = 8 * degree_bound + 64
-    points = _rational_points()
+    points = (sign * k for k in count(1) for sign in (1, -1))
     for _ in range(cap):
         t = next(points)
         _check_cancel(cancel)
-        seq = [p.evaluate(t) if isinstance(p, Polynomial) else p for p in prefix]
+        seq = [p.evaluate(t) for p in prefix]
         try:
             g = fit_rational(seq, degree_bound, cancel=cancel)
         except FitError:
             continue
-        den = g.denominator.coeffs
-        num = g.numerator.coeffs
+        den, num = g.denominator.coeffs, g.numerator.coeffs
         degree = len(den) - 1
         if degree < generic_degree:
             continue
         if degree > generic_degree:
-            generic_degree = degree
-            fits = [f for f in fits if len(f[1]) - 1 == degree]
-            fits.append((t, den, num))
-            num_len = max((len(f[2]) for f in fits), default=0)
+            # every earlier point was degenerate: start over from this one
+            generic_degree, fits, num_tables = degree, [], []
             den_tables = [_NewtonTable() for _ in range(degree + 1)]
-            num_tables = [_NewtonTable() for _ in range(num_len)]
-            for ft, fden, fnum in fits:
-                _feed_tables(den_tables, num_tables, ft, fden, fnum)
-            continue
-        fits.append((t, den, num))
-        if len(num) > num_len:
+        if len(num) > len(num_tables):
             # a longer numerator showed up: rebuild numerator tables
-            num_len = len(num)
-            num_tables = [_NewtonTable() for _ in range(num_len)]
-            for ft, fden, fnum in fits[:-1]:
-                _feed_tables([], num_tables, ft, fden, fnum, num_len)
-            _feed_tables(den_tables, num_tables, t, den, num, num_len)
-        else:
-            _feed_tables(den_tables, num_tables, t, den, num, num_len)
-        if not all(table.stable() for table in den_tables + num_tables):
+            num_tables = [_NewtonTable() for _ in range(len(num))]
+            for ft, fnum in fits:
+                _feed(num_tables, ft, fnum)
+        fits.append((t, num))
+        _feed(den_tables, t, den)
+        _feed(num_tables, t, num)
+        tables = den_tables + num_tables
+        if not all(table.stable() for table in tables):
             continue
-        den_polys = [table.polynomial() for table in den_tables]
-        num_polys = [table.polynomial() for table in num_tables]
-        if any(
-            any(isinstance(c, Fraction) for c in p.coeffs)
-            for p in den_polys + num_polys
-        ):
-            continue
-        if den_polys[0] != 1:
+        # an integer polynomial has integer divided differences at integer
+        # nodes, so a Fraction anywhere rules the candidate out
+        if any(type(c) is not int for table in tables for c in table.coeffs):
             continue
         candidate = RationalGF(
-            Polynomial(tuple(num_polys)),
-            Polynomial((ONE,) + tuple(den_polys[1:])),
+            Polynomial(table.polynomial() for table in num_tables),
+            Polynomial([ONE] + [table.polynomial() for table in den_tables[1:]]),
         )
         if _matches(candidate, series):
             return candidate
     raise FitError("insufficient terms: bivariate fit did not stabilize")
 
 
-def _feed_tables(den_tables, num_tables, t, den, num, num_len=None):
-    for j, table in enumerate(den_tables):
-        table.add(t, den[j])
-    if num_len is None:
-        num_len = len(num_tables)
-    for j, table in enumerate(num_tables):
-        value = num[j] if j < len(num) else 0
-        table.add(t, value)
+def _feed(tables: list[_NewtonTable], t: int, values: tuple) -> None:
+    for j, table in enumerate(tables):
+        table.add(t, values[j] if j < len(values) else 0)
 
 
 def _matches(gf: RationalGF, series: list[Polynomial]) -> bool:
-    for got, want in zip(expand(gf, len(series)), series):
-        if got != want:
+    """Whether gf = N/D over Z[q] expands to every term of series, exactly.
+
+    With D_0 = 1, the expansion agrees on all terms j < T exactly when every
+    E_j = sum_k D_k * S_{j-k} - N_j vanishes in Z[q].  Each coefficient of
+    E_j is at most B = sum_k |D_k|_1 * max_h |S_h|_inf + max_j |N_j|_inf in
+    absolute value.  Substitute q = 2^s with s >= bitlen(B) + 2 (whole bytes),
+    so every coefficient lies strictly inside (-2^(s-1), 2^(s-1)).  Balanced
+    base-2^s digits are unique, so E_j(2^s) = 0 holds exactly when E_j = 0,
+    and one integer per term decides the identity in Z[q]: a proof over the
+    checked terms, not a sampled test.
+
+    Each D_k(2^s) * S_i(2^s) is summed as d_km * S_i(2^s) shifted by s*m over
+    the nonzero coefficients d_km of D_k: scaling a big integer by the small
+    d_km is several times cheaper than multiplying it by the packed D_k.
+    """
+    den, num = gf.denominator.coeffs, gf.numerator.coeffs
+    top = max(abs(c) for p in series for c in p.coeffs)
+    bound = top * sum(abs(c) for p in den for c in p.coeffs)
+    bound += max((abs(c) for p in num for c in p.coeffs), default=0)
+    slot_bytes = (bound.bit_length() + 2 + 7) // 8
+    slot = 8 * slot_bytes
+    packed = [pack_coefficients(p.coeffs, slot_bytes) for p in series]
+    packed_num = [pack_coefficients(p.coeffs, slot_bytes) for p in num]
+    for j in range(len(packed)):
+        e_j = -packed_num[j] if j < len(packed_num) else 0
+        for k, p in enumerate(den[: j + 1]):
+            e_j += sum(d * packed[j - k] << (slot * m) for m, d in enumerate(p.coeffs) if d)
+        if e_j:
             return False
     return True
 
@@ -400,10 +411,7 @@ def gf_height_area(
     total = fit_len + VERIFY_WINDOW
     table = count_area_series(a, total - 1)
     series = list(table.area_counts)
-    gf = _fit_bivariate(series, fit_len, n, cancel)
-    if not _matches(gf, series):
-        raise FitError("verification window mismatch for the area series fit")
-    return gf
+    return _fit_bivariate(series, fit_len, n, cancel)
 
 
 def specialize_q(gf: RationalGF, value) -> RationalGF:

@@ -86,33 +86,11 @@ def _check_size(width: int, height: int) -> None:
 
 def brute_force_count(width: int, height: int) -> int:
     """Number of inscribed polyominoes, by scanning every cell subset."""
-    _check_size(width, height)
-    col0, col_last, row0, row_last, full = _masks(width, height)
-    not_col0 = full ^ col0
-    not_col_last = full ^ col_last
-    count = 0
-    for cells in range(1, full + 1):
-        if not (cells & col0 and cells & col_last and cells & row0 and cells & row_last):
-            continue
-        region = cells & -cells
-        while True:
-            grown = (
-                region
-                | ((region << 1) & not_col0)
-                | ((region >> 1) & not_col_last)
-                | (region << width)
-                | (region >> width)
-            ) & cells
-            if grown == region:
-                break
-            region = grown
-        if region == cells:
-            count += 1
-    return count
+    return sum(brute_force_area_histogram(width, height).values())
 
 
 def brute_force_area_histogram(width: int, height: int) -> dict[int, int]:
-    """Counts keyed by number of cells; same scan as brute_force_count."""
+    """Counts of inscribed polyominoes keyed by number of cells, by full scan."""
     _check_size(width, height)
     col0, col_last, row0, row_last, full = _masks(width, height)
     not_col0 = full ^ col0

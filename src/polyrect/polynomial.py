@@ -176,18 +176,30 @@ ZERO = Polynomial()
 ONE = Polynomial((1,))
 
 
+def pack_coefficients(coeffs, slot_bytes: int) -> int:
+    """Value of an integer polynomial at x = 2^(8 * slot_bytes), in linear time.
+
+    Each coefficient must have absolute value below 2^(8 * slot_bytes).  The
+    positive and negative parts are laid out byte-wise in two buffers and
+    read back as two integers, instead of a Horner loop that shifts an
+    ever-growing integer (quadratic time).
+    """
+    pos = bytearray(slot_bytes * len(coeffs))
+    neg = bytearray(len(pos))
+    for i, c in enumerate(coeffs):
+        if c:
+            buf = pos if c > 0 else neg
+            buf[i * slot_bytes:(i + 1) * slot_bytes] = abs(c).to_bytes(slot_bytes, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Signed convolution through one big-integer multiply."""
     ma = max(abs(c) for c in a)
     mb = max(abs(c) for c in b)
-    slot = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 2
-    packed_a = 0
-    for c in reversed(a):
-        packed_a = (packed_a << slot) + c
-    packed_b = 0
-    for c in reversed(b):
-        packed_b = (packed_b << slot) + c
-    product = packed_a * packed_b
+    slot_bytes = (ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 9) // 8
+    slot = 8 * slot_bytes
+    product = pack_coefficients(a, slot_bytes) * pack_coefficients(b, slot_bytes)
     n = len(a) + len(b) - 1
     half = 1 << (slot - 1)
     mask = (1 << slot) - 1

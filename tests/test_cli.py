@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -104,6 +105,27 @@ def test_area_gf(capsys):
     assert "q^4" in out
 
 
+# sha256 of `area-gf --b B --format F` output, taken before the bivariate fit
+# moved to integer specialization points
+AREA_GF_SHA256 = {
+    (1, "text"): "6360a345263ab8a81111611d184d33993c1cee577097e34984d8314dbc938c7e",
+    (1, "json"): "dc290f8f175c7eac16181672caa7bde752759b94c7ee3772d869b04b23805f4f",
+    (2, "text"): "ae8b59d5baaf753804890b0cfa690181d7e3f53d51dc85e86773d632d6daad60",
+    (2, "json"): "b42eb9e0e972fefb689d5c4e973f43675ff772808718fd88d40d229ef2c47ac1",
+    (3, "text"): "44508d1409b98143309bdc7f2fa1d845d15e6baa702b21743f5fc814606c40e6",
+    (3, "json"): "fce8299dda492854424373571e0d4d5a92b00166591f7e3292fcdaf802893379",
+    (4, "text"): "fd352c9a76170bbb4ba7e25ed161ca26a3b7c3ede6b93aaaee442a54a0152e3c",
+    (4, "json"): "794216b936f4b9cfa7a119a6ddf6051e208b665bb67abc0dd60070dba5e9427b",
+}
+
+
+def test_area_gf_matches_pinned_digests(capsys):
+    for (width, fmt), digest in AREA_GF_SHA256.items():
+        code, out, _ = run(capsys, "area-gf", "--b", str(width), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (width, fmt)
+
+
 def test_area_gf_width_guard(capsys):
     code, out, err = run(capsys, "area-gf", "--b", "5")
     assert code == 3
@@ -206,6 +228,17 @@ def test_bad_env_ceiling_is_usage_error(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_env_ceiling_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("POLYRECT_MAX_STATES", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["states", "--b", "2"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: POLYRECT_MAX_STATES must be positive, got {value!r}\n"
 
 
 def test_area_gf_respects_state_ceiling(capsys):

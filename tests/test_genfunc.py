@@ -19,7 +19,8 @@ from polyrect import (
     reversed_charpoly,
     specialize_q,
 )
-from polyrect.genfunc import reduce_gf
+from polyrect.counting import count_area_series
+from polyrect.genfunc import VERIFY_WINDOW, _matches, _NewtonTable, reduce_gf
 from polyrect.polynomial import ONE, divmod_exact, poly_gcd
 
 
@@ -83,6 +84,19 @@ def test_fit_fraction_series():
 def test_fit_requires_enough_terms():
     with pytest.raises(FitError, match="insufficient terms"):
         fit_rational([1, 2, 3], 4)
+
+
+def test_fit_rejects_numerator_beyond_bound():
+    # x^5 needs numerator degree 5; bound 2 admits numerator degree 3 at most
+    with pytest.raises(FitError, match="insufficient terms"):
+        fit_rational([0, 0, 0, 0, 0, 1, 0, 0, 0, 0], 2)
+    with pytest.raises(FitError, match="numerator degree 5 exceeds bound 3"):
+        fit_rational([0] * 5 + [1] + [0] * 6, 2)
+    with pytest.raises(FitError, match="numerator degree 5 exceeds bound 3"):
+        fit_rational([0] * 5 + [1] * 7, 2)
+    gf = fit_rational([0, 0, 0] + [1] * 9, 2)
+    assert gf.numerator.coeffs == (0, 0, 0, 1)
+    assert gf.denominator.coeffs == (1, -1)
 
 
 def test_fit_rejects_unfittable_series():
@@ -207,3 +221,61 @@ def test_reduce_gf_normalizes():
     assert gf.denominator.coeffs == (1, -1)
     with pytest.raises(ValueError):
         reduce_gf(ONE, Polynomial())
+
+
+def test_newton_table_rebuilds_integer_polynomial():
+    target = Polynomial((3, -5, 0, 7, 0, -2))
+    table = _NewtonTable()
+    for k in range(1, 5):
+        for x in (k, -k):
+            table.add(x, target.evaluate(x))
+    assert table.xs == [1, -1, 2, -2, 3, -3, 4, -4]
+    assert table.stable()
+    rebuilt = table.polynomial()
+    assert rebuilt == target
+    assert all(type(c) is int for c in table.coeffs + list(rebuilt.coeffs))
+
+
+def test_newton_table_non_integer_polynomial_falls_back_to_fractions():
+    # q(q + 1) / 2 is integer-valued but has no integer coefficients
+    table = _NewtonTable()
+    for x in (1, -1, 2, -2, 3):
+        table.add(x, x * (x + 1) // 2)
+    assert table.stable()
+    assert table.polynomial().coeffs == (0, Fraction(1, 2), Fraction(1, 2))
+
+
+def _area_setup(automaton, width):
+    a = automaton(width)
+    total = 2 * a.n_states + 10 + VERIFY_WINDOW
+    series = list(count_area_series(a, total - 1).area_counts)
+    return gf_height_area(width, automaton=a), series
+
+
+def _bump_last(entries, delta):
+    """Entries with the highest q-degree coefficient of the last entry moved by delta."""
+    coeffs = list(entries[-1].coeffs)
+    coeffs[-1] += delta
+    return Polynomial(entries[:-1] + (Polynomial(coeffs),))
+
+
+def test_matches_rejects_one_coefficient_perturbations(automaton):
+    gf, series = _area_setup(automaton, 3)
+    assert _matches(gf, series)
+    num, den = gf.numerator.coeffs, gf.denominator.coeffs
+    for delta in (1, -1):
+        bad_num = RationalGF(_bump_last(num, delta), gf.denominator)
+        assert not _matches(bad_num, series), delta
+        bad_den = RationalGF(gf.numerator, _bump_last(den, delta))
+        assert not _matches(bad_den, series), delta
+
+
+def test_matches_rejects_perturbations_that_vanish_at_a_power_of_two(automaton):
+    # adding q - 2^s leaves the value at q = 2^s unchanged, so only a slot
+    # width sized from the candidate's own coefficients can see it
+    gf, series = _area_setup(automaton, 2)
+    num = gf.numerator.coeffs
+    for s in range(8, 520, 8):
+        hidden = num[-1] + Polynomial((-(1 << s), 1))
+        bad = RationalGF(Polynomial(num[:-1] + (hidden,)), gf.denominator)
+        assert not _matches(bad, series), s
