@@ -22,7 +22,6 @@ from .errors import (
     AutomatonFormatError,
     AutomatonInvariantError,
     AutomatonVersionError,
-    FitCancelled,
     FitError,
     ResourceLimitError,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "AutomatonState",
     "AutomatonVersionError",
     "DEFAULT_STATE_CEILING",
-    "FitCancelled",
     "FitError",
     "GridSubset",
     "LabeledWord",

@@ -5,8 +5,9 @@ pushes weight along every defined transition.  counts[h] sums the accepting
 entries after h steps; counts[0] is stored as 1, the constant term the
 generating functions carry for the empty stack.
 
-Area weighting packs each state's polynomial in q into bit slots of one big
-integer (slot n holds the coefficient of q^n), so a transition multiplies by
+Area weighting packs each state's polynomial in q into byte-aligned slots of
+one big integer (slot n holds the coefficient of q^n, as
+`polynomial.pack_coefficients` lays it out), so a transition multiplies by
 q^fill as a shift and accumulation is plain integer addition.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .automaton import Automaton
-from .polynomial import Polynomial
+from .polynomial import Polynomial, unpack_coefficients
 from .rowconfig import RowConfig
 
 
@@ -33,7 +34,7 @@ class SeriesTable:
         return len(self.counts) - 1
 
     def validate(self) -> None:
-        """Assert the table invariants; used by tests and the CLI verify path."""
+        """Assert the table invariants; used by tests."""
         if not self.counts or self.counts[0] != 1:
             raise AssertionError("counts[0] must be the conventional 1")
         for h in range(2, self.h_max):
@@ -86,20 +87,15 @@ def count_area_series(a: Automaton, h_max: int) -> SeriesTable:
     """Counts refined by area: one polynomial in q per height."""
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
-    # Coefficients are below (2^b - 1)^h_max, so width*h_max + 8 bits per slot
-    # can never collide.
-    slot = a.width * max(h_max, 1) + 8
-    mask = (1 << slot) - 1
+    # Coefficients are below (2^b - 1)^h_max, so slots of at least
+    # width*h_max + 8 bits, in whole bytes, can never collide.
+    slot_bytes = (a.width * max(h_max, 1) + 15) // 8
     # a step's area is its letter's cell count, which is its target's
-    shifts = [slot * sum(1 for c in s.word.labels if c) for s in a.states]
+    shifts = [8 * slot_bytes * sum(1 for c in s.word.labels if c) for s in a.states]
     counts = [1]
     polys = [Polynomial((1,))]
     for acc in _accepted(a, h_max, shifts):
-        coeffs = []
-        while acc:
-            coeffs.append(acc & mask)
-            acc >>= slot
-        poly = Polynomial(coeffs)
+        poly = Polynomial(unpack_coefficients(acc, slot_bytes))
         polys.append(poly)
         counts.append(poly.evaluate(1))
     return SeriesTable(a.width, tuple(counts), tuple(polys))

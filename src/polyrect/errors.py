@@ -19,7 +19,3 @@ class AutomatonInvariantError(AutomatonFormatError):
 
 class FitError(ValueError):
     """No rational function within the degree bound matches the series."""
-
-
-class FitCancelled(RuntimeError):
-    """A cooperative cancellation token stopped a long-running fit."""

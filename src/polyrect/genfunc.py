@@ -1,20 +1,30 @@
-"""Rational generating functions fitted from exact series and then verified.
+"""Rational generating functions fitted from exact series, with a proof.
 
-The height series of a built automaton satisfies a linear recurrence of order
-at most the state count, so the generating function is recovered by a minimal
-recurrence fit (iterative discrepancy method, kept fraction-free over the
-integers) and re-checked against a window of extra series terms.  A fit that
-fails its verification window is never returned.
+The generating functions come from an automaton with n states.  With M the
+transfer matrix, e0 the initial state and f the accepting indicator, the
+height series is 1 + x e0^T M (I - xM)^(-1) f, where the 1 is the
+conventional counts[0].  Cramer's rule writes it as P/Q with Q = det(I - xM)
+and P = Q + x e0^T M adj(I - xM) f, so deg P, deg Q <= n.
+`fit_rational` returns only fits P'/Q' with deg Q' <= n and deg P' <= n + 1.
+If such a fit agrees with the series on 2n + 2 terms, PQ' - P'Q has degree at
+most 2n + 1 and vanishes to order 2n + 2, so it is zero and P'/Q' = P/Q.  So
+each fit runs on exactly 2n + 2 exact terms, and agreement on them is the
+certificate: no further terms are checked.  The one assumption is that n is
+the state count of the automaton whose series is fitted.
+
+The fit is a minimal recurrence, found by an iterative discrepancy method
+kept fraction-free over the integers.
 
 The area-refined series lives over polynomials in q.  Fitting there works by
 exact specialization: evaluate q at the integer points 1, -1, 2, -2, ...
 (integer Horner), fit each specialized integer series, and interpolate the
 fitted coefficients back to polynomials in q in Newton form.  Integer
 polynomials have integer divided differences at integer nodes, so the
-interpolation divides exactly in the integers.  The candidate is then checked
-once, exactly, against every computed term by substituting q = 2^s with a
-slot width s large enough that the integer identity implies the identity in
-Z[q] (see `_matches`).
+interpolation divides exactly in the integers.  The same degree argument
+holds over Z[q], since M(q) has monomial entries: the candidate is checked
+once, exactly, against the 2n + 2 terms by substituting q = 2^s with a slot
+width s large enough that the integer identity implies the identity in Z[q]
+(see `_matches`).
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from typing import Sequence
 
 from .automaton import Automaton, DEFAULT_STATE_CEILING, build, transfer_matrix
 from .counting import count_area_series, count_series
-from .errors import FitCancelled, FitError, ResourceLimitError
+from .errors import FitError, ResourceLimitError
 from .polynomial import (
     ONE,
     Polynomial,
@@ -38,13 +48,7 @@ from .polynomial import (
     poly_gcd,
 )
 
-VERIFY_WINDOW = 25
 AREA_WIDTH_LIMIT = 4
-
-
-def _check_cancel(cancel) -> None:
-    if cancel is not None and cancel.is_set():
-        raise FitCancelled("fit cancelled by caller")
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ def _content_reduce(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
-def _min_lfsr(seq: list[int], cancel) -> tuple[list[int], int]:
+def _min_lfsr(seq: list[int]) -> tuple[list[int], int]:
     """Minimal connection polynomial of an integer sequence.
 
     Fraction-free iterative discrepancy method: updates cross-multiply instead
@@ -127,7 +131,6 @@ def _min_lfsr(seq: list[int], cancel) -> tuple[list[int], int]:
     m = 1
     last_d = 1
     for n, s_n in enumerate(seq):
-        _check_cancel(cancel)
         d = 0
         for i, ci in enumerate(c):
             if i > n:
@@ -160,7 +163,6 @@ def _min_lfsr(seq: list[int], cancel) -> tuple[list[int], int]:
 def fit_rational(
     series: Sequence[int | Fraction],
     degree_bound: int,
-    cancel=None,
 ) -> RationalGF:
     """Minimal rational function matching every supplied series term.
 
@@ -170,6 +172,11 @@ def fit_rational(
     fits.  Within those bounds 2 * degree_bound + 2 terms determine the fit:
     for two such fits P/Q and P'/Q', PQ' - P'Q has degree at most
     2 * degree_bound + 1 and vanishes to order 2 * degree_bound + 2, so it is 0.
+    Such a series also satisfies a recurrence of length at most
+    degree_bound + 1, which the discrepancy method finds from twice that many
+    terms.  So when the series is known to be a rational function within the
+    bounds, the returned fit is that function in lowest terms: a proof, not
+    evidence, and no further term needs checking.
     """
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
@@ -185,7 +192,7 @@ def fit_rational(
         if isinstance(v, Fraction):
             scale = scale * v.denominator // _int_gcd(scale, v.denominator)
     ints = [int(v * scale) for v in series]
-    c, length = _min_lfsr(ints, cancel)
+    c, length = _min_lfsr(ints)
     deg_c = len(c) - 1
     if deg_c > degree_bound:
         raise FitError(
@@ -223,24 +230,16 @@ def gf_height(
     *,
     max_states: int = DEFAULT_STATE_CEILING,
     automaton: Automaton | None = None,
-    cancel=None,
 ) -> RationalGF:
-    """Verified generating function of counts by height.
+    """Generating function of counts by height, proved from 2n + 2 terms.
 
-    The fit uses 2n + 10 series terms for n reachable states with degree bound
-    n, then must reproduce 25 further terms exactly.  The verified fit is
-    strong evidence, not a proof of the closed form.
+    n is the automaton's state count, which bounds both degrees of the
+    generating function (module docstring), so the fit on exactly 2n + 2
+    exact terms with degree bound n is the generating function.
     """
     a = automaton if automaton is not None else build(width, max_states)
     n = a.n_states
-    fit_len = 2 * n + 10
-    total = fit_len + VERIFY_WINDOW
-    table = count_series(a, total - 1)
-    series = list(table.counts)
-    gf = fit_rational(series[:fit_len], n, cancel=cancel)
-    if expand(gf, total) != series:
-        raise FitError("verification window mismatch for the height series fit")
-    return gf
+    return fit_rational(count_series(a, 2 * n + 1).counts, n)
 
 
 class _NewtonTable:
@@ -287,21 +286,18 @@ class _NewtonTable:
         return acc
 
 
-def _fit_bivariate(
-    series: list[Polynomial],
-    fit_len: int,
-    degree_bound: int,
-    cancel,
-) -> RationalGF:
+def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalGF:
     """Fit over polynomials in q by exact specialization and interpolation.
 
     q runs over the integers 1, -1, 2, -2, ...; specializations whose minimal
-    denominator degree falls short of the generic degree (roots of leading or
-    cancelling factors) are discarded.  The interpolated candidate must
-    reproduce every supplied series term exactly (`_matches`) before it is
-    returned.
+    denominator degree falls short of the generic degree (roots of a leading
+    coefficient, or points where numerator and denominator share a factor)
+    are discarded.  Every specialization is fitted on all of series, and the
+    interpolated candidate must reproduce all of it exactly (`_matches`)
+    before it is returned.  With 2 * degree_bound + 2 terms of a series that
+    is a rational function within the bound, that agreement proves the
+    candidate (`fit_rational`).
     """
-    prefix = series[:fit_len]
     fits: list[tuple[int, tuple]] = []
     generic_degree = -1
     den_tables: list[_NewtonTable] = []
@@ -312,10 +308,9 @@ def _fit_bivariate(
     points = (sign * k for k in count(1) for sign in (1, -1))
     for _ in range(cap):
         t = next(points)
-        _check_cancel(cancel)
-        seq = [p.evaluate(t) for p in prefix]
+        seq = [p.evaluate(t) for p in series]
         try:
-            g = fit_rational(seq, degree_bound, cancel=cancel)
+            g = fit_rational(seq, degree_bound)
         except FitError:
             continue
         den, num = g.denominator.coeffs, g.numerator.coeffs
@@ -355,7 +350,7 @@ def _feed(tables: list[_NewtonTable], t: int, values: tuple) -> None:
         table.add(t, values[j] if j < len(values) else 0)
 
 
-def _matches(gf: RationalGF, series: list[Polynomial]) -> bool:
+def _matches(gf: RationalGF, series: Sequence[Polynomial]) -> bool:
     """Whether gf = N/D over Z[q] expands to every term of series, exactly.
 
     With D_0 = 1, the expansion agrees on all terms j < T exactly when every
@@ -391,27 +386,24 @@ def _matches(gf: RationalGF, series: list[Polynomial]) -> bool:
 def gf_height_area(
     width: int,
     *,
-    max_width: int = AREA_WIDTH_LIMIT,
     max_states: int = DEFAULT_STATE_CEILING,
     automaton: Automaton | None = None,
-    cancel=None,
 ) -> RationalGF:
-    """Verified bivariate generating function by height and area.
+    """Bivariate generating function by height and area, proved from 2n + 2 terms.
 
-    Coefficients are exact integer polynomials in q.  Desk-scale widths only;
-    the guard is a resource ceiling, not a correctness bound.
+    Coefficients are exact integer polynomials in q.  The transfer matrix
+    M(q) has monomial entries, so the degree bound n in x holds over Z[q] and
+    the candidate that reproduces 2n + 2 exact terms is the generating
+    function.  Desk-scale widths only; the guard is a resource ceiling, not a
+    correctness bound.
     """
-    if width > max_width:
+    if width > AREA_WIDTH_LIMIT:
         raise ResourceLimitError(
-            f"area generating functions are desk-scale for width <= {max_width}"
+            f"area generating functions are desk-scale for width <= {AREA_WIDTH_LIMIT}"
         )
     a = automaton if automaton is not None else build(width, max_states)
     n = a.n_states
-    fit_len = 2 * n + 10
-    total = fit_len + VERIFY_WINDOW
-    table = count_area_series(a, total - 1)
-    series = list(table.area_counts)
-    return _fit_bivariate(series, fit_len, n, cancel)
+    return _fit_bivariate(count_area_series(a, 2 * n + 1).area_counts, n)
 
 
 def specialize_q(gf: RationalGF, value) -> RationalGF:

@@ -34,10 +34,6 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def constant(cls, c) -> Polynomial:
-        return cls((c,))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -193,25 +189,37 @@ def pack_coefficients(coeffs, slot_bytes: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def unpack_coefficients(value: int, slot_bytes: int) -> list[int]:
+    """Base-2^(8 * slot_bytes) digits of a nonnegative integer, lowest first.
+
+    The inverse of `pack_coefficients` for nonnegative coefficients, in
+    linear time: one `to_bytes` and a slice per slot, instead of a loop that
+    shifts an ever-shrinking integer (quadratic time).
+    """
+    slots = -(-value.bit_length() // (8 * slot_bytes))
+    raw = value.to_bytes(slots * slot_bytes, "little")
+    return [
+        int.from_bytes(raw[i:i + slot_bytes], "little")
+        for i in range(0, len(raw), slot_bytes)
+    ]
+
+
 def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Signed convolution through one big-integer multiply."""
+    """Signed convolution through one big-integer multiply.
+
+    With s = 8 * slot_bytes, every product coefficient lies strictly inside
+    (-2^(s-1), 2^(s-1)), so adding 2^(s-1) to each slot makes every digit
+    nonnegative and the top one nonzero; unpacking then yields exactly one
+    digit per coefficient, and the offset is subtracted again.
+    """
     ma = max(abs(c) for c in a)
     mb = max(abs(c) for c in b)
     slot_bytes = (ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 9) // 8
-    slot = 8 * slot_bytes
     product = pack_coefficients(a, slot_bytes) * pack_coefficients(b, slot_bytes)
     n = len(a) + len(b) - 1
-    half = 1 << (slot - 1)
-    mask = (1 << slot) - 1
-    out = []
-    for _ in range(n):
-        digit = product & mask
-        if digit >= half:
-            digit -= mask + 1
-            product += mask + 1
-        out.append(digit)
-        product >>= slot
-    return out
+    half = 1 << (8 * slot_bytes - 1)
+    offset = int.from_bytes(half.to_bytes(slot_bytes, "little") * n, "little")
+    return [d - half for d in unpack_coefficients(product + offset, slot_bytes)]
 
 
 def _as_fraction_coeffs(p: Polynomial) -> list[Fraction]:

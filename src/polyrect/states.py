@@ -123,12 +123,6 @@ class LabeledWord:
     def width(self) -> int:
         return len(self.labels)
 
-    def is_zero(self) -> bool:
-        return not any(self.labels)
-
-    def component_count(self) -> int:
-        return len(set(self.labels) - {0})
-
     def __str__(self) -> str:
         return "".join(str(a) for a in self.labels)
 

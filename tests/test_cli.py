@@ -99,6 +99,29 @@ def test_gf_json(capsys):
     assert doc["degrees"] == {"num": 3, "den": 3, "max": 3}
 
 
+# sha256 of `gf --b B` output, taken before the fit moved to exactly 2n + 2
+# terms from 2n + 10 fitted plus 25 checked
+GF_SHA256 = {
+    (1, "text"): "8326070a0b8afeb3ee55dd0ef51cd156ad5545154c65de4c871702175f66ff0c",
+    (1, "json"): "aed2593f9109ffeec0712d3dcdd0030675134331a65d64c7d89beb4e8bee6a99",
+    (2, "text"): "f1502eb506f6aa4eb488b38c1b4527328e1b97f9d46b255a08c377300cd0db58",
+    (2, "json"): "a555ad3791a6c03ce4d61dec4ab0a1199d528ca128bdf7693baeac3c12493c3d",
+    (3, "text"): "34bc273bc74afd93f98aafb26497e576f91e50ed700ac8b927321c0ba2c9b3ac",
+    (3, "json"): "59495c71d3dba50cd201759b7f0ac29f481f5e69e4b98325d1dd1fd51bf23a30",
+    (4, "text"): "c112328d4b0673eda92c2ad3ecafea27a0643df802153e263139eac3962c255a",
+    (4, "json"): "6472d2cd776ac50394f0f34647ad222ab5d0386812ce5994be0ee4ad127fd2f0",
+    (5, "text"): "9e54d9c4fd57e305f4bc3b19b9ed6a66e5d1c75b55f29209d03ea2a809348bdc",
+    (5, "json"): "cb93348747a1125f93d29891592fe067f90c91331d54d86eb1a8e6e4096198e1",
+}
+
+
+def test_gf_matches_pinned_digests(capsys):
+    for (width, fmt), digest in GF_SHA256.items():
+        code, out, _ = run(capsys, "gf", "--b", str(width), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (width, fmt)
+
+
 def test_area_gf(capsys):
     code, out, _ = run(capsys, "area-gf", "--b", "2")
     assert code == 0

@@ -1,11 +1,9 @@
 import random
-import threading
 from fractions import Fraction
 
 import pytest
 
 from polyrect import (
-    FitCancelled,
     FitError,
     Polynomial,
     RationalGF,
@@ -20,7 +18,7 @@ from polyrect import (
     specialize_q,
 )
 from polyrect.counting import count_area_series
-from polyrect.genfunc import VERIFY_WINDOW, _matches, _NewtonTable, reduce_gf
+from polyrect.genfunc import _matches, _NewtonTable, reduce_gf
 from polyrect.polynomial import ONE, divmod_exact, poly_gcd
 
 
@@ -120,15 +118,6 @@ def test_fit_round_trip_random_rationals():
         assert fitted.denominator.degree <= dd
 
 
-def test_fit_cancellation():
-    event = threading.Event()
-    event.set()
-    with pytest.raises(FitCancelled):
-        fit_rational([1, 2, 4, 8, 16, 32], 2, cancel=event)
-    with pytest.raises(FitCancelled):
-        gf_height(2, cancel=event)
-
-
 def test_gf_height_width_two(automaton):
     gf = gf_height(2, automaton=automaton(2))
     assert gf.numerator.coeffs == (1, -2, 3, 2)
@@ -142,6 +131,18 @@ def test_gf_height_matches_series(automaton):
         gf = gf_height(width, automaton=a)
         n = 25
         assert expand(gf, n + 1) == list(count_series(a, n).counts), width
+
+
+def test_gf_height_is_fixed_by_two_n_plus_two_terms(automaton):
+    # fit_rational refuses fewer than 2n + 2 terms, and since the state count
+    # n bounds both degrees, the fit on 2n + 2 reproduces the series far past
+    for width in (1, 2, 3, 4):
+        a = automaton(width)
+        n = a.n_states
+        counts = list(count_series(a, 4 * n).counts)
+        with pytest.raises(FitError, match="insufficient terms"):
+            fit_rational(counts[: 2 * n + 1], n)
+        assert expand(gf_height(width, automaton=a), 4 * n + 1) == counts, width
 
 
 def test_gf_height_numerator_denominator_coprime(automaton):
@@ -247,8 +248,7 @@ def test_newton_table_non_integer_polynomial_falls_back_to_fractions():
 
 def _area_setup(automaton, width):
     a = automaton(width)
-    total = 2 * a.n_states + 10 + VERIFY_WINDOW
-    series = list(count_area_series(a, total - 1).area_counts)
+    series = list(count_area_series(a, 2 * a.n_states + 1).area_counts)
     return gf_height_area(width, automaton=a), series
 
 

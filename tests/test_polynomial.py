@@ -10,8 +10,10 @@ from polyrect.polynomial import (
     content,
     divmod_exact,
     json_ready,
+    pack_coefficients,
     poly_gcd,
     primitive_part,
+    unpack_coefficients,
 )
 
 
@@ -92,6 +94,18 @@ def test_kronecker_extremes():
     a = [0] * 20 + [-1]
     b = [-(10**40)] + [0] * 18 + [10**40]
     assert (Polynomial(a) * Polynomial(b)).coeffs == convolve(a, b)
+
+
+def test_unpack_inverts_pack():
+    rng = random.Random(52361)
+    for slot_bytes in (1, 3, 8):
+        top = 1 << (8 * slot_bytes)
+        for length in (1, 2, 17):
+            coeffs = [rng.choice((0, 1, rng.randrange(top))) for _ in range(length)]
+            coeffs[-1] = top - 1
+            packed = pack_coefficients(coeffs, slot_bytes)
+            assert unpack_coefficients(packed, slot_bytes) == coeffs
+    assert unpack_coefficients(0, 4) == []
 
 
 def test_nested_coefficients():
