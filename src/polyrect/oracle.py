@@ -1,21 +1,26 @@
 """Brute-force ground truth, independent of the automaton machinery.
 
-A candidate cell set in a width x height grid is scanned as one integer whose
-bit r*width + c is cell (row r, column c).  A set counts when it is nonempty,
+A candidate cell set in a width x height grid is one integer whose bit
+r*width + c is cell (row r, column c).  A set counts when it is nonempty,
 4-connected, and touches all four grid sides.  Connectivity is an iterated
-neighborhood dilation from one seed cell; nothing here shares code with the
-state or transition modules.
+neighborhood dilation from the set's lowest cell; nothing here shares code
+with the state or transition modules.  `is_inscribed_polyomino` tests one
+set.  The full scan is bit-sliced: it tests 2^SLICE_BITS sets at once, each
+cell a "plane" integer whose bit k says whether set k of the slice holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import or_, xor
 
 from .errors import ResourceLimitError
 from .rowconfig import RowConfig
 
 ORACLE_CELL_LIMIT = 24
+SLICE_BITS = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,40 +44,28 @@ class GridSubset:
 @lru_cache(maxsize=None)
 def _masks(width: int, height: int):
     col0 = sum(1 << (r * width) for r in range(height))
-    col_last = col0 << (width - 1)
     row0 = (1 << width) - 1
-    row_last = row0 << ((height - 1) * width)
-    full = (1 << (width * height)) - 1
-    return col0, col_last, row0, row_last, full
+    return col0, col0 << (width - 1), row0, row0 << ((height - 1) * width)
 
 
-def _connected(cells: int, width: int, height: int) -> bool:
-    col0, col_last, _, _, full = _masks(width, height)
-    not_col0 = full ^ col0
-    not_col_last = full ^ col_last
+def is_inscribed_polyomino(grid: GridSubset) -> bool:
+    """Nonempty, 4-connected, and touching all four sides of the grid."""
+    cells, width = grid.cells, grid.width
+    col0, col_last, row0, row_last = _masks(width, grid.height)
+    if not (cells & col0 and cells & col_last and cells & row0 and cells & row_last):
+        return False
     region = cells & -cells
     while True:
         grown = (
             region
-            | ((region << 1) & not_col0)
-            | ((region >> 1) & not_col_last)
+            | ((region << 1) & ~col0)
+            | ((region >> 1) & ~col_last)
             | (region << width)
             | (region >> width)
         ) & cells
         if grown == region:
             return region == cells
         region = grown
-
-
-def is_inscribed_polyomino(grid: GridSubset) -> bool:
-    """Nonempty, 4-connected, and touching all four sides of the grid."""
-    cells = grid.cells
-    if not cells:
-        return False
-    col0, col_last, row0, row_last, _ = _masks(grid.width, grid.height)
-    if not (cells & col0 and cells & col_last and cells & row0 and cells & row_last):
-        return False
-    return _connected(cells, grid.width, grid.height)
 
 
 def _check_size(width: int, height: int) -> None:
@@ -89,31 +82,68 @@ def brute_force_count(width: int, height: int) -> int:
     return sum(brute_force_area_histogram(width, height).values())
 
 
+@lru_cache(maxsize=None)
+def _low_planes(bits: int):
+    """Over k < 2^bits: the plane of each bit i (bit k set when k has bit i),
+    the masks of the k with popcount a, and the all-ones plane."""
+    full = (1 << (1 << bits)) - 1
+    planes = tuple((full // ((1 << (1 << i)) + 1)) << (1 << i) for i in range(bits))
+    weights = [1]
+    for i in range(bits):
+        shifted = [w << (1 << i) for w in weights]
+        weights = [a | b for a, b in zip(weights + [0], [0] + shifted)]
+    return planes, tuple(weights), full
+
+
+def _scan(width: int, height: int):
+    """Yield (base, hits) per slice with hits, in increasing subset order.
+
+    A slice holds the subsets base | k for k < 2^bits; bit k of `hits` is set
+    when that subset is an inscribed polyomino.  Every subset is tested.
+    """
+    _check_size(width, height)
+    n = width * height
+    bits = min(n, SLICE_BITS)
+    low, _, full = _low_planes(bits)
+    sides = (range(width), range(n - width, n), range(0, n, width), range(width - 1, n, width))
+    nbrs = [
+        [j for j in (i - width, i + width) if 0 <= j < n]
+        + [j for j in (i - 1, i + 1) if 0 <= j < n and j // width == i // width]
+        for i in range(n)
+    ]
+    for high in range(1 << (n - bits)):
+        planes = low + tuple(full if high >> j & 1 else 0 for j in range(n - bits))
+        ok = full
+        for side in sides:
+            ok &= reduce(or_, [planes[i] for i in side])
+        if not ok:
+            continue
+        region = [plane & ~seen for plane, seen in zip(planes, accumulate(planes, or_, initial=0))]
+        changed = True
+        while changed:
+            changed = False
+            for i, plane in enumerate(planes):
+                grown = region[i]
+                for j in nbrs[i]:
+                    grown |= region[j]
+                grown &= plane
+                if grown != region[i]:
+                    region[i] = grown
+                    changed = True
+        hits = ok & ~reduce(or_, map(xor, planes, region))
+        if hits:
+            yield high << bits, hits
+
+
 def brute_force_area_histogram(width: int, height: int) -> dict[int, int]:
     """Counts of inscribed polyominoes keyed by number of cells, by full scan."""
-    _check_size(width, height)
-    col0, col_last, row0, row_last, full = _masks(width, height)
-    not_col0 = full ^ col0
-    not_col_last = full ^ col_last
     hist: dict[int, int] = {}
-    for cells in range(1, full + 1):
-        if not (cells & col0 and cells & col_last and cells & row0 and cells & row_last):
-            continue
-        region = cells & -cells
-        while True:
-            grown = (
-                region
-                | ((region << 1) & not_col0)
-                | ((region >> 1) & not_col_last)
-                | (region << width)
-                | (region >> width)
-            ) & cells
-            if grown == region:
-                break
-            region = grown
-        if region == cells:
-            area = cells.bit_count()
-            hist[area] = hist.get(area, 0) + 1
+    for base, hits in _scan(width, height):
+        weights = _low_planes(min(width * height, SLICE_BITS))[1]
+        for a, weight in enumerate(weights, base.bit_count()):
+            count = (hits & weight).bit_count()
+            if count:
+                hist[a] = hist.get(a, 0) + count
     return dict(sorted(hist.items()))
 
 
@@ -131,12 +161,12 @@ def _to_stack(cells: int, width: int, height: int) -> list[RowConfig]:
 
 def sample_accepted_stacks(width: int, height: int, limit: int) -> list[list[RowConfig]]:
     """Row stacks of the first `limit` inscribed polyominoes in scan order."""
-    _check_size(width, height)
     out = []
-    full = (1 << (width * height)) - 1
-    for cells in range(1, full + 1):
-        if len(out) >= limit:
-            break
-        if is_inscribed_polyomino(GridSubset(width, height, cells)):
-            out.append(_to_stack(cells, width, height))
+    for base, hits in _scan(width, height):
+        while hits:
+            if len(out) >= limit:
+                return out
+            k = (hits & -hits).bit_length() - 1
+            out.append(_to_stack(base | k, width, height))
+            hits &= hits - 1
     return out

@@ -8,6 +8,7 @@ from polyrect import (
     is_inscribed_polyomino,
     sample_accepted_stacks,
 )
+from polyrect import oracle
 
 # brute-force values, frozen
 COUNTS = {
@@ -108,3 +109,39 @@ def test_sample_rows_read_top_down():
     stacks = sample_accepted_stacks(2, 2, 1)
     assert str(stacks[0][0]) == "11"
     assert str(stacks[0][1]) == "10"
+
+
+def scalar_hits(b, h):
+    """Every inscribed subset of the b x h grid in scan order, one test each."""
+    return [c for c in range(1 << (b * h)) if is_inscribed_polyomino(GridSubset(b, h, c))]
+
+
+def scalar_histogram(b, h):
+    hist = {}
+    for cells in scalar_hits(b, h):
+        hist[cells.bit_count()] = hist.get(cells.bit_count(), 0) + 1
+    return dict(sorted(hist.items()))
+
+
+def small_grids(lo, hi):
+    return [(b, h) for b in range(1, hi + 1) for h in range(1, hi + 1) if lo <= b * h <= hi]
+
+
+def test_sliced_scan_matches_scalar_predicate():
+    for b, h in small_grids(1, 12):
+        assert brute_force_area_histogram(b, h) == scalar_histogram(b, h), (b, h)
+
+
+def test_narrow_slices_match_default_width(monkeypatch):
+    grids = small_grids(4, 12)
+    want = {g: brute_force_area_histogram(*g) for g in grids}
+    # 3-bit slices: every grid spans many slices, and some slices fail the
+    # side test on their fixed high cells alone
+    monkeypatch.setattr(oracle, "SLICE_BITS", 3)
+    for g in grids:
+        assert brute_force_area_histogram(*g) == want[g], g
+    hits = scalar_hits(3, 3)
+    for limit in (1, 5, 40, len(hits) + 1):
+        want_stacks = [[str(r) for r in oracle._to_stack(c, 3, 3)] for c in hits[:limit]]
+        got = [[str(r) for r in s] for s in sample_accepted_stacks(3, 3, limit)]
+        assert got == want_stacks, limit
