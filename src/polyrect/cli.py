@@ -26,7 +26,9 @@ Stack files contain one row per line as a 0/1 string of the automaton's
 width; the first line is the first row fed to the automaton.
 
 Exit codes: 0 success or accepted stack; 1 verification mismatch or rejected
-stack; 2 usage error; 3 resource ceiling hit.  Diagnostics go to stderr.
+stack; 2 usage error, including an unreadable stack file or an unwritable
+--output file; 3 resource ceiling hit or memory exhausted; 4 internal error
+(a bug, reported without a traceback).  Diagnostics go to stderr.
 
 The POLYRECT_MAX_STATES environment variable overrides the default state
 ceiling; --max-states overrides both.
@@ -53,6 +55,7 @@ from .states import enumerate_valid_states
 USAGE_ERROR = 2
 MISMATCH = 1
 RESOURCE = 3
+INTERNAL = 4
 
 
 @dataclass(slots=True)
@@ -211,7 +214,7 @@ def _run_accepts(cfg: RunConfig) -> tuple[int, str]:
     try:
         with open(cfg.stack_path, "r", encoding="ascii") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_usage(f"cannot read stack file: {exc}"))
     rows = [line.strip() for line in raw.splitlines() if line.strip()]
     if not rows:
@@ -259,12 +262,19 @@ def run(cfg: RunConfig) -> int:
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MISMATCH
-    except ValueError as exc:
-        return _usage(str(exc))
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return RESOURCE
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
     if cfg.output:
         mode = "wb" if isinstance(payload, bytes) else "w"
-        with open(cfg.output, mode) as fh:
-            fh.write(payload)
+        try:
+            with open(cfg.output, mode) as fh:
+                fh.write(payload)
+        except OSError as exc:
+            return _usage(f"cannot write output file: {exc}")
     else:
         if isinstance(payload, bytes):
             sys.stdout.buffer.write(payload)

@@ -12,8 +12,15 @@ each fit runs on exactly 2n + 2 exact terms, and agreement on them is the
 certificate: no further terms are checked.  The one assumption is that n is
 the state count of the automaton whose series is fitted.
 
-The fit is a minimal recurrence, found by an iterative discrepancy method
-kept fraction-free over the integers.
+The fit is a minimal recurrence.  Berlekamp-Massey runs modulo primes just
+below 2^61; the residues of primes that agree on the recurrence length are
+combined by the Chinese remainder theorem, and after each prime the lift is
+checked exactly, in the integers, against every term.  Only a candidate that
+passes is used, so the primes decide the running time, never the result: the
+certificate is that exact check plus the degree bounds.  By Fatou's lemma a
+rational power series with integer coefficients has an integer denominator
+with constant term 1, so for the generating functions the symmetric lift is
+the answer once the primes' product exceeds twice its largest coefficient.
 
 The area-refined series lives over polynomials in q.  Fitting there works by
 exact specialization: evaluate q at the integer points 1, -1, 2, -2, ...
@@ -32,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd as _int_gcd
+from math import isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from .automaton import Automaton, DEFAULT_STATE_CEILING, build, transfer_matrix
@@ -102,62 +110,176 @@ def expand(gf: RationalGF, n_terms: int) -> list:
     return out
 
 
-def _content_reduce(coeffs: list[int]) -> list[int]:
-    g = 0
-    for c in coeffs:
-        g = _int_gcd(g, c)
-        if g == 1:
-            break
-    if coeffs[0] < 0:
-        g = -g
-    if g not in (0, 1):
-        coeffs = [c // g for c in coeffs]
-    elif g == -1:
-        coeffs = [-c for c in coeffs]
-    return coeffs
+# Berlekamp-Massey runs modulo the primes just below 2^61, found on first use
+_PRIMES: list[int] = []
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _min_lfsr(seq: list[int]) -> tuple[list[int], int]:
-    """Minimal connection polynomial of an integer sequence.
-
-    Fraction-free iterative discrepancy method: updates cross-multiply instead
-    of dividing, and the connection polynomial is content-reduced after every
-    change, keeping all arithmetic in the integers.  Returns (C, L) with
-    C[0] > 0 and sum(C[i] * seq[n-i]) == 0 for every n >= L.
-    """
-    c = [1]
-    b = [1]
-    length = 0
-    m = 1
-    last_d = 1
-    for n, s_n in enumerate(seq):
-        d = 0
-        for i, ci in enumerate(c):
-            if i > n:
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2..37: deterministic for odd 37 < n < 3.3e24."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
                 break
-            if ci:
-                d += ci * seq[n - i]
-        if d == 0:
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The primes below 2^61 in descending order, each found once per process."""
+    for k in count():
+        if k == len(_PRIMES):
+            n = _PRIMES[-1] - 2 if _PRIMES else (1 << 61) - 1
+            while not _is_prime(n):
+                n -= 2
+            _PRIMES.append(n)
+        yield _PRIMES[k]
+
+
+def _min_lfsr_mod(seq: Sequence[int], p: int) -> tuple[list[int], int]:
+    """Minimal connection polynomial of seq modulo the prime p.
+
+    Iterative discrepancy method: C <- C - (d / last_d) * x^m * B touches
+    only the entries that x^m * B overlaps, and one inverse per length change
+    keeps the update that short.  Returns (C, L) with C[0] = 1,
+    len(C) == L + 1 and sum(C[i] * seq[n-i]) == 0 mod p for every n >= L.
+    When no nonzero discrepancy of the run over Q vanishes mod p, every
+    branch matches that run, so C is its connection polynomial reduced mod p.
+    """
+    total = len(seq)
+    rev = [v % p for v in reversed(seq)]
+    c, b = [1], [1]
+    length, m, inv_d = 0, 1, 1
+    for n in range(total):
+        window = total - 1 - n
+        d = sum(map(mul, c, rev[window : window + len(c)])) % p
+        if not d:
             m += 1
             continue
-        updated = [last_d * x for x in c]
-        need = m + len(b)
-        if need > len(updated):
-            updated.extend([0] * (need - len(updated)))
-        for i, bv in enumerate(b):
-            if bv:
-                updated[m + i] -= d * bv
-        while updated[-1] == 0:
-            updated.pop()
+        scale, end = d * inv_d % p, m + len(b)
+        t = c + [0] * (end - len(c))
+        t[m:end] = [(x - scale * y) % p for x, y in zip(t[m:end], b)]
+        while not t[-1]:
+            t.pop()
         if 2 * length <= n:
-            c, b = _content_reduce(updated), c
-            length = n + 1 - length
-            last_d = d
-            m = 1
+            c, b = t, c
+            length, inv_d, m = n + 1 - length, pow(d, -1, p), 1
         else:
-            c = _content_reduce(updated)
+            c = t
             m += 1
-    return c, length
+    return c + [0] * (length + 1 - len(c)), length
+
+
+def _lifts(residues: list[int], modulus: int, rational: bool):
+    """Integer candidates for the connection polynomial with these residues.
+
+    First the symmetric lift.  Then, if rational is set, a rational
+    reconstruction over one common denominator d: each residue r lifts as
+    the symmetric residue of d * r, and when that exceeds sqrt(modulus / 2)
+    the half extended Euclidean algorithm finds the factor d lacks.  Each
+    candidate has C[0] > 0; only C / C[0] matters.
+    """
+    half = modulus >> 1
+    yield [r - modulus if r > half else r for r in residues]
+    if not rational:
+        return
+    bound = isqrt(half)
+    den, nums = 1, []
+    for r in residues:
+        a = den * r % modulus
+        if a > half:
+            a -= modulus
+        if abs(a) > bound:
+            r0, r1, t0, t1 = modulus, a % modulus, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if t1 < 0:
+                r1, t1 = -r1, -t1
+            den *= t1
+            if den > bound:
+                return
+            nums = [v * t1 for v in nums]
+            a = r1
+        nums.append(a)
+    if den != 1:
+        yield nums
+
+
+def _reproduces(c: list[int], seq: list[int], length: int) -> bool:
+    """Whether sum(c[i] * seq[n-i]) == 0 for every n from length on, exactly."""
+    total = len(seq)
+    rev = seq[::-1]
+    for n in range(length, total):
+        window = total - 1 - n
+        if sum(map(mul, c, rev[window : window + len(c)])):
+            return False
+    return True
+
+
+def _min_recurrence(seq: list[int], degree_bound: int) -> tuple[list[int], int]:
+    """Minimal recurrence (C, L) of an integer sequence over Q, C[0] > 0.
+
+    Primes whose recurrence length L agrees are combined by the Chinese
+    remainder theorem.  After each prime the lifts of its group are checked
+    exactly (`_reproduces`), and the first that passes is returned.  A prime
+    can give another L than the run over Q.  A shorter one comes from a
+    discrepancy that vanishes mod p; no lift of it passes, as no shorter
+    recurrence exists.  A longer one comes from a prime that divides a
+    denominator of C / C[0], and its lift can pass as a recurrence that is
+    not minimal: P^3, P^2, P, 1 is 0, 0, 0, 1 mod P, with L = 4, where the
+    check tests no term.  While 2L <= len(seq) it cannot pass (Gauss's
+    lemma: it would be a multiple of the primitive C, whose constant term
+    the prime divides), so a group with 2L > len(seq) is lifted only once
+    its modulus passes the limit below, which the primes dividing one
+    denominator do not reach.
+
+    Each coefficient of C / C[0] is a ratio of two L x L minors of the
+    Hankel matrix of seq, at most (sqrt(L) * max |seq|)^L by Hadamard's
+    inequality.  So a group whose modulus exceeds twice the square of that
+    bound at L = degree_bound + 2 without a passing lift rules out every
+    recurrence a fit within the bounds could have, and FitError is raised.
+    """
+    rank = degree_bound + 2
+    top_bits = max(max(seq), -min(seq)).bit_length()
+    limit_bits = 2 * rank * (top_bits + rank.bit_length()) + 2
+    # length -> (modulus, residues, modulus bits for the next rational
+    # reconstruction); reconstruction costs grow with the modulus, so it is
+    # tried each time the modulus doubles in size, not at every prime
+    groups: dict[int, tuple[int, list[int], int]] = {}
+    for p in _primes():
+        values, length = _min_lfsr_mod(seq, p)
+        if length in groups:
+            modulus, residues, rational_bits = groups[length]
+            inv = pow(modulus % p, -1, p)
+            residues = [
+                r + modulus * ((v - r % p) * inv % p) for r, v in zip(residues, values)
+            ]
+            modulus *= p
+        else:
+            modulus, residues, rational_bits = p, values, 0
+        bits = modulus.bit_length()
+        rational = bits >= rational_bits or bits > limit_bits
+        if rational:
+            rational_bits = 2 * bits
+        groups[length] = modulus, residues, rational_bits
+        if 2 * length <= len(seq) or bits > limit_bits:
+            for c in _lifts(residues, modulus, rational):
+                while not c[-1]:
+                    c.pop()
+                if _reproduces(c, seq, length):
+                    return c, length
+        if bits > limit_bits:
+            break
+    raise FitError("insufficient terms: no rational fit reproduces the series")
 
 
 def fit_rational(
@@ -173,10 +295,12 @@ def fit_rational(
     for two such fits P/Q and P'/Q', PQ' - P'Q has degree at most
     2 * degree_bound + 1 and vanishes to order 2 * degree_bound + 2, so it is 0.
     Such a series also satisfies a recurrence of length at most
-    degree_bound + 1, which the discrepancy method finds from twice that many
-    terms.  So when the series is known to be a rational function within the
-    bounds, the returned fit is that function in lowest terms: a proof, not
-    evidence, and no further term needs checking.
+    degree_bound + 2, which `_min_recurrence` finds and checks exactly
+    against every term.  So when the series is known to be a rational
+    function within the bounds, the returned fit is that function in lowest
+    terms: a proof, not evidence, and no further term needs checking.  A
+    finite prefix may need rational recurrence coefficients (128, 64, ..., 1
+    has C = 1 - x/2); rational reconstruction recovers them.
     """
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
@@ -187,27 +311,18 @@ def fit_rational(
         )
     # Scale rational inputs to integers; the connection polynomial is scale
     # invariant and the numerator is rebuilt from the original terms.
-    scale = 1
-    for v in series:
-        if isinstance(v, Fraction):
-            scale = scale * v.denominator // _int_gcd(scale, v.denominator)
-    ints = [int(v * scale) for v in series]
-    c, length = _min_lfsr(ints)
+    ints = series
+    if not all(isinstance(v, int) for v in series):
+        scale = lcm(*(v.denominator for v in series))
+        ints = [int(v * scale) for v in series]
+    c, length = _min_recurrence(ints, degree_bound)
     deg_c = len(c) - 1
     if deg_c > degree_bound:
         raise FitError(
             f"insufficient terms: minimal denominator degree {deg_c} "
             f"exceeds bound {degree_bound}"
         )
-    for n in range(length, len(ints)):
-        if sum(c[i] * ints[n - i] for i in range(len(c))) != 0:
-            raise FitError("insufficient terms: no rational fit reproduces the series")
-    num = []
-    for j in range(length):
-        acc = 0
-        for i in range(min(j, deg_c) + 1):
-            acc += c[i] * series[j - i]
-        num.append(acc)
+    num = [sum(map(mul, c, series[j::-1])) for j in range(length)]
     deg_num = max((j for j, v in enumerate(num) if v), default=-1)
     if deg_num > degree_bound + 1:
         raise FitError(
@@ -215,13 +330,11 @@ def fit_rational(
         )
     c0 = c[0]
     if c0 != 1:
-        den_coeffs = [Fraction(v, c0) for v in c]
+        c = [Fraction(v, c0) for v in c]
         num = [Fraction(v, c0) if not isinstance(v, Fraction) else v / c0 for v in num]
-    else:
-        den_coeffs = c
     return RationalGF(
         Polynomial(map(_scalar_tidy, num)),
-        Polynomial(map(_scalar_tidy, den_coeffs)),
+        Polynomial(map(_scalar_tidy, c)),
     )
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from polyrect import build, deserialize
+from polyrect import build, cli, deserialize
 from polyrect.cli import main
 
 FIG_ROWS = [
@@ -112,6 +112,9 @@ GF_SHA256 = {
     (4, "json"): "6472d2cd776ac50394f0f34647ad222ab5d0386812ce5994be0ee4ad127fd2f0",
     (5, "text"): "9e54d9c4fd57e305f4bc3b19b9ed6a66e5d1c75b55f29209d03ea2a809348bdc",
     (5, "json"): "cb93348747a1125f93d29891592fe067f90c91331d54d86eb1a8e6e4096198e1",
+    # b=6 taken before the fit moved to Berlekamp-Massey modulo primes
+    (6, "text"): "75ae1ccef32eb13c3d8324c71c0ce356d72184345ba650f697b6d1eee36565ee",
+    (6, "json"): "740d55a9e03173e1e115a7c401ab2664af569b806069f0ab53861cec0207687c",
 }
 
 
@@ -217,6 +220,47 @@ def test_accepts_missing_file_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["accepts", "--b", "2", "--stack", str(tmp_path / "nope.txt")])
     assert exc.value.code == 2
+
+
+def test_accepts_non_ascii_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "stack.txt"
+    path.write_bytes("01\n1\u00e9\n".encode())
+    with pytest.raises(SystemExit) as exc:
+        main(["accepts", "--b", "2", "--stack", str(path)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: cannot read stack file: ")
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "gf.txt"
+    code, out, err = run(capsys, "gf", "--b", "2", "--output", str(target))
+    assert code == 2
+    assert out == "" and not target.exists()
+    assert err.startswith("error: cannot write output file: ") and err.count("\n") == 1
+
+
+def test_internal_error_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(cfg):
+        raise ValueError("inverse of 0 mod p")
+
+    monkeypatch.setitem(cli._HANDLERS, "gf", broken)
+    code, out, err = run(capsys, "gf", "--b", "2")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: ValueError: inverse of 0 mod p\n"
+
+
+def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "build", exhausted)
+    code, out, err = run(capsys, "build", "--b", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_width_out_of_range_is_usage_error():

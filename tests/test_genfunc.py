@@ -17,6 +17,7 @@ from polyrect import (
     reversed_charpoly,
     specialize_q,
 )
+from polyrect import genfunc
 from polyrect.counting import count_area_series
 from polyrect.genfunc import _matches, _NewtonTable, reduce_gf
 from polyrect.polynomial import ONE, divmod_exact, poly_gcd
@@ -79,6 +80,37 @@ def test_fit_fraction_series():
     assert gf.denominator.coeffs == (1, Fraction(-1, 2))
 
 
+def test_fit_series_with_prime_ratio():
+    # P^3, P^2, P, 1 is 0, 0, 0, 1 mod P: that prime alone gives a recurrence
+    # of length 4, which reproduces the four terms without testing one
+    big = 2**61 - 1
+    gf = fit_rational([big ** (3 - k) for k in range(4)], 1)
+    assert gf.numerator.coeffs == (big**3,)
+    assert gf.denominator.coeffs == (1, Fraction(-1, big))
+    gf = fit_rational([Fraction(1, big**k) for k in range(4)], 1)
+    assert gf.numerator.coeffs == (1,)
+    assert gf.denominator.coeffs == (1, Fraction(-1, big))
+
+
+def test_fit_limit_ends_search(monkeypatch):
+    # 14 random terms have a minimal recurrence of length 7, longer than any
+    # fit with degree bound 3 allows; its coefficients need more bits than
+    # the limit, so the search stops there with nothing passing
+    rng = random.Random(4099)
+    series = [rng.randint(-(2**20), 2**20) for _ in range(14)]
+    primes = []
+    real = genfunc._min_lfsr_mod
+
+    def spy(seq, p):
+        primes.append(p)
+        return real(seq, p)
+
+    monkeypatch.setattr(genfunc, "_min_lfsr_mod", spy)
+    with pytest.raises(FitError, match="no rational fit reproduces"):
+        fit_rational(series, 3)
+    assert 2 <= len(primes) <= 6
+
+
 def test_fit_requires_enough_terms():
     with pytest.raises(FitError, match="insufficient terms"):
         fit_rational([1, 2, 3], 4)
@@ -116,6 +148,51 @@ def test_fit_round_trip_random_rationals():
         fitted = fit_rational(series, bound)
         assert expand(fitted, 3 * bound + 20) == expand(source, 3 * bound + 20)
         assert fitted.denominator.degree <= dd
+
+
+SMALL_PRIMES = [p for p in range(3, 212) if all(p % d for d in range(2, p))]
+
+
+def test_small_primes_change_no_fit(automaton, monkeypatch):
+    # primes this small make discrepancies vanish, so some primes give the
+    # wrong recurrence length, lifts need several CRT rounds, and the
+    # fraction series needs rational reconstruction; 3 divides the ratio of
+    # the geometric series below, so that prime gives a longer recurrence.
+    # The 46 primes are all there is: a FitError case that uses them up
+    # ends for that reason, not at the limit (see test_fit_limit_ends_search)
+    heights = {b: gf_height(b, automaton=automaton(b)) for b in range(1, 5)}
+    area = gf_height_area(2, automaton=automaton(2))
+    lengths: dict[tuple, list[int]] = {}
+    real = genfunc._min_lfsr_mod
+
+    def spy(seq, p):
+        c, length = real(seq, p)
+        lengths.setdefault(tuple(seq), []).append(length)
+        return c, length
+
+    monkeypatch.setattr(genfunc, "_primes", lambda: iter(SMALL_PRIMES))
+    monkeypatch.setattr(genfunc, "_min_lfsr_mod", spy)
+    for check in (
+        test_fit_geometric,
+        test_fit_transient_then_constant,
+        test_fit_zero_series,
+        test_fit_fibonacci,
+        test_fit_fraction_series,
+        test_fit_series_with_prime_ratio,
+        test_fit_requires_enough_terms,
+        test_fit_rejects_numerator_beyond_bound,
+        test_fit_rejects_unfittable_series,
+        test_fit_round_trip_random_rationals,
+    ):
+        check()
+    gf = fit_rational([3 ** (7 - k) for k in range(8)], 2)
+    assert gf.numerator.coeffs == (3**7,)
+    assert gf.denominator.coeffs == (1, Fraction(-1, 3))
+    for b, gf in heights.items():
+        assert gf_height(b, automaton=automaton(b)) == gf, b
+    assert gf_height_area(2, automaton=automaton(2)) == area
+    assert any(len(set(seen)) > 1 for seen in lengths.values())
+    assert max(len(seen) for seen in lengths.values()) >= 5
 
 
 def test_gf_height_width_two(automaton):
