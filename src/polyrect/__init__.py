@@ -15,7 +15,6 @@ from .automaton import (
     export_dot,
     serialize,
     state_count_formula,
-    transfer_matrix,
 )
 from .counting import SeriesTable, accepts, count_area_series, count_series
 from .errors import (
@@ -31,8 +30,6 @@ from .genfunc import (
     fit_rational,
     gf_height,
     gf_height_area,
-    gf_height_by_elimination,
-    reversed_charpoly,
     specialize_q,
 )
 from .oracle import (
@@ -98,18 +95,15 @@ __all__ = [
     "fit_rational",
     "gf_height",
     "gf_height_area",
-    "gf_height_by_elimination",
     "horizontal_connexity",
     "initial_state",
     "is_accepting",
     "is_inscribed_polyomino",
     "is_valid_triplet",
-    "reversed_charpoly",
     "sample_accepted_stacks",
     "serialize",
     "specialize_q",
     "state_count_formula",
     "step",
-    "transfer_matrix",
     "vertical_connexity",
 ]

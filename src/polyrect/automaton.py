@@ -156,17 +156,6 @@ def build(width: int, max_states: int = DEFAULT_STATE_CEILING) -> Automaton:
     return Automaton(width, states, accepting, tuple(rows))
 
 
-def transfer_matrix(a: Automaton) -> list[list[int]]:
-    """M[i][j] = number of letters carrying state i to state j."""
-    n = a.n_states
-    m = [[0] * n for _ in range(n)]
-    for i, row in enumerate(a.transitions):
-        for t in row:
-            if t >= 0:
-                m[i][t] += 1
-    return m
-
-
 def _render_word(word: LabeledWord, width: int) -> str:
     if width <= 9:
         return str(word)

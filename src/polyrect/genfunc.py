@@ -1,16 +1,21 @@
 """Rational generating functions fitted from exact series, with a proof.
 
-The generating functions come from an automaton with n states.  With M the
-transfer matrix, e0 the initial state and f the accepting indicator, the
-height series is 1 + x e0^T M (I - xM)^(-1) f, where the 1 is the
-conventional counts[0].  Cramer's rule writes it as P/Q with Q = det(I - xM)
-and P = Q + x e0^T M adj(I - xM) f, so deg P, deg Q <= n.
-`fit_rational` returns only fits P'/Q' with deg Q' <= n and deg P' <= n + 1.
-If such a fit agrees with the series on 2n + 2 terms, PQ' - P'Q has degree at
-most 2n + 1 and vanishes to order 2n + 2, so it is zero and P'/Q' = P/Q.  So
-each fit runs on exactly 2n + 2 exact terms, and agreement on them is the
-certificate: no further terms are checked.  The one assumption is that n is
-the state count of the automaton whose series is fitted.
+The generating functions come from an automaton with transfer matrix M,
+initial state e0 and accepting indicator f: the height series is
+1 + x e0^T M (I - xM)^(-1) f, where the 1 is the conventional counts[0].
+`counting.reflection_quotient` verifies a lumping of the states into k
+classes: with Pi the n x k class indicator and Mk the k x k quotient,
+M Pi = Pi Mk and f = Pi fk, so M^h f = Pi Mk^h fk and the series is
+1 + x c0^T Mk (I - xMk)^(-1) fk, with c0 the initial state's class.
+Cramer's rule writes it as P/Q with Q = det(I - xMk) and
+P = Q + x c0^T Mk adj(I - xMk) fk, so deg P, deg Q <= k.  `fit_rational` returns only fits P'/Q' with
+deg Q' <= k and deg P' <= k + 1.  If such a fit agrees with the series on
+2k + 2 terms, PQ' - P'Q has degree at most 2k + 1 and vanishes to order
+2k + 2, so it is zero and P'/Q' = P/Q.  So each fit runs on exactly 2k + 2
+exact terms, and agreement on them is the certificate: no further terms are
+checked.  The one assumption is that k is the class count of a verified
+lumping.  A failed check leaves singleton classes, and then k is the state
+count n, which bounds the degrees the same way.
 
 The fit is a minimal recurrence.  Berlekamp-Massey runs modulo primes just
 below 2^61; the residues of primes that agree on the recurrence length are
@@ -28,10 +33,10 @@ exact specialization: evaluate q at the integer points 1, -1, 2, -2, ...
 fitted coefficients back to polynomials in q in Newton form.  Integer
 polynomials have integer divided differences at integer nodes, so the
 interpolation divides exactly in the integers.  The same degree argument
-holds over Z[q], since M(q) has monomial entries: the candidate is checked
-once, exactly, against the 2n + 2 terms by substituting q = 2^s with a slot
-width s large enough that the integer identity implies the identity in Z[q]
-(see `_matches`).
+holds over Z[q], since Mk(q) has entries c * q^fill with c in {1, 2}: the
+candidate is checked once, exactly, against the 2k + 2 terms by substituting
+q = 2^s with a slot width s large enough that the integer identity implies
+the identity in Z[q] (see `_matches`).
 """
 
 from __future__ import annotations
@@ -43,20 +48,19 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Sequence
 
-from .automaton import Automaton, DEFAULT_STATE_CEILING, build, transfer_matrix
-from .counting import count_area_series, count_series
+from .automaton import Automaton, DEFAULT_STATE_CEILING, build
+from .counting import count_area_series, count_series, reflection_quotient
 from .errors import FitError, ResourceLimitError
 from .polynomial import (
     ONE,
     Polynomial,
-    ZERO,
     divmod_exact,
     json_ready,
     pack_coefficients,
     poly_gcd,
 )
 
-AREA_WIDTH_LIMIT = 4
+AREA_WIDTH_LIMIT = 5
 
 
 @dataclass(frozen=True)
@@ -344,15 +348,16 @@ def gf_height(
     max_states: int = DEFAULT_STATE_CEILING,
     automaton: Automaton | None = None,
 ) -> RationalGF:
-    """Generating function of counts by height, proved from 2n + 2 terms.
+    """Generating function of counts by height, proved from 2k + 2 terms.
 
-    n is the automaton's state count, which bounds both degrees of the
-    generating function (module docstring), so the fit on exactly 2n + 2
-    exact terms with degree bound n is the generating function.
+    k is the class count of the automaton's verified reflection lumping,
+    which bounds both degrees of the generating function (module docstring),
+    so the fit on exactly 2k + 2 exact terms with degree bound k is the
+    generating function.
     """
     a = automaton if automaton is not None else build(width, max_states)
-    n = a.n_states
-    return fit_rational(count_series(a, 2 * n + 1).counts, n)
+    k = len(reflection_quotient(a)[1])
+    return fit_rational(count_series(a, 2 * k + 1).counts, k)
 
 
 class _NewtonTable:
@@ -388,15 +393,23 @@ class _NewtonTable:
             and not self.coeffs[-2]
         )
 
-    def polynomial(self) -> Polynomial:
+    def polynomial(self, basis: list[Polynomial] | None = None) -> Polynomial:
+        """The interpolant; basis is `_newton_basis(self.xs)`, shareable across tables."""
+        if basis is None:
+            basis = _newton_basis(self.xs)
         acc = Polynomial()
-        basis = ONE
-        for k, c in enumerate(self.coeffs):
+        for c, b in zip(self.coeffs, basis):
             if c:
-                acc = acc + basis * c
-            if k < len(self.coeffs) - 1:
-                basis = basis * Polynomial((-self.xs[k], 1))
+                acc = acc + b * c
         return acc
+
+
+def _newton_basis(xs: list[int]) -> list[Polynomial]:
+    """The products (q - x_0)...(q - x_(j-1)) for j = 0..len(xs) - 1."""
+    basis = [ONE]
+    for x in xs[:-1]:
+        basis.append(basis[-1] * Polynomial((-x, 1)))
+    return basis
 
 
 def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalGF:
@@ -449,9 +462,11 @@ def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalG
         # nodes, so a Fraction anywhere rules the candidate out
         if any(type(c) is not int for table in tables for c in table.coeffs):
             continue
+        # every table holds the same nodes, so they share one basis
+        basis = _newton_basis(den_tables[0].xs)
         candidate = RationalGF(
-            Polynomial(table.polynomial() for table in num_tables),
-            Polynomial([ONE] + [table.polynomial() for table in den_tables[1:]]),
+            Polynomial(table.polynomial(basis) for table in num_tables),
+            Polynomial([ONE] + [table.polynomial(basis) for table in den_tables[1:]]),
         )
         if _matches(candidate, series):
             return candidate
@@ -502,12 +517,13 @@ def gf_height_area(
     max_states: int = DEFAULT_STATE_CEILING,
     automaton: Automaton | None = None,
 ) -> RationalGF:
-    """Bivariate generating function by height and area, proved from 2n + 2 terms.
+    """Bivariate generating function by height and area, proved from 2k + 2 terms.
 
-    Coefficients are exact integer polynomials in q.  The transfer matrix
-    M(q) has monomial entries, so the degree bound n in x holds over Z[q] and
-    the candidate that reproduces 2n + 2 exact terms is the generating
-    function.  Desk-scale widths only; the guard is a resource ceiling, not a
+    Coefficients are exact integer polynomials in q.  The quotient matrix
+    Mk(q) of the verified reflection lumping has entries c * q^fill with c in
+    {1, 2}, so Cramer's rule bounds both degrees in x by the class count k
+    over Z[q] too, and the candidate that reproduces 2k + 2 exact terms is
+    the generating function.  Desk-scale widths only; the guard is a resource ceiling, not a
     correctness bound.
     """
     if width > AREA_WIDTH_LIMIT:
@@ -515,8 +531,8 @@ def gf_height_area(
             f"area generating functions are desk-scale for width <= {AREA_WIDTH_LIMIT}"
         )
     a = automaton if automaton is not None else build(width, max_states)
-    n = a.n_states
-    return _fit_bivariate(count_area_series(a, 2 * n + 1).area_counts, n)
+    k = len(reflection_quotient(a)[1])
+    return _fit_bivariate(count_area_series(a, 2 * k + 1).area_counts, k)
 
 
 def specialize_q(gf: RationalGF, value) -> RationalGF:
@@ -550,117 +566,3 @@ def reduce_gf(num: Polynomial, den: Polynomial) -> RationalGF:
 
 def _scalar_tidy(v):
     return int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
-
-
-def _exact_int_div(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact division of integer polynomials (raises if not exact)."""
-    if not a:
-        return ZERO
-    ra = list(a.coeffs)
-    rb = b.coeffs
-    db = len(rb) - 1
-    lead = rb[-1]
-    if len(ra) <= db:
-        raise ArithmeticError("inexact polynomial division")
-    out = [0] * (len(ra) - db)
-    for i in range(len(ra) - db - 1, -1, -1):
-        c = ra[i + db]
-        if c:
-            q, rem = divmod(c, lead)
-            if rem:
-                raise ArithmeticError("inexact polynomial division")
-            out[i] = q
-            for j in range(db + 1):
-                ra[i + j] -= q * rb[j]
-    if any(ra):
-        raise ArithmeticError("inexact polynomial division")
-    return Polynomial(out)
-
-
-def _poly_det_bareiss(mat: list[list[Polynomial]]) -> Polynomial:
-    """Determinant of an integer-polynomial matrix, fraction-free."""
-    n = len(mat)
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if not mat[k][k]:
-            for r in range(k + 1, n):
-                if mat[r][k]:
-                    mat[k], mat[r] = mat[r], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        piv = mat[k][k]
-        for i in range(k + 1, n):
-            row_i = mat[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                value = piv * row_i[j] - lead * mat[k][j]
-                row_i[j] = _exact_int_div(value, prev)
-            row_i[k] = ZERO
-        prev = piv
-    result = mat[n - 1][n - 1]
-    return result if sign > 0 else -result
-
-
-def gf_height_by_elimination(
-    width: int,
-    *,
-    automaton: Automaton | None = None,
-) -> RationalGF:
-    """Second backend: solve the linear system symbolically, no series fit.
-
-    G = 1 + a^T (I - xM)^{-1} e0 for transfer matrix M, accepting indicator a,
-    and initial unit vector e0, computed as a ratio of two determinants by
-    fraction-free elimination.  Exponentially sized intermediates make this a
-    small-width cross-check, not a production path.
-    """
-    a = automaton if automaton is not None else build(width)
-    m = transfer_matrix(a)
-    n = a.n_states
-    x = Polynomial((0, 1))
-
-    def entry(i: int, j: int) -> Polynomial:
-        base = ONE if i == j else ZERO
-        return base - x * m[i][j] if m[i][j] else base
-
-    system = [[entry(i, j) for j in range(n)] for i in range(n)]
-    den = _poly_det_bareiss([row[:] for row in system])
-    # border with the accepting column and -e0 row: the bordered determinant
-    # equals den * (e0^T (I - xM)^{-1} a), the height series without its
-    # constant term
-    bordered = [
-        row[:] + [ONE if i in a.accepting else ZERO]
-        for i, row in enumerate(system)
-    ]
-    border_row = [Polynomial((-1,)) if i == 0 else ZERO for i in range(n)] + [ZERO]
-    bordered.append(border_row)
-    num = _poly_det_bareiss(bordered)
-    total_num = den + num
-    return reduce_gf(total_num, den)
-
-
-def reversed_charpoly(a: Automaton) -> Polynomial:
-    """det(I - x M) for the transfer matrix M, ascending powers of x.
-
-    Faddeev-LeVerrier over exact integers; every division is exact.  The
-    denominator of the fitted height generating function divides this.
-    """
-    m = transfer_matrix(a)
-    n = a.n_states
-    coeffs = [1]
-    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        prod = [
-            [sum(m[i][t] * work[t][j] for t in range(n) if m[i][t]) for j in range(n)]
-            for i in range(n)
-        ]
-        trace = sum(prod[i][i] for i in range(n))
-        ck = -trace // k
-        assert ck * k == -trace
-        coeffs.append(ck)
-        for i in range(n):
-            prod[i][i] += ck
-        work = prod
-    return Polynomial(coeffs)

@@ -1,0 +1,198 @@
+"""Reference implementations that only the tests use.
+
+Each one computes something the package computes faster or by another
+route, so the tests can cross-check the two: the forward counting DP on the
+full automaton, the dense transfer matrix, a symbolic generating function by
+determinant elimination, and the reversed characteristic polynomial.
+"""
+
+from __future__ import annotations
+
+from polyrect import Automaton, Polynomial, SeriesTable, build
+from polyrect.genfunc import RationalGF, reduce_gf
+from polyrect.polynomial import ONE, ZERO, unpack_coefficients
+
+
+def transfer_matrix(a: Automaton) -> list[list[int]]:
+    """M[i][j] = number of letters carrying state i to state j."""
+    n = a.n_states
+    m = [[0] * n for _ in range(n)]
+    for i, row in enumerate(a.transitions):
+        for t in row:
+            if t >= 0:
+                m[i][t] += 1
+    return m
+
+
+def _forward_accepted(a: Automaton, h_max: int, shifts: list[int] | None = None):
+    """Total accepting weight after each of 1..h_max steps, on every state.
+
+    The occupancy vector starts as the indicator of the initial state and
+    each step pushes weight along every defined transition.  With shifts, a
+    step into state t multiplies by 2^shifts[t].
+    """
+    targets = [[t for t in row if t >= 0] for row in a.transitions]
+    accepting = sorted(a.accepting)
+    v = [0] * a.n_states
+    v[0] = 1
+    for _ in range(h_max):
+        w = [0] * a.n_states
+        for s, weight in enumerate(v):
+            if weight:
+                for t in targets[s]:
+                    w[t] += weight
+        v = [x << k for x, k in zip(w, shifts)] if shifts else w
+        yield sum(v[f] for f in accepting)
+
+
+def forward_counts(a: Automaton, h_max: int) -> tuple[int, ...]:
+    """count_series(a, h_max).counts by the forward DP on the full automaton."""
+    return (1, *_forward_accepted(a, h_max))
+
+
+def forward_area_counts(a: Automaton, h_max: int) -> tuple[Polynomial, ...]:
+    """count_area_series(a, h_max).area_counts by the forward DP."""
+    slot_bytes = (a.width * max(h_max, 1) + 15) // 8
+    shifts = [8 * slot_bytes * sum(1 for c in s.word.labels if c) for s in a.states]
+    return (
+        Polynomial((1,)),
+        *(Polynomial(unpack_coefficients(acc, slot_bytes))
+          for acc in _forward_accepted(a, h_max, shifts)),
+    )
+
+
+def validate_table(table: SeriesTable) -> None:
+    """Assert the invariants of a series table."""
+    if not table.counts or table.counts[0] != 1:
+        raise AssertionError("counts[0] must be the conventional 1")
+    for h in range(2, table.h_max):
+        if table.counts[h + 1] < table.counts[h]:
+            raise AssertionError(f"counts must be monotone from h=2, broken at {h}")
+    if table.area_counts is None:
+        return
+    if len(table.area_counts) != len(table.counts):
+        raise AssertionError("area table length mismatch")
+    if table.area_counts[0] != 1:
+        raise AssertionError("area_counts[0] must be the constant 1")
+    for h in range(1, table.h_max + 1):
+        poly = table.area_counts[h]
+        if poly.evaluate(1) != table.counts[h]:
+            raise AssertionError(f"area polynomial at h={h} does not sum to the count")
+        if poly:
+            low = next(i for i, c in enumerate(poly.coeffs) if c)
+            if low < max(table.b, h) or poly.degree > table.b * h:
+                raise AssertionError(f"area support out of bounds at h={h}")
+
+
+def _exact_int_div(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Exact division of integer polynomials (raises if not exact)."""
+    if not a:
+        return ZERO
+    ra = list(a.coeffs)
+    rb = b.coeffs
+    db = len(rb) - 1
+    lead = rb[-1]
+    if len(ra) <= db:
+        raise ArithmeticError("inexact polynomial division")
+    out = [0] * (len(ra) - db)
+    for i in range(len(ra) - db - 1, -1, -1):
+        c = ra[i + db]
+        if c:
+            q, rem = divmod(c, lead)
+            if rem:
+                raise ArithmeticError("inexact polynomial division")
+            out[i] = q
+            for j in range(db + 1):
+                ra[i + j] -= q * rb[j]
+    if any(ra):
+        raise ArithmeticError("inexact polynomial division")
+    return Polynomial(out)
+
+
+def _poly_det_bareiss(mat: list[list[Polynomial]]) -> Polynomial:
+    """Determinant of an integer-polynomial matrix, fraction-free."""
+    n = len(mat)
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if not mat[k][k]:
+            for r in range(k + 1, n):
+                if mat[r][k]:
+                    mat[k], mat[r] = mat[r], mat[k]
+                    sign = -sign
+                    break
+            else:
+                return ZERO
+        piv = mat[k][k]
+        for i in range(k + 1, n):
+            row_i = mat[i]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                value = piv * row_i[j] - lead * mat[k][j]
+                row_i[j] = _exact_int_div(value, prev)
+            row_i[k] = ZERO
+        prev = piv
+    result = mat[n - 1][n - 1]
+    return result if sign > 0 else -result
+
+
+def gf_height_by_elimination(
+    width: int,
+    *,
+    automaton: Automaton | None = None,
+) -> RationalGF:
+    """Second backend: solve the linear system symbolically, no series fit.
+
+    G = 1 + a^T (I - xM)^{-1} e0 for transfer matrix M, accepting indicator a,
+    and initial unit vector e0, computed as a ratio of two determinants by
+    fraction-free elimination.  Exponentially sized intermediates make this a
+    small-width cross-check, not a production path.
+    """
+    a = automaton if automaton is not None else build(width)
+    m = transfer_matrix(a)
+    n = a.n_states
+    x = Polynomial((0, 1))
+
+    def entry(i: int, j: int) -> Polynomial:
+        base = ONE if i == j else ZERO
+        return base - x * m[i][j] if m[i][j] else base
+
+    system = [[entry(i, j) for j in range(n)] for i in range(n)]
+    den = _poly_det_bareiss([row[:] for row in system])
+    # border with the accepting column and -e0 row: the bordered determinant
+    # equals den * (e0^T (I - xM)^{-1} a), the height series without its
+    # constant term
+    bordered = [
+        row[:] + [ONE if i in a.accepting else ZERO]
+        for i, row in enumerate(system)
+    ]
+    border_row = [Polynomial((-1,)) if i == 0 else ZERO for i in range(n)] + [ZERO]
+    bordered.append(border_row)
+    num = _poly_det_bareiss(bordered)
+    total_num = den + num
+    return reduce_gf(total_num, den)
+
+
+def reversed_charpoly(a: Automaton) -> Polynomial:
+    """det(I - x M) for the transfer matrix M, ascending powers of x.
+
+    Faddeev-LeVerrier over exact integers; every division is exact.  The
+    denominator of the fitted height generating function divides this.
+    """
+    m = transfer_matrix(a)
+    n = a.n_states
+    coeffs = [1]
+    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        prod = [
+            [sum(m[i][t] * work[t][j] for t in range(n) if m[i][t]) for j in range(n)]
+            for i in range(n)
+        ]
+        trace = sum(prod[i][i] for i in range(n))
+        ck = -trace // k
+        assert ck * k == -trace
+        coeffs.append(ck)
+        for i in range(n):
+            prod[i][i] += ck
+        work = prod
+    return Polynomial(coeffs)

@@ -14,15 +14,16 @@ from polyrect import (
     export_dot,
     serialize,
     state_count_formula,
-    transfer_matrix,
 )
 from polyrect.automaton import catalan, runs_of_ones
+
+from reference import transfer_matrix
 
 # closed-form state counts for b = 0..11
 FORMULA_TABLE = [1, 2, 6, 16, 40, 99, 247, 625, 1605, 4178, 11006, 29292]
 
-# sha256 of serialize(build(b)) for b = 1..8, as produced by the three-phase
-# transition map before the mask kernel replaced it
+# sha256 of serialize(build(b)): b = 1..8 as produced by the three-phase
+# transition map before the mask kernel replaced it, b = 9 by the mask kernel
 SERIALIZED_SHA256 = {
     1: "00859872de3f3c7eb673412a7743c3635088a85475a38bcaff86dd67a6e74c74",
     2: "4b22e114a9b74f8884aa0f3cf7f7b861758a2fd76343e934d1333c3cdbf0de51",
@@ -32,6 +33,7 @@ SERIALIZED_SHA256 = {
     6: "8b3145509337f05ff42d29e55d3474a3a95c3109d57f2756c1a076d3f48ce68b",
     7: "2b48487e3d58245b946ddfc2ea0055bf09db8ec7d166b511bc84a0aad217c298",
     8: "9ecaa74ca91d7775b3ab0c4408fe753379f238d0789085e5f12abfc44e5eefaf",
+    9: "231dd585fb8bf4175135435499a772168e058686dd8eea232f173312a34fb5e1",
 }
 
 

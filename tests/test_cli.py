@@ -153,7 +153,7 @@ def test_area_gf_matches_pinned_digests(capsys):
 
 
 def test_area_gf_width_guard(capsys):
-    code, out, err = run(capsys, "area-gf", "--b", "5")
+    code, out, err = run(capsys, "area-gf", "--b", "6")
     assert code == 3
     assert not out and "width" in err
 
