@@ -1,37 +1,65 @@
-"""Exact counting: a backward dynamic program on the reflection quotient.
+"""Exact counting: inclusion-exclusion over the side columns, on a lumped DP.
 
-Reading every row right to left maps the language to itself.  A state
-(w, l, r) goes to (w reversed and relabelled by first occurrence, r, l), and
-a letter goes to its bit-reversal.  The orbits of that map are checked, in
-one pass over the transitions, to be an ordinary lumping of the transfer
+A stack is inscribed when it is one component touching both side columns
+(every row is nonempty, so it spans the height).  Touching both side columns
+is an inclusion-exclusion over four column windows: all columns (+1), the
+left column empty (-1), the right column empty (-1), both empty (+1).  A
+window's copy of the automaton keeps only the letters inside the window, and
+a copy's node (window, state) ends accepting when its word is one component;
+the side flags play no part.  For a stack whose letters fit a window the
+copy's path is the automaton's path, so the signed count of the copies that
+accept it is [one component] * (1 - [left empty] - [right empty] +
+[both empty]) = [one component and both sides touched].  That equals the
+automaton's verdict when its flags and accepting set follow the letters:
+state 0 has both flags down, a target's flags are its source's flags OR the
+letter's side cells, and a state accepts exactly when its word is one
+component and both flags are up.  `window_nodes` checks this on every
+transition and raises ValueError otherwise.
+
+Nodes are grouped by the part of their word inside their window, up to
+reversal.  Reading a window's columns right to left maps its copy to
+itself, and the two side windows are the same strip of b - 1 columns, so
+their copies share classes.  The groups are checked, in one pass over the
+copies' transitions, to be an ordinary lumping of the copies' transfer
 matrix M: every member of a class has its representative's accepting bit,
-fill count and multiset of target classes.  With Pi the n x k class
-indicator and Mk the k x k matrix of the representatives' target classes,
-that is M Pi = Pi Mk, and the accepting indicator is f = Pi fk, so
+fill count and multiset of target classes.  With Pi the node-by-class
+indicator and Mk the quotient matrix of the representatives' target
+classes, that is M Pi = Pi Mk, and the accepting indicator is f = Pi fk, so
 M^h f = Pi Mk^h fk.  A partition that fails the check is replaced by
-singleton classes, which always pass, so k = n there and the same code runs.
+singleton classes, which always pass, so the same code runs.  No transition
+enters a copy's initial class (checked, ValueError otherwise), which is what
+bounds the generating functions' degrees by the number of the other classes
+(`genfunc`).
 
-counts[h] = e0^T M^h f is the entry of u_h = Mk u_(h-1), u_0 = fk, at the
-class of the initial state.  counts[0] is stored as 1, the constant term the
-generating functions carry for the empty stack.
+counts[h] is the signed sum, over the four copies, of the entry of
+u_h = Mk u_(h-1), u_0 = fk, at the copy's initial class.  counts[0] is
+stored as 1, the constant term the generating functions carry for the empty
+stack.
 
 Area weighting packs each polynomial in q into byte-aligned slots of one big
 integer (slot n holds the coefficient of q^n, as
-`polynomial.pack_coefficients` lays it out).  A step into a state multiplies
+`polynomial.pack_coefficients` lays it out).  A step into a node multiplies
 by q^fill, its filled-cell count, which is the same across its class; so
 each class entry is shifted by its fill slots and accumulation is plain
-integer addition.
+integer addition.  The signed sum is taken on the packed integers: its
+coefficients are inscribed counts, nonnegative and below the slot bound, so
+it unpacks to the area polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .automaton import Automaton
 from .polynomial import Polynomial, unpack_coefficients
 from .rowconfig import RowConfig
 from .states import first_occurrence_relabel
+
+# sign of each column window: all columns, left column empty, right column
+# empty, both side columns empty
+WINDOW_SIGNS = (1, -1, -1, 1)
 
 
 @dataclass(frozen=True)
@@ -47,20 +75,82 @@ class SeriesTable:
         return len(self.counts) - 1
 
 
-def quotient_rows(a: Automaton, classes: Sequence[int]) -> list[tuple] | None:
-    """Rows of the quotient if classes is a lumping of a, else None.
+def _windows(width: int) -> tuple[slice, ...]:
+    """Slices of a transition row holding each window's letters.
 
-    classes[i] is the class of state i, numbered in order of first state.
-    Row c is (accepting, fill count, sorted target classes) of class c's
-    first state, and every other member must have the same row.
+    Letter rank r is the row bits r + 1: the left column is empty below rank
+    2^(b-1) - 1, the right column at odd ranks.
     """
+    half = (1 << (width - 1)) - 1
+    return (slice(None), slice(half), slice(1, None, 2), slice(1, half, 2))
+
+
+def window_nodes(a: Automaton) -> list[tuple[int, int]]:
+    """Nodes (window, state) of the four window copies, window by window.
+
+    Raises ValueError unless a's flags and accepting set follow the letters
+    (module docstring).  Then a state's flags are up exactly on the sides
+    its paths from state 0 touch, so a window's copy holds the states whose
+    flags are down on the window's empty sides, in index order, and its
+    steps stay in it.
+    """
+    width = a.width
+    flags = [s.left_touched << 1 | s.right_touched for s in a.states]
+    for i, s in enumerate(a.states):
+        if (i in a.accepting) != (_one_component(s.word.labels) and flags[i] == 3):
+            raise ValueError(f"state {i} accepts otherwise than one component with both flags")
+    if flags[0]:
+        raise ValueError("the initial state has a side flag up")
+    # a letter filling the side cells e = 2 * left + right leads from flags f
+    # to flags f | e.  sides[e] holds those letters' ranks (as in `_windows`;
+    # half is odd for b >= 2, and at b = 1 the one letter fills both side
+    # cells); an undefined transition, -1, passes.
+    half = (1 << (width - 1)) - 1
+    sides = (
+        slice(1, half, 2),
+        slice(0, half, 2),
+        slice(half | 1, None, 2),
+        slice((half + 1) & ~1, None, 2),
+    )
+    have: list[set[int]] = [{-1} for _ in range(4)]
+    for i, f in enumerate(flags):
+        have[f].add(i)
+    for row, f in zip(a.transitions, flags):
+        for e, side in enumerate(sides):
+            if not have[f | e].issuperset(row[side]):
+                raise ValueError("side flags do not follow the letters")
+    # flags that must be down in each window: none, left, right, both
+    return [
+        (window, s)
+        for window, down in enumerate((0, 2, 1, 3))
+        for s, f in enumerate(flags)
+        if not f & down
+    ]
+
+
+def _one_component(labels: Sequence[int]) -> bool:
+    return max(labels) == 1
+
+
+def quotient_rows(
+    a: Automaton, nodes: Sequence[tuple[int, int]], classes: Sequence[int]
+) -> list[tuple] | None:
+    """Rows of the quotient if classes is a lumping of the copies, else None.
+
+    classes[i] is the class of node i, numbered in order of first node.  Row
+    c is (one component, fill count, sorted target classes) of class c's
+    first node, and every other member must have the same row.
+    """
+    cuts = _windows(a.width)
+    class_of = [[-1] * a.n_states for _ in cuts]
+    for (window, s), c in zip(nodes, classes):
+        class_of[window][s] = c
+    kinds = [(_one_component(s.word.labels), sum(map(bool, s.word.labels))) for s in a.states]
+    transitions = a.transitions
     rows: list[tuple] = []
-    for i, (c, s, row) in enumerate(zip(classes, a.states, a.transitions)):
-        key = (
-            i in a.accepting,
-            sum(1 for x in s.word.labels if x),
-            sorted([classes[t] for t in row if t >= 0]),
-        )
+    for (window, s), c in zip(nodes, classes):
+        into = class_of[window]
+        key = (*kinds[s], sorted([into[t] for t in transitions[s][cuts[window]] if t >= 0]))
         if c == len(rows):
             rows.append(key)
         elif rows[c] != key:
@@ -68,39 +158,54 @@ def quotient_rows(a: Automaton, classes: Sequence[int]) -> list[tuple] | None:
     return rows
 
 
-def reflection_quotient(a: Automaton) -> tuple[list[int], list[tuple]]:
-    """Verified reflection classes of a's states and the quotient's rows.
+def window_quotient(a: Automaton) -> tuple[list[int], list[tuple], list[tuple[int, int]]]:
+    """Verified classes of the copies' nodes, the quotient's rows, and the starts.
 
-    Classes are numbered by first state; the initial state is its own mirror
-    image, so it is class 0.  When the orbits are not a lumping
-    (`quotient_rows`), every state is its own class.
+    starts holds (sign, initial class) for each window.  Nodes are grouped
+    by the part of their word inside their window, up to reversal, so a left
+    copy's node 0v shares its class with the right copy's v0 and with the
+    left copy's 0v', v' the reversal of v.  When the groups are not a
+    lumping (`quotient_rows`), every node is its own class.  The result is
+    kept on a, so a generating-function fit and the series it counts build
+    it once.
     """
-    index = {(s.word.labels, s.left_touched, s.right_touched): i for i, s in enumerate(a.states)}
+    memo = a.__dict__.get("_window_quotient")
+    if memo is not None:
+        return memo
+    nodes = window_nodes(a)
+    # the columns of each window; crops of equal length are the same window
+    # up to position, so the side copies share keys
+    crops = (slice(None), slice(1, None), slice(None, -1), slice(1, -1))
+    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
+    keys: dict[tuple[int, ...], int] = {}
     classes: list[int] = []
-    k = 0
-    for i, s in enumerate(a.states):
-        mirror = (first_occurrence_relabel(s.word.labels[::-1]), s.right_touched, s.left_touched)
-        j = index.get(mirror, i)
-        if j < i:
-            classes.append(classes[j])
-        else:
-            classes.append(k)
-            k += 1
-    rows = quotient_rows(a, classes)
+    words = [s.word.labels for s in a.states]
+    for window, s in nodes:
+        word = words[s][crops[window]]
+        key = canonical.get(word)
+        if key is None:
+            key = canonical[word] = min(word, first_occurrence_relabel(word[::-1]))
+        classes.append(keys.setdefault(key, len(keys)))
+    rows = quotient_rows(a, nodes, classes)
     if rows is None:
-        classes = list(range(a.n_states))
-        rows = quotient_rows(a, classes)
-    return classes, rows
+        classes = list(range(len(nodes)))
+        rows = quotient_rows(a, nodes, classes)
+    starts = [(WINDOW_SIGNS[w], classes[i]) for i, (w, s) in enumerate(nodes) if s == 0]
+    initial = {c for _, c in starts}
+    if not initial.isdisjoint(chain.from_iterable(out for _, _, out in rows)):
+        raise ValueError("a transition enters the initial state")
+    memo = a.__dict__["_window_quotient"] = classes, rows, starts
+    return memo
 
 
 def _accepted(a: Automaton, h_max: int, slot: int = 0):
-    """Accepting weight after each of 1..h_max steps from the initial state.
+    """Inscribed weight after each of 1..h_max steps from the initial state.
 
-    With slot, a step into a state multiplies by 2^(slot * its fill count).
+    With slot, a step into a node multiplies by 2^(slot * its fill count).
     """
-    _, rows = reflection_quotient(a)
+    _, rows, starts = window_quotient(a)
     shifts = [slot * fill for _, fill, _ in rows]
-    u = [int(accepting) << k for (accepting, _, _), k in zip(rows, shifts)]
+    u = [int(one) << k for (one, _, _), k in zip(rows, shifts)]
     for _ in range(h_max):
         w = []
         for _, _, targets in rows:
@@ -108,7 +213,7 @@ def _accepted(a: Automaton, h_max: int, slot: int = 0):
             for d in targets:
                 acc += u[d]
             w.append(acc)
-        yield w[0]
+        yield sum(sign * w[c] for sign, c in starts)
         u = [x << k for x, k in zip(w, shifts)] if slot else w
 
 

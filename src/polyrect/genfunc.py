@@ -1,21 +1,24 @@
 """Rational generating functions fitted from exact series, with a proof.
 
-The generating functions come from an automaton with transfer matrix M,
-initial state e0 and accepting indicator f: the height series is
-1 + x e0^T M (I - xM)^(-1) f, where the 1 is the conventional counts[0].
-`counting.reflection_quotient` verifies a lumping of the states into k
-classes: with Pi the n x k class indicator and Mk the k x k quotient,
-M Pi = Pi Mk and f = Pi fk, so M^h f = Pi Mk^h fk and the series is
-1 + x c0^T Mk (I - xMk)^(-1) fk, with c0 the initial state's class.
-Cramer's rule writes it as P/Q with Q = det(I - xMk) and
-P = Q + x c0^T Mk adj(I - xMk) fk, so deg P, deg Q <= k.  `fit_rational` returns only fits P'/Q' with
-deg Q' <= k and deg P' <= k + 1.  If such a fit agrees with the series on
-2k + 2 terms, PQ' - P'Q has degree at most 2k + 1 and vanishes to order
-2k + 2, so it is zero and P'/Q' = P/Q.  So each fit runs on exactly 2k + 2
-exact terms, and agreement on them is the certificate: no further terms are
-checked.  The one assumption is that k is the class count of a verified
-lumping.  A failed check leaves singleton classes, and then k is the state
-count n, which bounds the degrees the same way.
+The generating functions come from `counting.window_quotient`: a verified
+lumping of the nodes of four letter-restricted copies of the automaton into
+classes, with quotient matrix Mk, accepting indicator fk and a signed
+initial class per copy; counts[h] is the signed sum of the entries of
+Mk^h fk at those classes.  No transition enters an initial class.  So with B the block of Mk on the K
+other classes, f' = fk there, and r the signed sum of the initial classes'
+rows there, counts[h] = r^T B^(h-1) f' for h >= 1, and the height series is
+1 + x r^T (I - xB)^(-1) f', where the 1 is the conventional counts[0].
+Cramer's rule writes it as P/Q with Q = det(I - xB) and
+P = Q + x r^T adj(I - xB) f', so deg P, deg Q <= K.  `fit_rational` returns
+only fits P'/Q' with deg Q' <= K and deg P' <= K + 1.  If such a fit agrees
+with the series on 2K + 2 terms, PQ' - P'Q has degree at most 2K + 1 and
+vanishes to order 2K + 2, so it is zero and P'/Q' = P/Q.  So each fit runs on
+exactly 2K + 2 exact terms, and agreement on them is the certificate: no
+further terms are checked.  The one assumption is that K counts the classes
+of a verified lumping, less the initial ones.  A failed check leaves
+singleton classes, and then K is the node count less four, which bounds the
+degrees the same way.  At b = 1..6, K is the degree of the generating
+function itself.
 
 The fit is a minimal recurrence.  Berlekamp-Massey runs modulo primes just
 below 2^61; the residues of primes that agree on the recurrence length are
@@ -33,10 +36,10 @@ exact specialization: evaluate q at the integer points 1, -1, 2, -2, ...
 fitted coefficients back to polynomials in q in Newton form.  Integer
 polynomials have integer divided differences at integer nodes, so the
 interpolation divides exactly in the integers.  The same degree argument
-holds over Z[q], since Mk(q) has entries c * q^fill with c in {1, 2}: the
-candidate is checked once, exactly, against the 2k + 2 terms by substituting
-q = 2^s with a slot width s large enough that the integer identity implies
-the identity in Z[q] (see `_matches`).
+holds over Z[q], since B(q) has entries c * q^fill with c a nonnegative
+integer: the candidate is checked once, exactly, against the 2K + 2 terms by
+substituting q = 2^s with a slot width s large enough that the integer
+identity implies the identity in Z[q] (see `_matches`).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from operator import mul
 from typing import Sequence
 
 from .automaton import Automaton, DEFAULT_STATE_CEILING, build
-from .counting import count_area_series, count_series, reflection_quotient
+from .counting import count_area_series, count_series, window_quotient
 from .errors import FitError, ResourceLimitError
 from .polynomial import (
     ONE,
@@ -348,16 +351,22 @@ def gf_height(
     max_states: int = DEFAULT_STATE_CEILING,
     automaton: Automaton | None = None,
 ) -> RationalGF:
-    """Generating function of counts by height, proved from 2k + 2 terms.
+    """Generating function of counts by height, proved from 2K + 2 terms.
 
-    k is the class count of the automaton's verified reflection lumping,
-    which bounds both degrees of the generating function (module docstring),
-    so the fit on exactly 2k + 2 exact terms with degree bound k is the
-    generating function.
+    K, the class count of the automaton's verified window quotient less its
+    initial classes, bounds both degrees of the generating function (module
+    docstring), so the fit on exactly 2K + 2 exact terms with degree bound K
+    is the generating function.
     """
     a = automaton if automaton is not None else build(width, max_states)
-    k = len(reflection_quotient(a)[1])
+    k = _degree_bound(a)
     return fit_rational(count_series(a, 2 * k + 1).counts, k)
+
+
+def _degree_bound(a: Automaton) -> int:
+    """K: the verified window quotient's classes less its initial classes."""
+    _, rows, starts = window_quotient(a)
+    return len(rows) - len({c for _, c in starts})
 
 
 class _NewtonTable:
@@ -517,21 +526,21 @@ def gf_height_area(
     max_states: int = DEFAULT_STATE_CEILING,
     automaton: Automaton | None = None,
 ) -> RationalGF:
-    """Bivariate generating function by height and area, proved from 2k + 2 terms.
+    """Bivariate generating function by height and area, proved from 2K + 2 terms.
 
-    Coefficients are exact integer polynomials in q.  The quotient matrix
-    Mk(q) of the verified reflection lumping has entries c * q^fill with c in
-    {1, 2}, so Cramer's rule bounds both degrees in x by the class count k
-    over Z[q] too, and the candidate that reproduces 2k + 2 exact terms is
-    the generating function.  Desk-scale widths only; the guard is a resource ceiling, not a
-    correctness bound.
+    Coefficients are exact integer polynomials in q.  The quotient matrix of
+    the verified window quotient has entries c * q^fill with c a nonnegative
+    integer, so Cramer's rule bounds both degrees in x by K (`gf_height`)
+    over Z[q] too, and the candidate that reproduces 2K + 2 exact terms is
+    the generating function.  Desk-scale widths only; the guard is a
+    resource ceiling, not a correctness bound.
     """
     if width > AREA_WIDTH_LIMIT:
         raise ResourceLimitError(
             f"area generating functions are desk-scale for width <= {AREA_WIDTH_LIMIT}"
         )
     a = automaton if automaton is not None else build(width, max_states)
-    k = len(reflection_quotient(a)[1])
+    k = _degree_bound(a)
     return _fit_bivariate(count_area_series(a, 2 * k + 1).area_counts, k)
 
 

@@ -1,5 +1,4 @@
 from array import array
-from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -19,16 +18,19 @@ from polyrect import (
     expand,
     fit_rational,
     gf_height,
+    initial_state,
     sample_accepted_stacks,
 )
-from polyrect.counting import quotient_rows, reflection_quotient
+from polyrect.counting import quotient_rows, window_nodes, window_quotient
 from polyrect.rowconfig import enumerate_alphabet
 
 from reference import forward_area_counts, forward_counts, validate_table
 
-# reflection classes of the row automaton for b = 1..9, against the state
-# counts 2, 6, 16, 40, 99, 247, 625, 1605, 4178
-CLASS_COUNTS = [2, 4, 11, 23, 58, 132, 336, 826, 2154]
+# classes of the window quotient for b = 1..9, against the state counts 2, 6,
+# 16, 40, 99, 247, 625, 1605, 4178, and K, the classes less the initial ones:
+# the degree bound of the generating functions
+CLASS_COUNTS = [3, 6, 12, 23, 52, 115, 281, 684, 1756]
+DEGREE_BOUNDS = [1, 3, 9, 20, 49, 112, 278, 681, 1753]
 
 
 def rows(*texts):
@@ -162,56 +164,103 @@ def _numbered(labels):
 
 
 def test_reflection_class_counts(automaton):
-    for width, want in enumerate(CLASS_COUNTS, 1):
-        classes, rows = reflection_quotient(automaton(width))
+    for width, (want, k) in enumerate(zip(CLASS_COUNTS, DEGREE_BOUNDS), 1):
+        classes, rows, starts = window_quotient(automaton(width))
         assert len(rows) == want == max(classes) + 1, width
-        assert classes[0] == 0
-        # every class is one state or a mirror pair
-        assert max(Counter(classes).values()) <= 2, width
+        assert len(rows) - len({c for _, c in starts}) == k, width
+        # all columns, left empty, right empty, both empty; the two side
+        # copies share their initial class
+        assert [sign for sign, _ in starts] == [1, -1, -1, 1]
+        assert starts[0][1] == classes[0] == 0
+        assert starts[1][1] == starts[2][1]
+
+
+def test_degree_bound_is_the_gf_degree(automaton):
+    for width, k in enumerate(DEGREE_BOUNDS[:6], 1):
+        assert gf_height(width, automaton=automaton(width)).degrees()[2] == k, width
 
 
 def test_lumping_check_rejects_merged_classes(automaton):
-    # the reflection classes are the coarsest lumping, so merging any two of
+    # the window classes are the coarsest lumping, so merging any two of
     # them breaks it; pairs that agree on accepting bit and fill count are
     # rejected by their target-class multisets alone
     a = automaton(3)
-    classes, rows = reflection_quotient(a)
-    assert quotient_rows(a, classes) == rows
+    nodes = window_nodes(a)
+    classes, rows, _ = window_quotient(a)
+    assert quotient_rows(a, nodes, classes) == rows
     same_kind = 0
     for c in range(len(rows)):
         for d in range(c + 1, len(rows)):
             merged = _numbered([c if x == d else x for x in classes])
-            assert quotient_rows(a, merged) is None, (c, d)
+            assert quotient_rows(a, nodes, merged) is None, (c, d)
             same_kind += rows[c][:2] == rows[d][:2]
     assert same_kind
 
 
-def test_lumping_check_compares_fill_counts():
-    # two accepting dead ends, (11,T,T) and (01,T,T), agree on everything
-    # but their fill counts, so merging them would be a lumping of the
-    # height series but not of the area series
-    states = tuple(
-        AutomatonState(LabeledWord(w), bool(w[0] or w[1]), bool(w[0] or w[1]))
-        for w in ((0, 0), (1, 1), (0, 1))
+def _width_two(accepting, right_flags):
+    """(00,F,F) reaching (01,*,*) on letter 01 and (11,T,T) on letter 11."""
+    states = (
+        initial_state(2),
+        AutomatonState(LabeledWord((1, 1)), True, True),
+        AutomatonState(LabeledWord((0, 1)), *right_flags),
     )
     rows = (array("i", [2, -1, 1]), array("i", [-1] * 3), array("i", [-1] * 3))
-    a = Automaton(2, states, frozenset({1, 2}), rows)
-    assert quotient_rows(a, [0, 1, 2]) is not None
-    assert quotient_rows(a, [0, 1, 1]) is None
-    assert count_area_series(a, 1).area_counts[1] == Polynomial((0, 1, 1))
+    return Automaton(2, states, frozenset(accepting), rows)
+
+
+def test_lumping_check_compares_fill_counts():
+    # two one-component dead ends, (01,F,T) and (11,T,T), agree on everything
+    # but their fill counts, so merging them would be a lumping of the
+    # height series but not of the area series
+    a = _width_two({1}, (False, True))
+    nodes = window_nodes(a)
+    assert nodes[1:3] == [(0, 1), (0, 2)]
+    singletons = list(range(len(nodes)))
+    rows = quotient_rows(a, nodes, singletons)
+    assert rows[1][::2] == rows[2][::2] and rows[1][1] != rows[2][1]
+    assert quotient_rows(a, nodes, [0, 1, 1, *range(2, len(nodes) - 1)]) is None
+    assert count_area_series(a, 1).area_counts[1] == Polynomial((0, 0, 1))
+
+
+def test_counting_rejects_flags_that_do_not_follow_the_letters():
+    # letter 01 touches only the right side, so (01,T,T) cannot follow
+    # (00,F,F) on it; the counts would not be the automaton's
+    a = _width_two({1, 2}, (True, True))
+    with pytest.raises(ValueError, match="flags"):
+        count_series(a, 2)
+    with pytest.raises(ValueError, match="flags"):
+        count_area_series(a, 2)
+
+
+def test_counting_rejects_an_accepting_set_off_the_flags():
+    # (01,F,T) is one component but has not touched the left side
+    a = _width_two({1, 2}, (False, True))
+    with pytest.raises(ValueError, match="accepts"):
+        count_series(a, 2)
+
+
+def test_counting_rejects_a_transition_into_the_initial_state():
+    # letter 010 touches no side, so the flags allow (000,F,F) to loop
+    row = array("i", [-1] * 7)
+    row[0b010 - 1] = 0
+    a = Automaton(3, (initial_state(3),), frozenset(), (row,))
+    with pytest.raises(ValueError, match="initial state"):
+        count_series(a, 2)
 
 
 def test_asymmetric_copy_counts_on_singleton_classes(automaton):
-    # drop one transition of a state whose mirror image is another state:
-    # the orbits are no longer a lumping, so every state is its own class
+    # drop one transition of a state whose class has another member: the
+    # classes are no longer a lumping, so every node is its own class
     a = automaton(3)
-    classes, _ = reflection_quotient(a)
-    s = next(i for i, c in enumerate(classes) if classes.count(c) == 2)
+    classes, _, _ = window_quotient(a)
+    nodes = window_nodes(a)
+    s = next(s for (w, s), c in zip(nodes, classes) if w == 0 and classes.count(c) > 1)
     row = a.transitions[s][:]
     rank = next(r for r, t in enumerate(row) if t >= 0)
     row[rank] = -1
     edited = replace(a, transitions=a.transitions[:s] + (row,) + a.transitions[s + 1 :])
-    assert reflection_quotient(edited)[0] == list(range(a.n_states))
+    edited_classes = window_quotient(edited)[0]
+    assert edited_classes == list(range(len(edited_classes)))
     counts = count_series(edited, 12).counts
     assert counts == forward_counts(edited, 12)
     assert counts != count_series(a, 12).counts
@@ -226,11 +275,11 @@ def test_lumped_dp_matches_forward_dp(automaton):
 
 
 def test_fit_needs_two_k_plus_two_terms(automaton):
-    # k classes bound both degrees, so 2k + 2 terms fix the fit and 2k + 1
-    # are refused
+    # K bounds both degrees, so 2K + 2 terms fix the fit and 2K + 1 are
+    # refused
     for width in range(1, 5):
         a = automaton(width)
-        k = CLASS_COUNTS[width - 1]
+        k = DEGREE_BOUNDS[width - 1]
         counts = list(count_series(a, 4 * k).counts)
         with pytest.raises(FitError, match="insufficient terms"):
             fit_rational(counts[: 2 * k + 1], k)

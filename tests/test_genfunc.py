@@ -15,7 +15,7 @@ from polyrect import (
     gf_height_area,
     specialize_q,
 )
-from polyrect import genfunc
+from polyrect import counting, genfunc
 from polyrect.counting import count_area_series
 from polyrect.genfunc import _matches, _NewtonTable, reduce_gf
 from polyrect.polynomial import ONE, divmod_exact, poly_gcd
@@ -220,6 +220,21 @@ def test_gf_height_is_fixed_by_two_n_plus_two_terms(automaton):
         with pytest.raises(FitError, match="insufficient terms"):
             fit_rational(counts[: 2 * n + 1], n)
         assert expand(gf_height(width, automaton=a), 4 * n + 1) == counts, width
+
+
+def test_fits_build_the_quotient_once(monkeypatch):
+    # the degree bound and the series it counts share one verified quotient
+    built = []
+    window_nodes = counting.window_nodes
+
+    def counted(a):
+        built.append(a.width)
+        return window_nodes(a)
+
+    monkeypatch.setattr(counting, "window_nodes", counted)
+    gf_height(4)
+    gf_height_area(3)
+    assert built == [4, 3]
 
 
 def test_gf_height_numerator_denominator_coprime(automaton):
