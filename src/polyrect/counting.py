@@ -34,7 +34,11 @@ bounds the generating functions' degrees by the number of the other classes
 counts[h] is the signed sum, over the four copies, of the entry of
 u_h = Mk u_(h-1), u_0 = fk, at the copy's initial class.  counts[0] is
 stored as 1, the constant term the generating functions carry for the empty
-stack.
+stack.  The DP runs to h = 2K + 1 at most, K = `degree_bound(a)`: those
+2K + 2 terms fix the height generating function (the proof is in
+`genfunc`), so `count_series` fits them with `genfunc.fit_rational` and
+expands the fit for the later terms, K multiply-adds per term.  A FitError
+there contradicts the proof and propagates.
 
 Area weighting packs each polynomial in q into byte-aligned slots of one big
 integer (slot n holds the coefficient of q^n, as
@@ -198,6 +202,12 @@ def window_quotient(a: Automaton) -> tuple[list[int], list[tuple], list[tuple[in
     return memo
 
 
+def degree_bound(a: Automaton) -> int:
+    """K: the verified window quotient's classes less its initial classes."""
+    _, rows, starts = window_quotient(a)
+    return len(rows) - len({c for _, c in starts})
+
+
 def _accepted(a: Automaton, h_max: int, slot: int = 0):
     """Inscribed weight after each of 1..h_max steps from the initial state.
 
@@ -218,10 +228,19 @@ def _accepted(a: Automaton, h_max: int, slot: int = 0):
 
 
 def count_series(a: Automaton, h_max: int) -> SeriesTable:
-    """Exact number of accepted stacks for every height 0..h_max."""
+    """Exact number of accepted stacks for every height 0..h_max.
+
+    Terms past 2K + 1 come from the fit of the first 2K + 2 (module docstring).
+    """
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
-    return SeriesTable(a.width, (1, *_accepted(a, h_max)))
+    k = degree_bound(a)
+    counts = (1, *_accepted(a, min(h_max, 2 * k + 1)))
+    if h_max > 2 * k + 1:
+        from .genfunc import expand, fit_rational  # genfunc imports this module
+
+        counts = tuple(expand(fit_rational(counts, k), h_max + 1))
+    return SeriesTable(a.width, counts)
 
 
 def count_area_series(a: Automaton, h_max: int) -> SeriesTable:

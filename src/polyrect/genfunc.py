@@ -52,7 +52,7 @@ from operator import mul
 from typing import Sequence
 
 from .automaton import Automaton, DEFAULT_STATE_CEILING, build
-from .counting import count_area_series, count_series, window_quotient
+from .counting import count_area_series, count_series, degree_bound
 from .errors import FitError, ResourceLimitError
 from .polynomial import (
     ONE,
@@ -359,14 +359,8 @@ def gf_height(
     is the generating function.
     """
     a = automaton if automaton is not None else build(width, max_states)
-    k = _degree_bound(a)
+    k = degree_bound(a)
     return fit_rational(count_series(a, 2 * k + 1).counts, k)
-
-
-def _degree_bound(a: Automaton) -> int:
-    """K: the verified window quotient's classes less its initial classes."""
-    _, rows, starts = window_quotient(a)
-    return len(rows) - len({c for _, c in starts})
 
 
 class _NewtonTable:
@@ -540,7 +534,7 @@ def gf_height_area(
             f"area generating functions are desk-scale for width <= {AREA_WIDTH_LIMIT}"
         )
     a = automaton if automaton is not None else build(width, max_states)
-    k = _degree_bound(a)
+    k = degree_bound(a)
     return _fit_bivariate(count_area_series(a, 2 * k + 1).area_counts, k)
 
 

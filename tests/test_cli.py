@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from polyrect import build, cli, deserialize
+from polyrect import FitError, build, cli, deserialize, genfunc
 from polyrect.cli import main
 
 FIG_ROWS = [
@@ -123,6 +123,25 @@ def test_gf_matches_pinned_digests(capsys):
         code, out, _ = run(capsys, "gf", "--b", str(width), "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (width, fmt)
+
+
+# sha256 of stdout for series past 2K + 1 terms, taken while every term
+# still came from the counting DP
+SERIES_SHA256 = {
+    ("series", "--b", "5", "--h-max", "400"):
+        "9883bb23cbab8837310eb466c159155d106625ddad46012ed6e057296e05ecac",
+    ("series", "--b", "4", "--h-max", "1000", "--format", "json"):
+        "0e93b8697e9ff3f2c603c442f6d8e5035307b597a0a2c9f54ab5743e71be11dd",
+    ("count", "--b", "3", "--h", "60"):
+        "a44a9678bcf22390c6daeeb411f448b84c8307da5e50edb7450e5b5c148ad351",
+}
+
+
+def test_series_matches_pinned_digests(capsys):
+    for argv, digest in SERIES_SHA256.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_area_gf(capsys):
@@ -250,6 +269,18 @@ def test_internal_error_is_not_a_usage_error(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert err == "error: internal error: ValueError: inverse of 0 mod p\n"
+
+
+def test_failed_fit_in_a_long_series_exits_one(monkeypatch, capsys):
+    # K = 3 at b = 2, so a series to h = 20 fits its first 8 terms
+    def refused(series, degree_bound):
+        raise FitError("insufficient terms: refused")
+
+    monkeypatch.setattr(genfunc, "fit_rational", refused)
+    code, out, err = run(capsys, "series", "--b", "2", "--h-max", "20")
+    assert code == 1
+    assert out == ""
+    assert err == "error: insufficient terms: refused\n"
 
 
 def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 from array import array
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -102,12 +103,13 @@ def test_uncollapsed_reference_dp(automaton):
 
 
 def test_transpose_symmetry(automaton):
-    for b in range(1, 5):
-        for h in range(1, 5):
-            assert (
-                count_series(automaton(b), h).counts[h]
-                == count_series(automaton(h), b).counts[b]
-            ), (b, h)
+    # counts[2][8] comes from the recurrence past 2K + 1 = 7, counts[8][2]
+    # from the DP
+    for b, h in [*product(range(1, 5), repeat=2), (2, 8)]:
+        assert (
+            count_series(automaton(b), h).counts[h]
+            == count_series(automaton(h), b).counts[b]
+        ), (b, h)
 
 
 def test_monotone_growth_regression(automaton):
@@ -280,9 +282,37 @@ def test_fit_needs_two_k_plus_two_terms(automaton):
     for width in range(1, 5):
         a = automaton(width)
         k = DEGREE_BOUNDS[width - 1]
-        counts = list(count_series(a, 4 * k).counts)
+        counts = list(forward_counts(a, 4 * k))
         with pytest.raises(FitError, match="insufficient terms"):
             fit_rational(counts[: 2 * k + 1], k)
         gf = fit_rational(counts[: 2 * k + 2], k)
         assert gf == gf_height(width, automaton=a)
         assert expand(gf, 4 * k + 1) == counts, width
+
+
+def test_series_past_two_k_plus_one_matches_forward_dp(automaton):
+    # past 2K + 1 the terms come from the fitted recurrence: check them, and
+    # the last DP terms before them, against the forward DP on the full
+    # automaton.  At b = 6 the recurrence has 89-bit coefficients, so the
+    # lift from one prime is wrong and only the exact check rejects it
+    for width, k in enumerate(DEGREE_BOUNDS[:6], 1):
+        a = automaton(width)
+        heights = (2 * k + 2,) if width == 6 else (2 * k, 2 * k + 1, 2 * k + 2, 4 * k + 4)
+        reference = forward_counts(a, max(heights))
+        for h in heights:
+            assert count_series(a, h).counts == reference[: h + 1], (width, h)
+
+
+def test_short_series_is_a_prefix_of_a_tall_one(automaton):
+    a = automaton(4)
+    tall = count_series(a, 300).counts
+    for h in (0, 1, 40, 41, 42, 299):
+        assert count_series(a, h).counts == tall[: h + 1], h
+
+
+def test_recurrence_terms_match_the_oracle(automaton):
+    # K = 3 at b = 2, so heights 8..12 come from the recurrence; the oracle
+    # reaches them within its 24-cell ceiling
+    counts = count_series(automaton(2), 12).counts
+    for h in range(8, 13):
+        assert counts[h] == brute_force_count(2, h), h

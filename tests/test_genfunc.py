@@ -8,7 +8,6 @@ from polyrect import (
     Polynomial,
     RationalGF,
     ResourceLimitError,
-    count_series,
     expand,
     fit_rational,
     gf_height,
@@ -20,7 +19,7 @@ from polyrect.counting import count_area_series
 from polyrect.genfunc import _matches, _NewtonTable, reduce_gf
 from polyrect.polynomial import ONE, divmod_exact, poly_gcd
 
-from reference import gf_height_by_elimination, reversed_charpoly
+from reference import forward_counts, gf_height_by_elimination, reversed_charpoly
 
 
 def test_rational_gf_invariants():
@@ -207,7 +206,7 @@ def test_gf_height_matches_series(automaton):
         a = automaton(width)
         gf = gf_height(width, automaton=a)
         n = 25
-        assert expand(gf, n + 1) == list(count_series(a, n).counts), width
+        assert expand(gf, n + 1) == list(forward_counts(a, n)), width
 
 
 def test_gf_height_is_fixed_by_two_n_plus_two_terms(automaton):
@@ -216,7 +215,7 @@ def test_gf_height_is_fixed_by_two_n_plus_two_terms(automaton):
     for width in (1, 2, 3, 4):
         a = automaton(width)
         n = a.n_states
-        counts = list(count_series(a, 4 * n).counts)
+        counts = list(forward_counts(a, 4 * n))
         with pytest.raises(FitError, match="insufficient terms"):
             fit_rational(counts[: 2 * n + 1], n)
         assert expand(gf_height(width, automaton=a), 4 * n + 1) == counts, width
