@@ -40,20 +40,31 @@ stack.  The DP runs to h = 2K + 1 at most, K = `degree_bound(a)`: those
 expands the fit for the later terms, K multiply-adds per term.  A FitError
 there contradicts the proof and propagates.
 
+A step computes w = Mk u from a plan built once per automaton (`dp_plan`):
+each class's row sum is another's, its parent's, plus the entries of u its
+target multiset has beyond the parent's, less those it lacks.  The parents
+form a minimum spanning tree (Prim) under the L1 distance between target
+multisets, rooted at the empty row, so a step takes the tree's weight in
+additions and subtractions, 1053 at b = 6, not the 3524 of summing every
+row.  The arithmetic is exact integer arithmetic, so each w[c] is the same
+integer as its row's plain sum, whatever the sign of a partial result.
+
 Area weighting packs each polynomial in q into byte-aligned slots of one big
 integer (slot n holds the coefficient of q^n, as
-`polynomial.pack_coefficients` lays it out).  A step into a node multiplies
-by q^fill, its filled-cell count, which is the same across its class; so
-each class entry is shifted by its fill slots and accumulation is plain
-integer addition.  The signed sum is taken on the packed integers: its
-coefficients are inscribed counts, nonnegative and below the slot bound, so
-it unpacks to the area polynomial.
+`polynomial.pack_coefficients` lays it out), that is, evaluates it at
+q = 2^slot.  A step into a node multiplies by q^fill, its filled-cell
+count, which is the same across its class; so each class entry is shifted
+by its fill slots and a step is integer addition and subtraction.  Each
+w[c] is then the integer its row's plain sum gives, and so is the signed
+sum over the copies: its coefficients are inscribed counts, nonnegative and
+below the slot bound, so it unpacks to the area polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
+from operator import eq
 from typing import Sequence
 
 from .automaton import Automaton
@@ -208,21 +219,113 @@ def degree_bound(a: Automaton) -> int:
     return len(rows) - len({c for _, c in starts})
 
 
+def dp_plan(a: Automaton) -> list[tuple[int, int, list[int], list[int]]]:
+    """How one DP step computes the quotient's row sums, each from another.
+
+    Entry (c, p, plus, minus) sets w[c] = w[p] + sum(u[plus]) - sum(u[minus]):
+    row p's target multiset with plus added and minus taken away is row c's,
+    and p = -1 is the empty row.  Entries come in evaluation order, p before
+    c.  The parents form a minimum spanning tree (Prim) of each window group
+    under the L1 distance between target multisets, rooted at the empty row.
+    The groups (all columns, the side strip, both sides empty) are runs of
+    classes from their initial classes, since classes are numbered window by
+    window; a group's targets stay in it, so no row of another group is
+    closer than the empty row.  Kept on a beside the quotient.
+    """
+    memo = a.__dict__.get("_dp_plan")
+    if memo is not None:
+        return memo
+    _, rows, starts = window_quotient(a)
+    cuts = sorted({c for _, c in starts}) + [len(rows)]
+    plan: list[tuple[int, int, list[int], list[int]]] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        plan += _spanning_tree([targets for _, _, targets in rows[lo:hi]], lo)
+    a.__dict__["_dp_plan"] = plan
+    return plan
+
+
+def _unary_codes(group: list[list[int]]) -> tuple[int, int, list[int]]:
+    """Each sorted row as an int whose bit count of XOR is the L1 distance.
+
+    Returns (span, low, codes).  Bit t - low + k * span of a row's code is
+    set when target t occurs more than k times in the row.
+    """
+    low = min((targets[0] for targets in group if targets), default=0)
+    span = max((targets[-1] for targets in group if targets), default=0) - low + 1
+    unit = [0] * low + [1 << t for t in range(span)]
+    codes = []
+    for targets in group:
+        distinct = set(targets)
+        code = sum(map(unit.__getitem__, distinct))
+        shift = 0
+        while len(distinct) < len(targets):
+            # each value that equals its predecessor: one copy of each less
+            rest = targets[1:]
+            targets = list(compress(rest, map(eq, targets, rest)))
+            distinct = set(targets)
+            shift += span
+            code += sum(map(unit.__getitem__, distinct)) << shift
+        codes.append(code)
+    return span, low, codes
+
+
+def _fields(bits: int, span: int, low: int) -> list[int]:
+    """The targets a code's set bits stand for, with repeats."""
+    targets = []
+    while bits:
+        top = bits.bit_length() - 1
+        targets.append(low + top % span)
+        bits ^= 1 << top
+    return targets
+
+
+def _spanning_tree(group: list[list[int]], lo: int) -> list[tuple[int, int, list[int], list[int]]]:
+    """Prim's plan (`dp_plan`) for the rows of classes lo, lo + 1, ..."""
+    span, low, codes = _unary_codes(group)
+    # best[j]: distance from row j to the tree so far, len(row j) from the root
+    best = list(map(len, group))
+    parent = [-1] * len(group)
+    left = list(range(len(group)))
+    plan = []
+    while left:
+        i = min(left, key=best.__getitem__)
+        left.remove(i)
+        p = parent[i]
+        code = codes[i]
+        if p < 0:
+            plan.append((lo + i, -1, group[i], []))
+        else:
+            theirs = codes[p]
+            plus = _fields(code & ~theirs, span, low)
+            minus = _fields(theirs & ~code, span, low)
+            plan.append((lo + i, lo + p, plus, minus))
+        for j in left:
+            d = (code ^ codes[j]).bit_count()
+            if d < best[j]:
+                best[j] = d
+                parent[j] = i
+    return plan
+
+
 def _accepted(a: Automaton, h_max: int, slot: int = 0):
     """Inscribed weight after each of 1..h_max steps from the initial state.
 
     With slot, a step into a node multiplies by 2^(slot * its fill count).
     """
     _, rows, starts = window_quotient(a)
+    plan = dp_plan(a)
     shifts = [slot * fill for _, fill, _ in rows]
     u = [int(one) << k for (one, _, _), k in zip(rows, shifts)]
     for _ in range(h_max):
-        w = []
-        for _, _, targets in rows:
-            acc = 0
-            for d in targets:
+        # w[-1] is never written: the empty row's 0
+        w = [0] * (len(rows) + 1)
+        for c, p, plus, minus in plan:
+            acc = w[p]
+            for d in plus:
                 acc += u[d]
-            w.append(acc)
+            for d in minus:
+                acc -= u[d]
+            w[c] = acc
         yield sum(sign * w[c] for sign, c in starts)
         u = [x << k for x, k in zip(w, shifts)] if slot else w
 

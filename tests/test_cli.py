@@ -144,6 +144,23 @@ def test_series_matches_pinned_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# sha256 of `area-series` stdout at real sizes, taken while each quotient
+# row sum was still a plain sum over the row's targets, with no subtraction
+AREA_SERIES_SHA256 = {
+    ("--b", "5", "--h-max", "60"):
+        "7cca76622678e99ab9f99416e47a2f7fe76dc822351c98b7b39b7e10af8e1721",
+    ("--b", "6", "--h-max", "30", "--format", "csv"):
+        "a6a9c70a0e251836e8ca3805fccace04539d378a64bcfa806d1a9dd243505ded",
+}
+
+
+def test_area_series_matches_pinned_digests(capsys):
+    for argv, digest in AREA_SERIES_SHA256.items():
+        code, out, _ = run(capsys, "area-series", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_area_gf(capsys):
     code, out, _ = run(capsys, "area-gf", "--b", "2")
     assert code == 0

@@ -1,4 +1,5 @@
 from array import array
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -22,7 +23,7 @@ from polyrect import (
     initial_state,
     sample_accepted_stacks,
 )
-from polyrect.counting import quotient_rows, window_nodes, window_quotient
+from polyrect.counting import dp_plan, quotient_rows, window_nodes, window_quotient
 from polyrect.rowconfig import enumerate_alphabet
 
 from reference import forward_area_counts, forward_counts, validate_table
@@ -274,6 +275,28 @@ def test_lumped_dp_matches_forward_dp(automaton):
         a = automaton(width)
         assert count_series(a, 40).counts == forward_counts(a, 40), width
         assert count_area_series(a, 40).area_counts == forward_area_counts(a, 40), width
+
+
+def test_dp_plan_rebuilds_every_row(automaton):
+    # each entry, applied to its parent's multiset, gives its row's target
+    # multiset; parents come first, and at b = 5..7 a step takes at most
+    # 0.35 of the additions a plain sum over every row would
+    for width in range(1, 8):
+        _, rows, _ = window_quotient(automaton(width))
+        plan = dp_plan(automaton(width))
+        assert sorted(c for c, _, _, _ in plan) == list(range(len(rows))), width
+        built = {-1: Counter()}
+        for c, p, plus, minus in plan:
+            assert p in built, (width, c, p)
+            row = built[p].copy()
+            row.update(plus)
+            row.subtract(minus)
+            assert min(row.values(), default=0) >= 0, (width, c)
+            assert +row == Counter(rows[c][2]), (width, c)
+            built[c] = row
+        additions = sum(len(plus) + len(minus) for _, _, plus, minus in plan)
+        if width >= 5:
+            assert additions <= 0.35 * sum(len(targets) for _, _, targets in rows), width
 
 
 def test_fit_needs_two_k_plus_two_terms(automaton):
