@@ -26,8 +26,8 @@ Stack files contain one row per line as a 0/1 string of the automaton's
 width; the first line is the first row fed to the automaton.
 
 Exit codes: 0 success or accepted stack; 1 verification mismatch, rejected
-stack, or a failed GF fit (gf, area-gf, and series or count past 2K + 1
-terms); 2 usage error, including an unreadable stack file or an unwritable
+stack, or a failed GF fit (gf, area-gf, and series or count tall enough
+to fit a window group); 2 usage error, including an unreadable stack file or an unwritable
 --output file; 3 resource ceiling hit or memory exhausted; 4 internal error
 (a bug, reported without a traceback).  Diagnostics go to stderr.
 

@@ -27,27 +27,34 @@ indicator and Mk the quotient matrix of the representatives' target
 classes, that is M Pi = Pi Mk, and the accepting indicator is f = Pi fk, so
 M^h f = Pi Mk^h fk.  A partition that fails the check is replaced by
 singleton classes, which always pass, so the same code runs.  No transition
-enters a copy's initial class (checked, ValueError otherwise), which is what
-bounds the generating functions' degrees by the number of the other classes
-(`genfunc`).
+enters a copy's initial class (checked, ValueError otherwise).
 
-counts[h] is the signed sum, over the four copies, of the entry of
-u_h = Mk u_(h-1), u_0 = fk, at the copy's initial class.  counts[0] is
-stored as 1, the constant term the generating functions carry for the empty
-stack.  The DP runs to h = 2K + 1 at most, K = `degree_bound(a)`: those
-2K + 2 terms fix the height generating function (the proof is in
-`genfunc`), so `count_series` fits them with `genfunc.fit_rational` and
-expands the fit for the later terms, K multiply-adds per term.  A FitError
-there contradicts the proof and propagates.
+The classes fall into window groups (`window_groups`), one per initial
+class: all columns, the side strip and both sides empty (one per copy on
+singleton classes).  Each is a run of classes closed under the transitions
+(checked), so its block of Mk runs alone.  counts[h] is the sum over the
+groups of sign_w, the sum of the group's copies' signs (1, -2, 1), times the
+entry of u_h = Mk u_(h-1), u_0 = fk, at the group's initial class; counts[0]
+is stored as 1, the constant term the generating functions carry for the
+empty stack.  From b = 3 the groups' series are the all-columns series of
+widths b, b - 1 and b - 2: counts = 1 + A_b - 2 A_(b-1) + A_(b-2) (Goupil,
+Cloutier and Nouboud).  Group w has k_w classes besides its initial one, and
+they bound its generating function's degrees (`genfunc`), so its first
+2k_w + 2 terms fix it.  When h_max + 1 >= FIT_SPAN * (2k_w + 2),
+`count_series` fits those terms with `genfunc.fit_rational` and carries on
+along the fit's recurrence, k_w multiply-adds per term.  A FitError there
+contradicts the proof and propagates.
 
-A step computes w = Mk u from a plan built once per automaton (`dp_plan`):
-each class's row sum is another's, its parent's, plus the entries of u its
-target multiset has beyond the parent's, less those it lacks.  The parents
-form a minimum spanning tree (Prim) under the L1 distance between target
-multisets, rooted at the empty row, so a step takes the tree's weight in
-additions and subtractions, 1053 at b = 6, not the 3524 of summing every
-row.  The arithmetic is exact integer arithmetic, so each w[c] is the same
-integer as its row's plain sum, whatever the sign of a partial result.
+A step computes a group's w = Mk u from a plan built once per group
+(`dp_plan`): each class's row sum is another's, its parent's, plus the
+entries of u its target multiset has beyond the parent's, less those it
+lacks.  The parents form a minimum spanning tree (Prim) under the L1
+distance between target multisets, rooted at the empty row, so a step takes
+the tree's weight in additions and subtractions, 1053 at b = 6, not the
+3524 of summing every row.  A run shorter than PLAN_PAYBACK_STEPS roots
+every row at the empty row instead: the plain row sum, in the same loop.
+The arithmetic is exact integer arithmetic, so each w[c] is the same integer
+as its row's plain sum, whatever the sign of a partial result.
 
 Area weighting packs each polynomial in q into byte-aligned slots of one big
 integer (slot n holds the coefficient of q^n, as
@@ -56,7 +63,7 @@ q = 2^slot.  A step into a node multiplies by q^fill, its filled-cell
 count, which is the same across its class; so each class entry is shifted
 by its fill slots and a step is integer addition and subtraction.  Each
 w[c] is then the integer its row's plain sum gives, and so is the signed
-sum over the copies: its coefficients are inscribed counts, nonnegative and
+sum over the groups: its coefficients are inscribed counts, nonnegative and
 below the slot bound, so it unpacks to the area polynomial.
 """
 
@@ -75,6 +82,13 @@ from .states import first_occurrence_relabel
 # sign of each column window: all columns, left column empty, right column
 # empty, both side columns empty
 WINDOW_SIGNS = (1, -1, -1, 1)
+# a group's DP stops at the 2k + 2 terms that prove its fit only when h_max + 1
+# is at least FIT_SPAN times that: fitting and expanding cost about as much
+# as the DP they replace (measured at b = 6 and 7)
+FIT_SPAN = 2
+# a spanning-tree plan costs what about this many plain DP steps save
+# (measured at b = 3..8), so shorter runs sum each row plainly
+PLAN_PAYBACK_STEPS = 25
 
 
 @dataclass(frozen=True)
@@ -219,28 +233,41 @@ def degree_bound(a: Automaton) -> int:
     return len(rows) - len({c for _, c in starts})
 
 
-def dp_plan(a: Automaton) -> list[tuple[int, int, list[int], list[int]]]:
-    """How one DP step computes the quotient's row sums, each from another.
+def window_groups(a: Automaton) -> list[tuple[int, int, int]]:
+    """(sign, lo, hi) of each window group: the classes lo..hi - 1.
 
-    Entry (c, p, plus, minus) sets w[c] = w[p] + sum(u[plus]) - sum(u[minus]):
-    row p's target multiset with plus added and minus taken away is row c's,
-    and p = -1 is the empty row.  Entries come in evaluation order, p before
-    c.  The parents form a minimum spanning tree (Prim) of each window group
-    under the L1 distance between target multisets, rooted at the empty row.
-    The groups (all columns, the side strip, both sides empty) are runs of
-    classes from their initial classes, since classes are numbered window by
-    window; a group's targets stay in it, so no row of another group is
-    closer than the empty row.  Kept on a beside the quotient.
+    Classes are numbered window by window, so a group runs from one initial
+    class, lo, to the next; its sign is the sum of its starts' signs.
+    Raises ValueError unless every group's targets stay in it.
     """
-    memo = a.__dict__.get("_dp_plan")
-    if memo is not None:
-        return memo
     _, rows, starts = window_quotient(a)
     cuts = sorted({c for _, c in starts}) + [len(rows)]
-    plan: list[tuple[int, int, list[int], list[int]]] = []
+    groups = []
     for lo, hi in zip(cuts, cuts[1:]):
-        plan += _spanning_tree([targets for _, _, targets in rows[lo:hi]], lo)
-    a.__dict__["_dp_plan"] = plan
+        if any(out and (out[0] < lo or out[-1] >= hi) for _, _, out in rows[lo:hi]):
+            raise ValueError("a transition leaves its window group")
+        groups.append((sum(sign for sign, c in starts if c == lo), lo, hi))
+    return groups
+
+
+def dp_plan(
+    a: Automaton, group: tuple[int, int, int]
+) -> list[tuple[int, int, list[int], list[int]]]:
+    """How one DP step computes a window group's row sums, each from another.
+
+    Entry (c, p, plus, minus) sets w[c] = w[p] + sum(u[plus]) - sum(u[minus])
+    in the group's own class numbers, class - lo: row p's target multiset
+    with plus added and minus taken away is row c's, and p = -1 is the
+    empty row.  Entries come in evaluation order, p before c.  The parents
+    form a minimum spanning tree (Prim) under the L1 distance between
+    target multisets, rooted at the empty row.  Kept on a, one per group.
+    """
+    _, lo, hi = group
+    plans = a.__dict__.setdefault("_dp_plans", {})
+    plan = plans.get(lo)
+    if plan is None:
+        rows = window_quotient(a)[1][lo:hi]
+        plan = plans[lo] = _spanning_tree([out for _, _, out in rows], lo)
     return plan
 
 
@@ -280,8 +307,9 @@ def _fields(bits: int, span: int, low: int) -> list[int]:
 
 
 def _spanning_tree(group: list[list[int]], lo: int) -> list[tuple[int, int, list[int], list[int]]]:
-    """Prim's plan (`dp_plan`) for the rows of classes lo, lo + 1, ..."""
+    """Prim's plan (`dp_plan`) for the rows of classes lo, lo + 1, ..., numbered from lo."""
     span, low, codes = _unary_codes(group)
+    low -= lo
     # best[j]: distance from row j to the tree so far, len(row j) from the root
     best = list(map(len, group))
     parent = [-1] * len(group)
@@ -292,13 +320,8 @@ def _spanning_tree(group: list[list[int]], lo: int) -> list[tuple[int, int, list
         left.remove(i)
         p = parent[i]
         code = codes[i]
-        if p < 0:
-            plan.append((lo + i, -1, group[i], []))
-        else:
-            theirs = codes[p]
-            plus = _fields(code & ~theirs, span, low)
-            minus = _fields(theirs & ~code, span, low)
-            plan.append((lo + i, lo + p, plus, minus))
+        theirs = codes[p] if p >= 0 else 0
+        plan.append((i, p, _fields(code & ~theirs, span, low), _fields(theirs & ~code, span, low)))
         for j in left:
             d = (code ^ codes[j]).bit_count()
             if d < best[j]:
@@ -307,15 +330,22 @@ def _spanning_tree(group: list[list[int]], lo: int) -> list[tuple[int, int, list
     return plan
 
 
-def _accepted(a: Automaton, h_max: int, slot: int = 0):
-    """Inscribed weight after each of 1..h_max steps from the initial state.
+def group_series(a: Automaton, group: tuple[int, int, int], h_max: int, slot: int = 0) -> list[int]:
+    """A window group's weight at its initial class after 0..h_max steps.
 
     With slot, a step into a node multiplies by 2^(slot * its fill count).
+    A run shorter than PLAN_PAYBACK_STEPS gives every row the empty row as
+    its parent: the plain row sum, in the same loop.
     """
-    _, rows, starts = window_quotient(a)
-    plan = dp_plan(a)
+    _, lo, hi = group
+    rows = window_quotient(a)[1][lo:hi]
+    if h_max < PLAN_PAYBACK_STEPS:
+        plan = [(c, -1, [t - lo for t in out], []) for c, (_, _, out) in enumerate(rows)]
+    else:
+        plan = dp_plan(a, group)
     shifts = [slot * fill for _, fill, _ in rows]
     u = [int(one) << k for (one, _, _), k in zip(rows, shifts)]
+    terms = [u[0]]
     for _ in range(h_max):
         # w[-1] is never written: the empty row's 0
         w = [0] * (len(rows) + 1)
@@ -326,24 +356,33 @@ def _accepted(a: Automaton, h_max: int, slot: int = 0):
             for d in minus:
                 acc -= u[d]
             w[c] = acc
-        yield sum(sign * w[c] for sign, c in starts)
+        terms.append(w[0])
         u = [x << k for x, k in zip(w, shifts)] if slot else w
+    return terms
 
 
 def count_series(a: Automaton, h_max: int) -> SeriesTable:
     """Exact number of accepted stacks for every height 0..h_max.
 
-    Terms past 2K + 1 come from the fit of the first 2K + 2 (module docstring).
+    A group whose fit pays (FIT_SPAN) takes its terms past 2k + 1 from the
+    fit of its first 2k + 2 (module docstring).
     """
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
-    k = degree_bound(a)
-    counts = (1, *_accepted(a, min(h_max, 2 * k + 1)))
-    if h_max > 2 * k + 1:
-        from .genfunc import expand, fit_rational  # genfunc imports this module
+    from .genfunc import expand, fit_rational  # genfunc imports this module
 
-        counts = tuple(expand(fit_rational(counts, k), h_max + 1))
-    return SeriesTable(a.width, counts)
+    counts = [1] + [0] * h_max
+    for group in window_groups(a):
+        sign, lo, hi = group
+        k = hi - lo - 1
+        if h_max + 1 >= FIT_SPAN * (2 * k + 2):
+            head = group_series(a, group, 2 * k + 1)
+            terms = expand(fit_rational(head, k), h_max + 1, head)
+        else:
+            terms = group_series(a, group, h_max)
+        for h, t in enumerate(terms):
+            counts[h] += sign * t
+    return SeriesTable(a.width, tuple(counts))
 
 
 def count_area_series(a: Automaton, h_max: int) -> SeriesTable:
@@ -353,13 +392,12 @@ def count_area_series(a: Automaton, h_max: int) -> SeriesTable:
     # Coefficients are below (2^b - 1)^h_max, so slots of at least
     # width*h_max + 8 bits, in whole bytes, can never collide.
     slot_bytes = (a.width * max(h_max, 1) + 15) // 8
-    counts = [1]
-    polys = [Polynomial((1,))]
-    for acc in _accepted(a, h_max, 8 * slot_bytes):
-        poly = Polynomial(unpack_coefficients(acc, slot_bytes))
-        polys.append(poly)
-        counts.append(poly.evaluate(1))
-    return SeriesTable(a.width, tuple(counts), tuple(polys))
+    packed = [1] + [0] * h_max
+    for group in window_groups(a):
+        for h, acc in enumerate(group_series(a, group, h_max, 8 * slot_bytes)):
+            packed[h] += group[0] * acc
+    polys = tuple(Polynomial(unpack_coefficients(acc, slot_bytes)) for acc in packed)
+    return SeriesTable(a.width, tuple(poly.evaluate(1) for poly in polys), polys)
 
 
 def accepts(a: Automaton, stack: Sequence[RowConfig]) -> bool:

@@ -3,22 +3,30 @@
 The generating functions come from `counting.window_quotient`: a verified
 lumping of the nodes of four letter-restricted copies of the automaton into
 classes, with quotient matrix Mk, accepting indicator fk and a signed
-initial class per copy; counts[h] is the signed sum of the entries of
-Mk^h fk at those classes.  No transition enters an initial class.  So with B the block of Mk on the K
-other classes, f' = fk there, and r the signed sum of the initial classes'
-rows there, counts[h] = r^T B^(h-1) f' for h >= 1, and the height series is
-1 + x r^T (I - xB)^(-1) f', where the 1 is the conventional counts[0].
-Cramer's rule writes it as P/Q with Q = det(I - xB) and
-P = Q + x r^T adj(I - xB) f', so deg P, deg Q <= K.  `fit_rational` returns
-only fits P'/Q' with deg Q' <= K and deg P' <= K + 1.  If such a fit agrees
-with the series on 2K + 2 terms, PQ' - P'Q has degree at most 2K + 1 and
-vanishes to order 2K + 2, so it is zero and P'/Q' = P/Q.  So each fit runs on
-exactly 2K + 2 exact terms, and agreement on them is the certificate: no
-further terms are checked.  The one assumption is that K counts the classes
-of a verified lumping, less the initial ones.  A failed check leaves
-singleton classes, and then K is the node count less four, which bounds the
-degrees the same way.  At b = 1..6, K is the degree of the generating
-function itself.
+initial class per copy.  The classes fall into window groups, each closed
+under the transitions with one initial class (`counting.window_groups`),
+and no transition enters an initial class.  So with B_w the block of Mk on
+group w's k_w other classes, f_w = fk there, and r_w the initial class's row
+there, the group's series is r_w^T B_w^(h-1) f_w for h >= 1 and 0 at h = 0,
+and Cramer's rule writes x r_w^T (I - xB_w)^(-1) f_w as P_w/Q_w with
+Q_w = det(I - xB_w) and deg P_w, deg Q_w <= k_w.  `fit_rational` returns
+only fits P'/Q' with deg Q' <= k and deg P' <= k + 1.  If such a fit agrees
+with the series on 2k + 2 terms, PQ' - P'Q has degree at most 2k + 1 and
+vanishes to order 2k + 2, so it is zero and P'/Q' = P/Q.  So each group is
+fitted on exactly 2k_w + 2 exact terms, and agreement on them is the
+certificate.  The one assumption is that k_w counts the classes of a
+verified lumping, less the initial one; singleton classes, one group per
+copy, bound the degrees the same way.
+
+The height series is 1 + sum(sign_w P_w/Q_w) = N/D with D = prod(Q_w) and
+N = D + sum(sign_w P_w prod_(v != w) Q_v) (`sum_fractions`).  Each fit is
+in lowest terms, so if the Q_w are pairwise coprime, gcd(N, Q_w) =
+gcd(P_w prod_(v != w) Q_v, Q_w) = 1 and N/D is reduced.  A gcd of 1 modulo
+a prime dividing neither leading coefficient proves a pair coprime (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 6); otherwise the gcd is
+cancelled exactly.  The reduced fraction with denominator constant term 1
+is unique, so this is the fit of the whole series with K = sum(k_w), which
+bounds its degrees the same way; at b = 1..7, K is its degree.
 
 The fit is a minimal recurrence.  Berlekamp-Massey runs modulo primes just
 below 2^61; the residues of primes that agree on the recurrence length are
@@ -35,24 +43,25 @@ exact specialization: evaluate q at the integer points 1, -1, 2, -2, ...
 (integer Horner), fit each specialized integer series, and interpolate the
 fitted coefficients back to polynomials in q in Newton form.  Integer
 polynomials have integer divided differences at integer nodes, so the
-interpolation divides exactly in the integers.  The same degree argument
-holds over Z[q], since B(q) has entries c * q^fill with c a nonnegative
-integer: the candidate is checked once, exactly, against the 2K + 2 terms by
-substituting q = 2^s with a slot width s large enough that the integer
-identity implies the identity in Z[q] (see `_matches`).
+interpolation divides exactly in the integers.  This fit runs on the whole
+series, with bound K: the degree argument holds over Z[q] on the block of
+Mk(q) on all K non-initial classes, whose entries are c * q^fill with c a
+nonnegative integer.  The candidate is checked once, exactly, against the
+2K + 2 terms by substituting q = 2^s with a slot width s large enough that
+the integer identity implies the identity in Z[q] (see `_matches`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from math import isqrt, lcm
+from itertools import combinations, count
+from math import isqrt, lcm, prod
 from operator import mul
 from typing import Sequence
 
 from .automaton import Automaton, DEFAULT_STATE_CEILING, build
-from .counting import count_area_series, count_series, degree_bound
+from .counting import count_area_series, degree_bound, group_series, window_groups
 from .errors import FitError, ResourceLimitError
 from .polynomial import (
     ONE,
@@ -102,14 +111,18 @@ class RationalGF:
         }
 
 
-def expand(gf: RationalGF, n_terms: int) -> list:
-    """First n_terms power-series coefficients of the rational function."""
+def expand(gf: RationalGF, n_terms: int, head: Sequence = ()) -> list:
+    """First n_terms power-series coefficients of the rational function.
+
+    head holds terms already known to be the first ones; the expansion
+    carries on from them.
+    """
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
     num = gf.numerator.coeffs
     den = gf.denominator.coeffs
-    out: list = []
-    for j in range(n_terms):
+    out = list(head[:n_terms])
+    for j in range(len(out), n_terms):
         acc = num[j] if j < len(num) else 0
         for k in range(1, min(j, len(den) - 1) + 1):
             acc = acc - den[k] * out[j - k]
@@ -351,16 +364,56 @@ def gf_height(
     max_states: int = DEFAULT_STATE_CEILING,
     automaton: Automaton | None = None,
 ) -> RationalGF:
-    """Generating function of counts by height, proved from 2K + 2 terms.
+    """Generating function of counts by height, proved group by group.
 
-    K, the class count of the automaton's verified window quotient less its
-    initial classes, bounds both degrees of the generating function (module
-    docstring), so the fit on exactly 2K + 2 exact terms with degree bound K
-    is the generating function.
+    Each window group's series is fitted on exactly 2k + 2 exact terms with
+    degree bound k, its class count less one, and the fits are summed with
+    the groups' signs (module docstring).
     """
     a = automaton if automaton is not None else build(width, max_states)
-    k = degree_bound(a)
-    return fit_rational(count_series(a, 2 * k + 1).counts, k)
+    parts = []
+    for group in window_groups(a):
+        sign, lo, hi = group
+        k = hi - lo - 1
+        parts.append((sign, fit_rational(group_series(a, group, 2 * k + 1), k)))
+    return sum_fractions(parts)
+
+
+def sum_fractions(parts: Sequence[tuple[int, RationalGF]]) -> RationalGF:
+    """1 + sum(sign * P/Q) over reduced parts with integer denominators, reduced.
+
+    N/D with D the product of the denominators is in lowest terms when they
+    are pairwise coprime (`_coprime`, module docstring); else `reduce_gf`.
+    """
+    dens = [gf.denominator for _, gf in parts]
+    den = prod(dens, start=ONE)
+    num = den
+    for i, (sign, gf) in enumerate(parts):
+        num = num + gf.numerator * prod(dens[:i] + dens[i + 1 :], start=ONE) * sign
+    if all(_coprime(p, q) for p, q in combinations(dens, 2)):
+        return RationalGF(num, den)
+    return reduce_gf(num, den)
+
+
+def _coprime(a: Polynomial, b: Polynomial) -> bool:
+    """Whether gcd(a, b) is 1 modulo a prime dividing neither leading coefficient.
+
+    The primitive gcd over Q divides a and b in Z[x] (Gauss's lemma) and
+    keeps its degree modulo such a prime, so True proves them coprime.
+    """
+    p = next(p for p in _primes() if a.coeffs[-1] % p and b.coeffs[-1] % p)
+    f = [c % p for c in reversed(a.coeffs)]
+    g = [c % p for c in reversed(b.coeffs)]
+    # Euclid on leading-first residues: f <- f mod g, then swap
+    while g:
+        inv = pow(g[0], -1, p)
+        while len(f) >= len(g):
+            scale = f[0] * inv % p
+            f = [(x - scale * y) % p for x, y in zip(f[1:], g[1:])] + f[len(g) :]
+            while f and not f[0]:
+                del f[0]
+        f, g = g, f
+    return len(f) == 1
 
 
 class _NewtonTable:
@@ -524,9 +577,9 @@ def gf_height_area(
 
     Coefficients are exact integer polynomials in q.  The quotient matrix of
     the verified window quotient has entries c * q^fill with c a nonnegative
-    integer, so Cramer's rule bounds both degrees in x by K (`gf_height`)
-    over Z[q] too, and the candidate that reproduces 2K + 2 exact terms is
-    the generating function.  Desk-scale widths only; the guard is a
+    integer, so Cramer's rule bounds both degrees in x by K over Z[q] too
+    (module docstring), and the candidate that reproduces 2K + 2 exact terms
+    is the generating function.  Desk-scale widths only; the guard is a
     resource ceiling, not a correctness bound.
     """
     if width > AREA_WIDTH_LIMIT:

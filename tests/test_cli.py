@@ -115,6 +115,9 @@ GF_SHA256 = {
     # b=6 taken before the fit moved to Berlekamp-Massey modulo primes
     (6, "text"): "75ae1ccef32eb13c3d8324c71c0ce356d72184345ba650f697b6d1eee36565ee",
     (6, "json"): "740d55a9e03173e1e115a7c401ab2664af569b806069f0ab53861cec0207687c",
+    # b=7 taken while the fit still ran on the sum of the window groups
+    (7, "text"): "92e3b6c155248cbf71a946706808c9d35cb7d1a4545e44f2bd9f6da4deccf484",
+    (7, "json"): "866510d7d85f1284e5504de48d940c26211d24771e038b00956ade3f26836666",
 }
 
 

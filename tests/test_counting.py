@@ -14,6 +14,7 @@ from polyrect import (
     RowConfig,
     accepts,
     brute_force_area_histogram,
+    build,
     brute_force_count,
     count_area_series,
     count_series,
@@ -23,7 +24,16 @@ from polyrect import (
     initial_state,
     sample_accepted_stacks,
 )
-from polyrect.counting import dp_plan, quotient_rows, window_nodes, window_quotient
+from polyrect.counting import (
+    FIT_SPAN,
+    PLAN_PAYBACK_STEPS,
+    dp_plan,
+    group_series,
+    quotient_rows,
+    window_groups,
+    window_nodes,
+    window_quotient,
+)
 from polyrect.rowconfig import enumerate_alphabet
 
 from reference import forward_area_counts, forward_counts, validate_table
@@ -33,6 +43,8 @@ from reference import forward_area_counts, forward_counts, validate_table
 # the degree bound of the generating functions
 CLASS_COUNTS = [3, 6, 12, 23, 52, 115, 281, 684, 1756]
 DEGREE_BOUNDS = [1, 3, 9, 20, 49, 112, 278, 681, 1753]
+# g_w, the class count of the all-columns window group at width w = 1..9
+GROUP_SIZES = [2, 3, 7, 13, 32, 70, 179, 435, 1142]
 
 
 def rows(*texts):
@@ -179,8 +191,46 @@ def test_reflection_class_counts(automaton):
 
 
 def test_degree_bound_is_the_gf_degree(automaton):
-    for width, k in enumerate(DEGREE_BOUNDS[:6], 1):
+    for width, k in enumerate(DEGREE_BOUNDS[:7], 1):
         assert gf_height(width, automaton=automaton(width)).degrees()[2] == k, width
+
+
+def test_window_groups_are_all_columns_groups_of_three_widths(automaton):
+    # the groups of width b are the all-columns groups of widths b, b - 1
+    # and b - 2, with signs 1, -2, 1; one class per group is initial, so
+    # K = sum(g_w - 1)
+    for width, (k, size) in enumerate(zip(DEGREE_BOUNDS, GROUP_SIZES), 1):
+        groups = window_groups(automaton(width))
+        sizes = [hi - lo for _, lo, hi in groups]
+        assert sizes[0] == size, width
+        assert sum(g - 1 for g in sizes) == k, width
+        if width >= 3:
+            assert sizes == [GROUP_SIZES[w - 1] for w in (width, width - 1, width - 2)], width
+            assert [sign for sign, _, _ in groups] == [1, -2, 1], width
+
+
+def test_window_groups_reject_a_target_in_another_group(automaton):
+    # each group's DP runs alone only while its targets stay in it
+    a = automaton(3)
+    classes, rows, starts = window_quotient(a)
+    (_, lo, hi), (_, other, _) = window_groups(a)[:2]
+    row = next(c for c in range(lo, hi) if rows[c][2])
+    edited = replace(a)
+    leaving = (*rows[row][:2], sorted(rows[row][2] + [other + 1]))
+    edited.__dict__["_window_quotient"] = classes, [*rows[:row], leaving, *rows[row + 1 :]], starts
+    with pytest.raises(ValueError, match="leaves its window group"):
+        window_groups(edited)
+
+
+def test_side_groups_count_narrower_boxes(automaton):
+    # the side strip's group counts what the all-columns group of width
+    # b - 1 counts, and the both-empty group what that of width b - 2 does
+    for width in range(3, 8):
+        a = automaton(width)
+        for group, narrower in zip(window_groups(a)[1:], (width - 1, width - 2)):
+            b = automaton(narrower)
+            all_columns = window_groups(b)[0]
+            assert group_series(a, group, 30) == group_series(b, all_columns, 30), width
 
 
 def test_lumping_check_rejects_merged_classes(automaton):
@@ -279,22 +329,27 @@ def test_lumped_dp_matches_forward_dp(automaton):
 
 def test_dp_plan_rebuilds_every_row(automaton):
     # each entry, applied to its parent's multiset, gives its row's target
-    # multiset; parents come first, and at b = 5..7 a step takes at most
-    # 0.35 of the additions a plain sum over every row would
+    # multiset in the group's own class numbers; parents come first, and at
+    # b = 5..7 a step takes at most 0.35 of the additions a plain sum over
+    # every row would
     for width in range(1, 8):
-        _, rows, _ = window_quotient(automaton(width))
-        plan = dp_plan(automaton(width))
-        assert sorted(c for c, _, _, _ in plan) == list(range(len(rows))), width
-        built = {-1: Counter()}
-        for c, p, plus, minus in plan:
-            assert p in built, (width, c, p)
-            row = built[p].copy()
-            row.update(plus)
-            row.subtract(minus)
-            assert min(row.values(), default=0) >= 0, (width, c)
-            assert +row == Counter(rows[c][2]), (width, c)
-            built[c] = row
-        additions = sum(len(plus) + len(minus) for _, _, plus, minus in plan)
+        a = automaton(width)
+        _, rows, _ = window_quotient(a)
+        additions = 0
+        for group in window_groups(a):
+            _, lo, hi = group
+            plan = dp_plan(a, group)
+            assert sorted(c for c, _, _, _ in plan) == list(range(hi - lo)), width
+            built = {-1: Counter()}
+            for c, p, plus, minus in plan:
+                assert p in built, (width, c, p)
+                row = built[p].copy()
+                row.update(plus)
+                row.subtract(minus)
+                assert min(row.values(), default=0) >= 0, (width, c)
+                assert +row == Counter(t - lo for t in rows[lo + c][2]), (width, c)
+                built[c] = row
+            additions += sum(len(plus) + len(minus) for _, _, plus, minus in plan)
         if width >= 5:
             assert additions <= 0.35 * sum(len(targets) for _, _, targets in rows), width
 
@@ -324,6 +379,29 @@ def test_series_past_two_k_plus_one_matches_forward_dp(automaton):
         reference = forward_counts(a, max(heights))
         for h in heights:
             assert count_series(a, h).counts == reference[: h + 1], (width, h)
+
+
+def test_each_group_fit_switch_matches_forward_dp(automaton):
+    # around 2k + 2, where a group's fit could start, and around FIT_SPAN
+    # times that, where it does, for every group's k
+    for width in range(2, 7):
+        a = automaton(width)
+        heights = set()
+        for _, lo, hi in window_groups(a):
+            head = 2 * (hi - lo)
+            heights |= {head - 2, head - 1, head, 2 * head}
+            heights |= {FIT_SPAN * head - 2, FIT_SPAN * head - 1}
+        reference = forward_counts(a, max(heights))
+        for h in sorted(heights):
+            assert count_series(a, h).counts == reference[: h + 1], (width, h)
+
+
+def test_short_runs_build_no_plan():
+    a = build(4)
+    assert count_area_series(a, 4).area_counts == forward_area_counts(a, 4)
+    assert "_dp_plans" not in a.__dict__
+    assert count_series(a, PLAN_PAYBACK_STEPS).counts == forward_counts(a, PLAN_PAYBACK_STEPS)
+    assert "_dp_plans" in a.__dict__
 
 
 def test_short_series_is_a_prefix_of_a_tall_one(automaton):

@@ -16,7 +16,7 @@ from polyrect import (
 )
 from polyrect import counting, genfunc
 from polyrect.counting import count_area_series
-from polyrect.genfunc import _matches, _NewtonTable, reduce_gf
+from polyrect.genfunc import _coprime, _matches, _NewtonTable, reduce_gf, sum_fractions
 from polyrect.polynomial import ONE, divmod_exact, poly_gcd
 
 from reference import forward_counts, gf_height_by_elimination, reversed_charpoly
@@ -240,6 +240,42 @@ def test_gf_height_numerator_denominator_coprime(automaton):
     for width in (1, 2, 3, 4):
         gf = gf_height(width, automaton=automaton(width))
         assert poly_gcd(gf.numerator, gf.denominator).degree == 0, width
+
+
+def test_sum_of_fractions_with_a_common_factor_is_reduced_exactly():
+    # x / (1 - x)(1 - 2x) and x^2 / (1 - x)(1 + 3x) share the factor 1 - x,
+    # so the product of the denominators is not the reduced one
+    x = Polynomial((0, 1))
+    one_minus_x = Polynomial((1, -1))
+    first = RationalGF(x, one_minus_x * Polynomial((1, -2)))
+    second = RationalGF(x * x, one_minus_x * Polynomial((1, 3)))
+    assert not _coprime(first.denominator, second.denominator)
+    den = first.denominator * second.denominator
+    num = den + first.numerator * second.denominator - second.numerator * first.denominator * 2
+    got = sum_fractions([(1, first), (-2, second)])
+    assert got == reduce_gf(num, den)
+    assert got.denominator.degree == 3
+    assert got.denominator.coeffs[0] == 1
+    want = [a - 2 * b for a, b in zip(expand(first, 20), expand(second, 20))]
+    want[0] += 1
+    assert expand(got, 20) == want
+
+
+def test_window_group_denominators_are_coprime_mod_p(automaton):
+    # the certificate gf_height relies on: each pair of the groups' reduced
+    # denominators has gcd 1 modulo a 61-bit prime, and the reduced sum
+    # is the fit of the whole series
+    for width in (3, 4, 5):
+        a = automaton(width)
+        parts = []
+        for group in counting.window_groups(a):
+            sign, lo, hi = group
+            k = hi - lo - 1
+            parts.append((sign, fit_rational(counting.group_series(a, group, 2 * k + 1), k)))
+        dens = [gf.denominator for _, gf in parts]
+        assert all(_coprime(p, q) for i, p in enumerate(dens) for q in dens[i + 1 :]), width
+        k = counting.degree_bound(a)
+        assert sum_fractions(parts) == fit_rational(forward_counts(a, 2 * k + 1), k), width
 
 
 def test_elimination_backend_agrees(automaton):
