@@ -385,13 +385,27 @@ def count_series(a: Automaton, h_max: int) -> SeriesTable:
     return SeriesTable(a.width, tuple(counts))
 
 
+def _area_slot_bytes(a: Automaton, h_max: int) -> int:
+    """Slot width for area polynomials up to h_max in whole bytes.
+
+    Coefficients are below (2^b - 1)^h_max, so slots of at least
+    width*h_max + 8 bits can never collide.
+    """
+    return (a.width * max(h_max, 1) + 15) // 8
+
+
+def group_area_series(a: Automaton, group: tuple[int, int, int], h_max: int) -> list[Polynomial]:
+    """A window group's series refined by area: one polynomial in q per height."""
+    slot_bytes = _area_slot_bytes(a, h_max)
+    packed = group_series(a, group, h_max, 8 * slot_bytes)
+    return [Polynomial(unpack_coefficients(acc, slot_bytes)) for acc in packed]
+
+
 def count_area_series(a: Automaton, h_max: int) -> SeriesTable:
     """Counts refined by area: one polynomial in q per height."""
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
-    # Coefficients are below (2^b - 1)^h_max, so slots of at least
-    # width*h_max + 8 bits, in whole bytes, can never collide.
-    slot_bytes = (a.width * max(h_max, 1) + 15) // 8
+    slot_bytes = _area_slot_bytes(a, h_max)
     packed = [1] + [0] * h_max
     for group in window_groups(a):
         for h, acc in enumerate(group_series(a, group, h_max, 8 * slot_bytes)):

@@ -23,10 +23,11 @@ N = D + sum(sign_w P_w prod_(v != w) Q_v) (`sum_fractions`).  Each fit is
 in lowest terms, so if the Q_w are pairwise coprime, gcd(N, Q_w) =
 gcd(P_w prod_(v != w) Q_v, Q_w) = 1 and N/D is reduced.  A gcd of 1 modulo
 a prime dividing neither leading coefficient proves a pair coprime (von zur
-Gathen and Gerhard, Modern Computer Algebra, ch. 6); otherwise the gcd is
-cancelled exactly.  The reduced fraction with denominator constant term 1
-is unique, so this is the fit of the whole series with K = sum(k_w), which
-bounds its degrees the same way; at b = 1..7, K is its degree.
+Gathen and Gerhard, Modern Computer Algebra, ch. 6); otherwise N/D is
+fitted again from its own expansion.  The reduced fraction with denominator
+constant term 1 is unique, so this is the fit of the whole series with
+K = sum(k_w), which bounds its degrees the same way; at b = 1..7, K is its
+degree.
 
 The fit is a minimal recurrence.  Berlekamp-Massey runs modulo primes just
 below 2^61; the residues of primes that agree on the recurrence length are
@@ -38,30 +39,35 @@ rational power series with integer coefficients has an integer denominator
 with constant term 1, so for the generating functions the symmetric lift is
 the answer once the primes' product exceeds twice its largest coefficient.
 
-The area-refined series lives over polynomials in q.  Fitting there works by
-exact specialization: evaluate q at the integer points 1, -1, 2, -2, ...
-(integer Horner), fit each specialized integer series, and interpolate the
-fitted coefficients back to polynomials in q in Newton form.  Integer
-polynomials have integer divided differences at integer nodes, so the
-interpolation divides exactly in the integers.  This fit runs on the whole
-series, with bound K: the degree argument holds over Z[q] on the block of
-Mk(q) on all K non-initial classes, whose entries are c * q^fill with c a
-nonnegative integer.  The candidate is checked once, exactly, against the
-2K + 2 terms by substituting q = 2^s with a slot width s large enough that
-the integer identity implies the identity in Z[q] (see `_matches`).
+The area-refined series lives over polynomials in q, and everything above
+holds over Z[q] and its fraction field Q(q): the blocks of Mk(q) have
+entries c * q^fill with c a nonnegative integer, so each group's degrees in
+x are at most k_w over Z[q] as well.  `gf_height_area` fits each group on
+its 2k_w + 2 area polynomials and sums the fits; a pair of denominators is
+proved coprime over Q(q) by setting q to an integer where neither leading
+coefficient vanishes (`_coprime`).  A group is fitted by specializing q at
+t = 1, 2, ... modulo primes just below 2^61: Berlekamp-Massey at each point
+gives D(t) mod p, Lagrange interpolation turns the values into the
+q-coefficients of D mod p, primes are combined by the Chinese remainder
+theorem, and the symmetric lift is the candidate denominator.  Its numerator
+is (D * S) mod x^(k_w + 2), exactly, and the candidate is checked once,
+exactly, against the 2k_w + 2 terms by substituting q = 2^s with a slot
+width s large enough that the integer identity implies the identity in
+Z[q] (see `_matches`).  So here too the primes decide only the running
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, islice
 from math import isqrt, lcm, prod
 from operator import mul
 from typing import Sequence
 
 from .automaton import Automaton, DEFAULT_STATE_CEILING, build
-from .counting import count_area_series, degree_bound, group_series, window_groups
+from .counting import group_area_series, group_series, window_groups
 from .errors import FitError, ResourceLimitError
 from .polynomial import (
     ONE,
@@ -70,9 +76,11 @@ from .polynomial import (
     json_ready,
     pack_coefficients,
     poly_gcd,
+    unpack_coefficients,
+    unpack_signed,
 )
 
-AREA_WIDTH_LIMIT = 5
+AREA_WIDTH_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -207,10 +215,10 @@ def _lifts(residues: list[int], modulus: int, rational: bool):
     the half extended Euclidean algorithm finds the factor d lacks.  Each
     candidate has C[0] > 0; only C / C[0] matters.
     """
-    half = modulus >> 1
-    yield [r - modulus if r > half else r for r in residues]
+    yield _symmetric(residues, modulus)
     if not rational:
         return
+    half = modulus >> 1
     bound = isqrt(half)
     den, nums = 1, []
     for r in residues:
@@ -232,6 +240,12 @@ def _lifts(residues: list[int], modulus: int, rational: bool):
         nums.append(a)
     if den != 1:
         yield nums
+
+
+def _symmetric(residues: list[int], modulus: int) -> list[int]:
+    """Each residue as the integer of least absolute value it stands for."""
+    half = modulus >> 1
+    return [r - modulus if r > half else r for r in residues]
 
 
 def _reproduces(c: list[int], seq: list[int], length: int) -> bool:
@@ -380,27 +394,92 @@ def gf_height(
 
 
 def sum_fractions(parts: Sequence[tuple[int, RationalGF]]) -> RationalGF:
-    """1 + sum(sign * P/Q) over reduced parts with integer denominators, reduced.
+    """1 + sum(sign * P/Q) over reduced parts, over Z or Z[q], reduced.
 
     N/D with D the product of the denominators is in lowest terms when they
-    are pairwise coprime (`_coprime`, module docstring); else `reduce_gf`.
+    are pairwise coprime (`_coprime`, module docstring).  Otherwise N/D is
+    fitted again from its own expansion, which reduces it.  Zero parts are
+    skipped.  Over Z[q] each P and Q is packed into one integer (`_pack_xq`)
+    and the sum is read back from the packed N and D.
     """
+    parts = [(sign, gf) for sign, gf in parts if gf.numerator]
+    bivariate = any(gf.is_bivariate for _, gf in parts)
+    if bivariate:
+        # no coefficient of a product exceeds the product of the L1 norms
+        norms = [_l1(gf.denominator) for _, gf in parts]
+        bound = prod(norms)
+        for i, (sign, gf) in enumerate(parts):
+            bound += abs(sign) * _l1(gf.numerator) * prod(norms[:i] + norms[i + 1 :])
+        slot_bytes = (bound.bit_length() + 8) // 8
+        stride = sum(
+            max(len(c.coeffs) for c in gf.numerator.coeffs + gf.denominator.coeffs)
+            for _, gf in parts
+        )
+        packed = [
+            (sign, _pack_xq(gf.numerator, stride, slot_bytes), _pack_xq(gf.denominator, stride, slot_bytes))
+            for sign, gf in parts
+        ]
+        num, den = (_unpack_xq(f, stride, slot_bytes) for f in _sum(packed, 1))
+    else:
+        num, den = _sum([(sign, gf.numerator, gf.denominator) for sign, gf in parts], ONE)
     dens = [gf.denominator for _, gf in parts]
-    den = prod(dens, start=ONE)
-    num = den
-    for i, (sign, gf) in enumerate(parts):
-        num = num + gf.numerator * prod(dens[:i] + dens[i + 1 :], start=ONE) * sign
     if all(_coprime(p, q) for p, q in combinations(dens, 2)):
         return RationalGF(num, den)
-    return reduce_gf(num, den)
+    k = max(den.degree, num.degree - 1)
+    fit = _fit_bivariate if bivariate else fit_rational
+    return fit(expand(RationalGF(num, den), 2 * k + 2), k)
+
+
+def _sum(parts: Sequence[tuple], one):
+    """(N, D) of 1 + sum(sign * P/Q) over (sign, P, Q) in parts, D = prod(Q)."""
+    dens = [den for _, _, den in parts]
+    den = prod(dens, start=one)
+    num = den
+    for i, (sign, p, _) in enumerate(parts):
+        num = num + p * prod(dens[:i] + dens[i + 1 :], start=one) * sign
+    return num, den
+
+
+def _l1(f: Polynomial) -> int:
+    """Sum of the absolute values of the integer coefficients of f in Z[q][x]."""
+    return sum(abs(c) for p in f.coeffs for c in p.coeffs)
+
+
+def _pack_xq(f: Polynomial, stride: int, slot_bytes: int) -> int:
+    """f in Z[q][x] at q = 2^s, x = 2^(s * stride), s = 8 * slot_bytes.
+
+    Products of such values are the values of the products, and read back
+    (`_unpack_xq`) while every q-degree stays below stride and every
+    coefficient strictly inside (-2^(s-1), 2^(s-1)).
+    """
+    flat: list[int] = []
+    for c in f.coeffs:
+        flat += c.coeffs + (0,) * (stride - len(c.coeffs))
+    return pack_coefficients(flat, slot_bytes)
+
+
+def _unpack_xq(value: int, stride: int, slot_bytes: int) -> Polynomial:
+    """The polynomial in Z[q][x] that `_pack_xq` packed into value."""
+    digits = unpack_signed(value, slot_bytes)
+    return Polynomial(Polynomial(digits[i : i + stride]) for i in range(0, len(digits), stride))
 
 
 def _coprime(a: Polynomial, b: Polynomial) -> bool:
     """Whether gcd(a, b) is 1 modulo a prime dividing neither leading coefficient.
 
     The primitive gcd over Q divides a and b in Z[x] (Gauss's lemma) and
-    keeps its degree modulo such a prime, so True proves them coprime.
+    keeps its degree modulo such a prime, so True proves them coprime.  Over
+    Z[q][x], q is set to integers t >= 1 at which neither leading coefficient
+    vanishes, the first three of them, until one gives True.  A common
+    factor of positive degree over Q(q) has a primitive form in Z[q][x]
+    whose leading coefficient divides theirs, so it keeps its degree at t
+    and would divide both images: True proves a and b coprime over Q(q) too.
+    A pair coprime over Q(q) fails only at roots of its resultant, as
+    (1 - x)(1 - 2x) and 1 - q^2 x do at t = 1.
     """
+    if isinstance(a.coeffs[-1], Polynomial):
+        points = (t for t in count(1) if a.coeffs[-1].evaluate(t) and b.coeffs[-1].evaluate(t))
+        return any(_coprime(_substitute(a, t), _substitute(b, t)) for t in islice(points, 3))
     p = next(p for p in _primes() if a.coeffs[-1] % p and b.coeffs[-1] % p)
     f = [c % p for c in reversed(a.coeffs)]
     g = [c % p for c in reversed(b.coeffs)]
@@ -416,122 +495,210 @@ def _coprime(a: Polynomial, b: Polynomial) -> bool:
     return len(f) == 1
 
 
-class _NewtonTable:
-    """Incremental Newton interpolation at distinct integer nodes.
-
-    Divided differences of an integer polynomial at integer nodes are
-    integers, so each one is an exact divmod.  A nonzero remainder means no
-    integer polynomial fits the values; that difference falls back to a
-    Fraction, which keeps the table exact and makes the result non-integer.
-    """
-
-    __slots__ = ("xs", "diag", "coeffs")
-
-    def __init__(self):
-        self.xs: list[int] = []
-        self.diag: list = []
-        self.coeffs: list = []
-
-    def add(self, x: int, y) -> None:
-        new_diag = [y]
-        for k, prev in enumerate(self.diag):
-            diff, gap = new_diag[k] - prev, x - self.xs[-1 - k]
-            quot, rem = divmod(diff, gap)
-            new_diag.append(Fraction(diff, gap) if rem else quot)
-        self.xs.append(x)
-        self.diag = new_diag
-        self.coeffs.append(new_diag[-1])
-
-    def stable(self) -> bool:
-        return (
-            len(self.coeffs) >= 3
-            and not self.coeffs[-1]
-            and not self.coeffs[-2]
-        )
-
-    def polynomial(self, basis: list[Polynomial] | None = None) -> Polynomial:
-        """The interpolant; basis is `_newton_basis(self.xs)`, shareable across tables."""
-        if basis is None:
-            basis = _newton_basis(self.xs)
-        acc = Polynomial()
-        for c, b in zip(self.coeffs, basis):
-            if c:
-                acc = acc + b * c
-        return acc
-
-
-def _newton_basis(xs: list[int]) -> list[Polynomial]:
-    """The products (q - x_0)...(q - x_(j-1)) for j = 0..len(xs) - 1."""
-    basis = [ONE]
-    for x in xs[:-1]:
-        basis.append(basis[-1] * Polynomial((-x, 1)))
-    return basis
-
-
 def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalGF:
-    """Fit over polynomials in q by exact specialization and interpolation.
+    """Fit over Z[q] by specialization modulo primes, proved by `_matches`.
 
-    q runs over the integers 1, -1, 2, -2, ...; specializations whose minimal
-    denominator degree falls short of the generic degree (roots of a leading
-    coefficient, or points where numerator and denominator share a factor)
-    are discarded.  Every specialization is fitted on all of series, and the
-    interpolated candidate must reproduce all of it exactly (`_matches`)
-    before it is returned.  With 2 * degree_bound + 2 terms of a series that
-    is a rational function within the bound, that agreement proves the
-    candidate (`fit_rational`).
+    For each prime p, `_denominator_mod` finds the residues of the
+    denominator's q-coefficients.  Primes that agree on their shape (the
+    recurrence length and each coefficient's length) are combined by the
+    Chinese remainder theorem and lifted symmetrically.  A lift within the
+    degree bound is a candidate when its coefficients leave 32 bits of the
+    modulus unused, or else when it agrees with the recurrence at one point
+    modulo another prime (`_agrees_mod`); a wrong lift rarely passes either
+    test, which only spare a failing `_matches`.  A candidate's numerator is
+    (D * S) mod x^(degree_bound + 2), exactly, and it is returned once
+    `_matches` proves that it reproduces all of series.  With
+    2 * degree_bound + 2 terms of a series that is a rational function
+    within the bound, that agreement proves the candidate (`fit_rational`),
+    so the primes decide the running time, never the result.  Primes whose
+    bits add up past the ceiling `_min_recurrence` sets for the largest
+    integer in series end the search with FitError.  An all-zero series is
+    0/1.
     """
-    fits: list[tuple[int, tuple]] = []
-    generic_degree = -1
-    den_tables: list[_NewtonTable] = []
-    num_tables: list[_NewtonTable] = []
-    # q-degrees of the recurrence coefficients are at most width * x-degree,
-    # so this leaves generous room past the expected stabilization point
-    cap = 8 * degree_bound + 64
-    points = (sign * k for k in count(1) for sign in (1, -1))
-    for _ in range(cap):
-        t = next(points)
-        seq = [p.evaluate(t) for p in series]
-        try:
-            g = fit_rational(seq, degree_bound)
-        except FitError:
-            continue
-        den, num = g.denominator.coeffs, g.numerator.coeffs
-        degree = len(den) - 1
-        if degree < generic_degree:
-            continue
-        if degree > generic_degree:
-            # every earlier point was degenerate: start over from this one
-            generic_degree, fits, num_tables = degree, [], []
-            den_tables = [_NewtonTable() for _ in range(degree + 1)]
-        if len(num) > len(num_tables):
-            # a longer numerator showed up: rebuild numerator tables
-            num_tables = [_NewtonTable() for _ in range(len(num))]
-            for ft, fnum in fits:
-                _feed(num_tables, ft, fnum)
-        fits.append((t, num))
-        _feed(den_tables, t, den)
-        _feed(num_tables, t, num)
-        tables = den_tables + num_tables
-        if not all(table.stable() for table in tables):
-            continue
-        # an integer polynomial has integer divided differences at integer
-        # nodes, so a Fraction anywhere rules the candidate out
-        if any(type(c) is not int for table in tables for c in table.coeffs):
-            continue
-        # every table holds the same nodes, so they share one basis
-        basis = _newton_basis(den_tables[0].xs)
-        candidate = RationalGF(
-            Polynomial(table.polynomial(basis) for table in num_tables),
-            Polynomial([ONE] + [table.polynomial(basis) for table in den_tables[1:]]),
+    if len(series) < 2 * degree_bound + 2:
+        raise FitError(
+            f"insufficient terms: need at least {2 * degree_bound + 2}, got {len(series)}"
         )
-        if _matches(candidate, series):
-            return candidate
+    if not any(series):
+        return RationalGF(Polynomial(), Polynomial((ONE,)))
+    rank = degree_bound + 2
+    top_bits = max(abs(c) for s in series for c in s.coeffs).bit_length()
+    limit_bits = 2 * rank * (top_bits + rank.bit_length()) + 2
+    # shape -> (modulus, residues, last lift that failed `_matches`)
+    groups: dict[tuple, tuple[int, list[list[int]], list | None]] = {}
+    spent = 0
+    for p in _primes():
+        if spent > limit_bits:
+            break
+        spent += p.bit_length()
+        values = _denominator_mod(series, degree_bound, p)
+        if values is None:
+            continue
+        shape = tuple(map(len, values))
+        if shape in groups:
+            modulus, residues, failed = groups[shape]
+            inv = pow(modulus % p, -1, p)
+            residues = [
+                [r + modulus * ((v - r % p) * inv % p) for r, v in zip(rs, vs)]
+                for rs, vs in zip(residues, values)
+            ]
+            modulus *= p
+        else:
+            modulus, residues, failed = p, values, None
+        lift = [_symmetric(rs, modulus) for rs in residues]
+        den = Polynomial([ONE] + [Polynomial(cs) for cs in lift])
+        top = max((abs(c) for cs in lift for c in cs), default=0)
+        if (
+            lift != failed
+            and den.degree <= degree_bound
+            and (
+                top.bit_length() + 32 < modulus.bit_length()
+                or _agrees_mod(lift, series, next(q for q in _primes() if modulus % q))
+            )
+        ):
+            candidate = RationalGF(_numerator(den, series, degree_bound), den)
+            if _matches(candidate, series):
+                return candidate
+            failed = lift
+        groups[shape] = modulus, residues, failed
     raise FitError("insufficient terms: bivariate fit did not stabilize")
 
 
-def _feed(tables: list[_NewtonTable], t: int, values: tuple) -> None:
-    for j, table in enumerate(tables):
-        table.add(t, values[j] if j < len(values) else 0)
+def _evaluator(series: Sequence[Polynomial], p: int):
+    """The map t -> [S(t) for S in series], modulo p, one packed dot product per t.
+
+    Column m packs the q^m coefficients of every term mod p into slots wide
+    enough for a sum of products of two residues, so sum(column_m * t^m)
+    holds every term's value in its own slot, not yet reduced mod p.
+    """
+    width = max(len(s.coeffs) for s in series)
+    slot_bytes = (2 * p.bit_length() + width.bit_length() + 7) // 8
+    rows = [[c % p for c in s.coeffs] + [0] * (width - len(s.coeffs)) for s in series]
+    raw = b"".join([v.to_bytes(slot_bytes, "little") for col in zip(*rows) for v in col])
+    size = slot_bytes * len(series)
+    columns = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+
+    def at(t: int) -> list[int]:
+        powers = [1] * width
+        for m in range(1, width):
+            powers[m] = powers[m - 1] * t % p
+        values = unpack_coefficients(sum(map(mul, columns, powers)), slot_bytes)
+        return values + [0] * (len(series) - len(values))
+
+    return at
+
+
+def _denominator_mod(
+    series: Sequence[Polynomial], degree_bound: int, p: int
+) -> list[list[int]] | None:
+    """Residues mod p of the q-coefficients of D_1, ..., D_L, or None.
+
+    At q = t = 1, 2, ..., `_min_lfsr_mod` finds the minimal recurrence.
+    For a fraction N/D its length L is at most max(deg D, deg N + 1), never
+    more than over Q(q), and when 2L is at most the number of terms it is
+    unique, so at every t where the length is the largest one met it is
+    D(t) mod p, padded to L + 1 entries.  Points of a shorter length (a root of a leading
+    coefficient, or a common factor of N(t) and D(t) mod p) are skipped.  A
+    Newton table of one weighted sum of D_1(t), ..., D_L(t) finds the
+    q-degree: once its last two divided differences vanish, every D_i is
+    interpolated through the points before them (`_interpolate`).  A sum
+    that settles early leaves some D_i a shorter residue list than its
+    own, so that prime's shape differs.  None when p has too few points;
+    FitError when a recurrence is longer than the bound or half the terms
+    allow, or the table does not settle within 8 * degree_bound + 64
+    points.
+    """
+    at = _evaluator(series, p)
+    cap = 8 * degree_bound + 64
+    weights = [pow(7, i, p) for i in range(1, degree_bound + 3)]
+    inverses: dict[int, int] = {}
+    length, xs, ys, diag, newton = -1, [], [], [], []
+    for t in range(1, min(p, cap + 1)):
+        c, n = _min_lfsr_mod(at(t), p)
+        if n > degree_bound + 2 or 2 * n > len(series):
+            raise FitError(f"insufficient terms: recurrence of length {n} at q = {t}")
+        if n < length:
+            continue
+        if n > length:
+            # every earlier point was degenerate: start over from this one
+            length, xs, ys, diag, newton = n, [], [], [], []
+        new = [sum(map(mul, weights, c[1:])) % p]
+        for j, prev in enumerate(diag):
+            gap = t - xs[-1 - j]
+            inv = inverses.get(gap) or inverses.setdefault(gap, pow(gap, -1, p))
+            new.append((new[j] - prev) * inv % p)
+        xs.append(t)
+        ys.append(c[1:])
+        diag = new
+        newton.append(new[-1])
+        if len(newton) >= 3 and not newton[-1] and not newton[-2]:
+            return _interpolate(xs[:-2], ys[:-2], p)
+    if p > cap:
+        raise FitError("insufficient terms: bivariate fit did not stabilize")
+    return None
+
+
+def _interpolate(xs: list[int], ys: list[list[int]], p: int) -> list[list[int]]:
+    """Coefficients mod p of the polynomials through (xs[n], ys[n][i]), one list per i.
+
+    Lagrange's basis: with M = prod(q - x), the basis polynomial of node x
+    is (M / (q - x)) / M'(x).  Each point's values are packed into one
+    integer, as in `_evaluator`, so each q-coefficient of every polynomial
+    comes from one dot product.  Trailing zeros are dropped.
+    """
+    master = [1]
+    for x in xs:
+        master = [(lo - x * hi) % p for lo, hi in zip([0] + master, master + [0])]
+    basis = []
+    for x in xs:
+        # M / (q - x) by synthetic division, top down, and its value at x
+        quotient, r = [], 0
+        for a in reversed(master[1:]):
+            r = (a + x * r) % p
+            quotient.append(r)
+        slope = 0
+        for a in quotient:
+            slope = (slope * x + a) % p
+        scale = pow(slope, -1, p)
+        basis.append([v * scale % p for v in reversed(quotient)])
+    slot_bytes = (2 * p.bit_length() + len(xs).bit_length() + 7) // 8
+    packed = [pack_coefficients(y, slot_bytes) for y in ys]
+    width = len(ys[0])
+    coeffs = []
+    for row in zip(*basis):
+        values = unpack_coefficients(sum(map(mul, row, packed)), slot_bytes)
+        coeffs.append([v % p for v in values] + [0] * (width - len(values)))
+    out = [list(col) for col in zip(*coeffs)]
+    for cs in out:
+        while cs and not cs[-1]:
+            cs.pop()
+    return out
+
+
+def _agrees_mod(lift: list[list[int]], series: Sequence[Polynomial], p: int) -> bool:
+    """Whether the lifted D_1, ..., D_L match the recurrence at one point mod p.
+
+    The first t whose recurrence has length L decides; a longer one rules
+    the lift out.  A wrong lift has a coefficient off by a multiple of the
+    modulus, which p does not divide, so it rarely agrees at a point: this
+    spares a failing `_matches`, and proves nothing.  No such t among the
+    first few: True.
+    """
+    for t in range(1, min(p, 8)):
+        c, n = _min_lfsr_mod([s.evaluate(t) % p for s in series], p)
+        if n > len(lift):
+            return False
+        if n == len(lift):
+            return c[1:] == [Polynomial(cs).evaluate(t) % p for cs in lift]
+    return True
+
+
+def _numerator(den: Polynomial, series: Sequence[Polynomial], degree_bound: int) -> Polynomial:
+    """(den * series) mod x^(degree_bound + 2), over Z[q]."""
+    return Polynomial(
+        sum((d * s for d, s in zip(den.coeffs, series[j::-1])), Polynomial())
+        for j in range(degree_bound + 2)
+    )
 
 
 def _matches(gf: RationalGF, series: Sequence[Polynomial]) -> bool:
@@ -573,40 +740,49 @@ def gf_height_area(
     max_states: int = DEFAULT_STATE_CEILING,
     automaton: Automaton | None = None,
 ) -> RationalGF:
-    """Bivariate generating function by height and area, proved from 2K + 2 terms.
+    """Bivariate generating function by height and area, proved group by group.
 
-    Coefficients are exact integer polynomials in q.  The quotient matrix of
-    the verified window quotient has entries c * q^fill with c a nonnegative
-    integer, so Cramer's rule bounds both degrees in x by K over Z[q] too
-    (module docstring), and the candidate that reproduces 2K + 2 exact terms
-    is the generating function.  Desk-scale widths only; the guard is a
-    resource ceiling, not a correctness bound.
+    Coefficients are exact integer polynomials in q.  Each window group's
+    area series is fitted over Z[q] on exactly 2k + 2 exact terms with
+    degree bound k, its class count less one: its block of the quotient
+    matrix has entries c * q^fill with c a nonnegative integer, so Cramer's
+    rule bounds both degrees in x by k over Z[q] too (module docstring).
+    The fits are summed with the groups' signs, in lowest terms over Q(q)
+    once the denominators are proved coprime (`sum_fractions`).  Desk-scale
+    widths only; the guard is a resource ceiling, not a correctness bound.
     """
     if width > AREA_WIDTH_LIMIT:
         raise ResourceLimitError(
             f"area generating functions are desk-scale for width <= {AREA_WIDTH_LIMIT}"
         )
     a = automaton if automaton is not None else build(width, max_states)
-    k = degree_bound(a)
-    return _fit_bivariate(count_area_series(a, 2 * k + 1).area_counts, k)
+    parts = []
+    for group in window_groups(a):
+        sign, lo, hi = group
+        k = hi - lo - 1
+        parts.append((sign, _fit_bivariate(group_area_series(a, group, 2 * k + 1), k)))
+    return sum_fractions(parts)
 
 
 def specialize_q(gf: RationalGF, value) -> RationalGF:
     """Substitute a value for q in a bivariate generating function and reduce."""
+    return reduce_gf(_substitute(gf.numerator, value), _substitute(gf.denominator, value))
 
-    def sub(c):
-        return c.evaluate(value) if isinstance(c, Polynomial) else c
 
-    num = gf.numerator.map_coefficients(sub)
-    den = gf.denominator.map_coefficients(sub)
-    return reduce_gf(num, den)
+def _substitute(f: Polynomial, value) -> Polynomial:
+    """f in Z[q][x] with q set to value."""
+    return f.map_coefficients(lambda c: c.evaluate(value) if isinstance(c, Polynomial) else c)
 
 
 def reduce_gf(num: Polynomial, den: Polynomial) -> RationalGF:
-    """Cancel the gcd and normalize the denominator constant term to 1."""
+    """Cancel the gcd and normalize the denominator constant term to 1.
+
+    Integer polynomials that `_coprime` proves coprime skip the gcd over Q.
+    """
     if not den:
         raise ValueError("zero denominator")
-    g = poly_gcd(num, den) if num else ONE
+    integral = all(type(c) is int for c in num.coeffs + den.coeffs)
+    g = ONE if not num or (integral and _coprime(num, den)) else poly_gcd(num, den)
     if g.degree >= 1:
         num = divmod_exact(num, g)[0]
         den = divmod_exact(den, g)[0]

@@ -180,13 +180,13 @@ def pack_coefficients(coeffs, slot_bytes: int) -> int:
     read back as two integers, instead of a Horner loop that shifts an
     ever-growing integer (quadratic time).
     """
-    pos = bytearray(slot_bytes * len(coeffs))
-    neg = bytearray(len(pos))
-    for i, c in enumerate(coeffs):
-        if c:
-            buf = pos if c > 0 else neg
-            buf[i * slot_bytes:(i + 1) * slot_bytes] = abs(c).to_bytes(slot_bytes, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    zero = bytes(slot_bytes)
+    pos = b"".join([c.to_bytes(slot_bytes, "little") if c > 0 else zero for c in coeffs])
+    value = int.from_bytes(pos, "little")
+    if any(c < 0 for c in coeffs):
+        neg = b"".join([(-c).to_bytes(slot_bytes, "little") if c < 0 else zero for c in coeffs])
+        value -= int.from_bytes(neg, "little")
+    return value
 
 
 def unpack_coefficients(value: int, slot_bytes: int) -> list[int]:
@@ -204,22 +204,31 @@ def unpack_coefficients(value: int, slot_bytes: int) -> list[int]:
     ]
 
 
+def unpack_signed(value: int, slot_bytes: int) -> list[int]:
+    """Balanced base-2^(8 * slot_bytes) digits of an integer, lowest first.
+
+    The inverse of `pack_coefficients` when every coefficient lies strictly
+    inside (-2^(s-1), 2^(s-1)), s = 8 * slot_bytes: adding 2^(s-1) to every
+    slot, one past the top one included, makes each digit nonnegative, so
+    `unpack_coefficients` reads them off and the offset is subtracted again.
+    Trailing zeros may remain.
+    """
+    slots = abs(value).bit_length() // (8 * slot_bytes) + 2
+    half = 1 << (8 * slot_bytes - 1)
+    offset = int.from_bytes(half.to_bytes(slot_bytes, "little") * slots, "little")
+    return [d - half for d in unpack_coefficients(value + offset, slot_bytes)]
+
+
 def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Signed convolution through one big-integer multiply.
 
     With s = 8 * slot_bytes, every product coefficient lies strictly inside
-    (-2^(s-1), 2^(s-1)), so adding 2^(s-1) to each slot makes every digit
-    nonnegative and the top one nonzero; unpacking then yields exactly one
-    digit per coefficient, and the offset is subtracted again.
+    (-2^(s-1), 2^(s-1)), so its balanced digits are the coefficients.
     """
     ma = max(abs(c) for c in a)
     mb = max(abs(c) for c in b)
     slot_bytes = (ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 9) // 8
-    product = pack_coefficients(a, slot_bytes) * pack_coefficients(b, slot_bytes)
-    n = len(a) + len(b) - 1
-    half = 1 << (8 * slot_bytes - 1)
-    offset = int.from_bytes(half.to_bytes(slot_bytes, "little") * n, "little")
-    return [d - half for d in unpack_coefficients(product + offset, slot_bytes)]
+    return unpack_signed(pack_coefficients(a, slot_bytes) * pack_coefficients(b, slot_bytes), slot_bytes)
 
 
 def _as_fraction_coeffs(p: Polynomial) -> list[Fraction]:

@@ -181,6 +181,8 @@ AREA_GF_SHA256 = {
     (3, "json"): "fce8299dda492854424373571e0d4d5a92b00166591f7e3292fcdaf802893379",
     (4, "text"): "fd352c9a76170bbb4ba7e25ed161ca26a3b7c3ede6b93aaaee442a54a0152e3c",
     (4, "json"): "794216b936f4b9cfa7a119a6ddf6051e208b665bb67abc0dd60070dba5e9427b",
+    (5, "text"): "d4f14ff47c9958965779149c5299f8ca13863834a0d5ed24c2f9804ff86991e8",
+    (5, "json"): "a1c82740ea88ba881d9b5b2a46006986acfdfb1daa86199ed07bf47bce5fc0e9",
 }
 
 
@@ -192,7 +194,7 @@ def test_area_gf_matches_pinned_digests(capsys):
 
 
 def test_area_gf_width_guard(capsys):
-    code, out, err = run(capsys, "area-gf", "--b", "6")
+    code, out, err = run(capsys, "area-gf", "--b", "7")
     assert code == 3
     assert not out and "width" in err
 

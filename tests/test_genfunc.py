@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -16,7 +17,15 @@ from polyrect import (
 )
 from polyrect import counting, genfunc
 from polyrect.counting import count_area_series
-from polyrect.genfunc import _coprime, _matches, _NewtonTable, reduce_gf, sum_fractions
+from polyrect.genfunc import (
+    _coprime,
+    _fit_bivariate,
+    _interpolate,
+    _matches,
+    _symmetric,
+    reduce_gf,
+    sum_fractions,
+)
 from polyrect.polynomial import ONE, divmod_exact, poly_gcd
 
 from reference import forward_counts, gf_height_by_elimination, reversed_charpoly
@@ -317,16 +326,46 @@ def test_bivariate_width_two(automaton):
 
 
 def test_bivariate_collapses_at_q_one(automaton):
-    for width in (2, 3):
+    for width in (1, 2, 3, 4, 5):
         gf = gf_height_area(width, automaton=automaton(width))
         collapsed = specialize_q(gf, 1)
         direct = gf_height(width, automaton=automaton(width))
         assert expand(collapsed, 20) == expand(direct, 20), width
 
 
+def test_bivariate_group_sum_is_the_whole_series_fit(automaton):
+    # the groups' fits, summed, are the fit of the whole area series with
+    # bound K: the reduced fraction with denominator constant term 1 is unique
+    for width in (1, 2, 3, 4):
+        a = automaton(width)
+        k = counting.degree_bound(a)
+        whole = _fit_bivariate(count_area_series(a, 2 * k + 1).area_counts, k)
+        assert gf_height_area(width, automaton=a) == whole, width
+
+
+def test_bivariate_sum_with_a_common_factor_is_reduced():
+    # q x / (1 - q x)(1 - 2x) and x^2 / (1 - q x)(1 + q^2 x) share 1 - q x
+    q = Polynomial((0, 1))
+    one, zero = Polynomial((1,)), Polynomial()
+    shared = Polynomial((one, -q))
+    first = RationalGF(Polynomial((zero, q)), shared * Polynomial((one, Polynomial((-2,)))))
+    second = RationalGF(Polynomial((zero, zero, one)), shared * Polynomial((one, q * q)))
+    assert not _coprime(first.denominator, second.denominator)
+    got = sum_fractions([(1, first), (-2, second)])
+    assert got.denominator.degree == 3
+    assert got.denominator.coeffs[0] == ONE
+    want = [a - b * 2 for a, b in zip(expand(first, 20), expand(second, 20))]
+    want[0] = want[0] + 1
+    assert expand(got, 20) == want
+    # coprime denominators in Z[q][x] are summed as they are
+    third = RationalGF(Polynomial((zero, one)), Polynomial((one, -(q * q))))
+    assert _coprime(first.denominator, third.denominator)
+    assert sum_fractions([(1, first), (1, third)]).denominator.degree == 3
+
+
 def test_bivariate_width_guard():
     with pytest.raises(ResourceLimitError):
-        gf_height_area(6)
+        gf_height_area(7)
 
 
 def test_specialize_q_reduces():
@@ -351,26 +390,62 @@ def test_reduce_gf_normalizes():
         reduce_gf(ONE, Polynomial())
 
 
-def test_newton_table_rebuilds_integer_polynomial():
-    target = Polynomial((3, -5, 0, 7, 0, -2))
-    table = _NewtonTable()
-    for k in range(1, 5):
-        for x in (k, -k):
-            table.add(x, target.evaluate(x))
-    assert table.xs == [1, -1, 2, -2, 3, -3, 4, -4]
-    assert table.stable()
-    rebuilt = table.polynomial()
-    assert rebuilt == target
-    assert all(type(c) is int for c in table.coeffs + list(rebuilt.coeffs))
+def test_modular_interpolation_rebuilds_integer_polynomial():
+    # residues mod p of values at 1..6 give the coefficients mod p, and the
+    # symmetric lift recovers the negative ones
+    p = 2**61 - 1
+    first = Polynomial((3, -5, 0, 7, 0, -2))
+    second = Polynomial((0, 1, -(2**40)))
+    xs = list(range(1, 7))
+    ys = [[first.evaluate(x) % p, second.evaluate(x) % p, 0] for x in xs]
+    residues = _interpolate(xs, ys, p)
+    assert [_symmetric(r, p) for r in residues] == [list(first.coeffs), list(second.coeffs), []]
 
 
-def test_newton_table_non_integer_polynomial_falls_back_to_fractions():
-    # q(q + 1) / 2 is integer-valued but has no integer coefficients
-    table = _NewtonTable()
-    for x in (1, -1, 2, -2, 3):
-        table.add(x, x * (x + 1) // 2)
-    assert table.stable()
-    assert table.polynomial().coeffs == (0, Fraction(1, 2), Fraction(1, 2))
+def test_bivariate_lift_too_large_for_one_prime_uses_crt(monkeypatch):
+    # 1 / (1 - c q x) with c above 2^61: one prime cannot hold -c, two can
+    c = 2**70 + 3
+    series = [Polynomial((0,) * j + (c**j,)) for j in range(6)]
+    primes = []
+    real = genfunc._denominator_mod
+
+    def spy(series, degree_bound, p):
+        primes.append(p)
+        return real(series, degree_bound, p)
+
+    monkeypatch.setattr(genfunc, "_denominator_mod", spy)
+    gf = _fit_bivariate(series, 2)
+    assert gf.denominator.coeffs == (ONE, Polynomial((0, -c)))
+    assert gf.numerator.coeffs == (ONE,)
+    assert len(primes) == 2
+
+
+def test_bivariate_fit_of_a_zero_series_is_zero():
+    zero = [Polynomial()] * 6
+    gf = _fit_bivariate(zero, 2)
+    assert not gf.numerator
+    assert gf.denominator == ONE
+    assert expand(gf, 6) == zero
+    with pytest.raises(FitError, match="insufficient terms"):
+        _fit_bivariate(zero[:5], 2)
+
+
+def test_bivariate_fit_degree_bounds():
+    # q x^3 / (1 - q x) has numerator degree 3, the most bound 2 admits; its
+    # recurrence of length 4 is fixed by 8 terms, not by 6 (as in fit_rational)
+    q = Polynomial((0, 1))
+    series = [Polynomial()] * 3 + [Polynomial((0,) * (j - 2) + (1,)) for j in range(3, 8)]
+    gf = _fit_bivariate(series, 2)
+    assert gf.numerator.coeffs == (Polynomial(), Polynomial(), Polynomial(), q)
+    assert gf.denominator.coeffs == (ONE, -q)
+    with pytest.raises(FitError, match="insufficient terms"):
+        _fit_bivariate(series[:6], 2)
+    with pytest.raises(FitError, match="insufficient terms"):
+        fit_rational([s.evaluate(1) for s in series[:6]], 2)
+    # q^j j! has no recurrence of length 3 or less
+    series = [Polynomial((0,) * j + (factorial(j),)) for j in range(6)]
+    with pytest.raises(FitError, match="insufficient terms"):
+        _fit_bivariate(series, 2)
 
 
 def _area_setup(automaton, width):

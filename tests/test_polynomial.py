@@ -14,6 +14,7 @@ from polyrect.polynomial import (
     poly_gcd,
     primitive_part,
     unpack_coefficients,
+    unpack_signed,
 )
 
 
@@ -106,6 +107,18 @@ def test_unpack_inverts_pack():
             packed = pack_coefficients(coeffs, slot_bytes)
             assert unpack_coefficients(packed, slot_bytes) == coeffs
     assert unpack_coefficients(0, 4) == []
+
+
+def test_unpack_signed_inverts_pack():
+    rng = random.Random(52363)
+    for slot_bytes in (1, 3, 8):
+        half = 1 << (8 * slot_bytes - 1)
+        for length in (1, 2, 17):
+            coeffs = [rng.choice((0, 1, -1, rng.randrange(-half + 1, half))) for _ in range(length)]
+            coeffs[-1] = rng.choice((1, -1, half - 1, 1 - half))
+            got = unpack_signed(pack_coefficients(coeffs, slot_bytes), slot_bytes)
+            assert Polynomial(got) == Polynomial(coeffs)
+    assert Polynomial(unpack_signed(0, 4)) == Polynomial()
 
 
 def test_nested_coefficients():
