@@ -133,11 +133,12 @@ def _explore(width: int, keys: list, max_states: int) -> list[array]:
     return rows
 
 
-def build(width: int, max_states: int = DEFAULT_STATE_CEILING) -> Automaton:
-    """Breadth-first closure of the transition map from the initial state.
+def check_ceiling(width: int, max_states: int) -> None:
+    """Raise unless width is in 1..MAX_WIDTH and its automaton fits max_states.
 
-    Raises ResourceLimitError when the projected or discovered state count
-    exceeds max_states.
+    ValueError for the width, ResourceLimitError when the projected state
+    count exceeds max_states.  Counting builds no automaton, but keeps this
+    ceiling, so every command stops at the same widths.
     """
     if not 1 <= width <= MAX_WIDTH:
         raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
@@ -146,6 +147,15 @@ def build(width: int, max_states: int = DEFAULT_STATE_CEILING) -> Automaton:
         raise ResourceLimitError(
             f"width {width} projects {projected} states, ceiling is {max_states}"
         )
+
+
+def build(width: int, max_states: int = DEFAULT_STATE_CEILING) -> Automaton:
+    """Breadth-first closure of the transition map from the initial state.
+
+    Raises ResourceLimitError when the projected or discovered state count
+    exceeds max_states.
+    """
+    check_ceiling(width, max_states)
     keys = [((), False, False)]
     rows = _explore(width, keys, max_states)
     states = tuple(

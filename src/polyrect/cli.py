@@ -26,13 +26,16 @@ Stack files contain one row per line as a 0/1 string of the automaton's
 width; the first line is the first row fed to the automaton.
 
 Exit codes: 0 success or accepted stack; 1 verification mismatch, rejected
-stack, or a failed GF fit (gf, area-gf, and series or count tall enough
-to fit a window group); 2 usage error, including an unreadable stack file or an unwritable
---output file; 3 resource ceiling hit or memory exhausted; 4 internal error
-(a bug, reported without a traceback).  Diagnostics go to stderr.
+stack, or a failed GF fit (gf, area-gf, and series or count tall enough to
+fit a width's series); 2 usage error, including an unreadable stack file or
+an unwritable --output file; 3 resource ceiling hit or memory exhausted; 4
+internal error (a bug, such as a failed lumping check, reported without a
+traceback).  Diagnostics go to stderr.
 
 The POLYRECT_MAX_STATES environment variable overrides the default state
-ceiling; --max-states overrides both.
+ceiling; --max-states overrides both.  Every command checks it against the
+projected state count of its width's automaton before it starts, the
+counting commands too, though they count on far smaller word quotients.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .automaton import DEFAULT_STATE_CEILING, build, export_dot, serialize, state_count_formula
+from .automaton import (
+    DEFAULT_STATE_CEILING, build, check_ceiling, export_dot, serialize, state_count_formula,
+)
 from .counting import accepts, count_area_series, count_series
 from .errors import FitError, ResourceLimitError
 from .genfunc import gf_height, gf_height_area
@@ -120,8 +125,8 @@ def _run_build(cfg: RunConfig) -> tuple[int, bytes]:
 
 
 def _run_count(cfg: RunConfig) -> tuple[int, str]:
-    a = build(cfg.width, cfg.max_states)
-    value = count_series(a, cfg.height).counts[cfg.height]
+    check_ceiling(cfg.width, cfg.max_states)
+    value = count_series(cfg.width, cfg.height).counts[cfg.height]
     if cfg.fmt == "json":
         return 0, _json_text({"b": cfg.width, "h": cfg.height, "count": value})
     if cfg.fmt == "csv":
@@ -130,8 +135,8 @@ def _run_count(cfg: RunConfig) -> tuple[int, str]:
 
 
 def _run_series(cfg: RunConfig) -> tuple[int, str]:
-    a = build(cfg.width, cfg.max_states)
-    counts = count_series(a, cfg.h_max).counts
+    check_ceiling(cfg.width, cfg.max_states)
+    counts = count_series(cfg.width, cfg.h_max).counts
     if cfg.fmt == "json":
         return 0, _json_text(
             {"b": cfg.width, "h_max": cfg.h_max, "counts": list(counts)}
@@ -151,8 +156,8 @@ def _area_rows(area_counts) -> list[list[int]]:
 
 
 def _run_area_series(cfg: RunConfig) -> tuple[int, str]:
-    a = build(cfg.width, cfg.max_states)
-    table = count_area_series(a, cfg.h_max)
+    check_ceiling(cfg.width, cfg.max_states)
+    table = count_area_series(cfg.width, cfg.h_max)
     if cfg.fmt == "json":
         return 0, _json_text(
             {
@@ -180,8 +185,8 @@ def _run_area_gf(cfg: RunConfig) -> tuple[int, str]:
 
 
 def _run_verify(cfg: RunConfig) -> tuple[int, str]:
-    a = build(cfg.width, cfg.max_states)
-    table = count_area_series(a, cfg.h_max)
+    check_ceiling(cfg.width, cfg.max_states)
+    table = count_area_series(cfg.width, cfg.h_max)
     lines = []
     failed = False
     for h in range(1, cfg.h_max + 1):

@@ -1,22 +1,20 @@
 """Rational generating functions fitted from exact series, with a proof.
 
-The generating functions come from `counting.window_quotient`: a verified
-lumping of the nodes of four letter-restricted copies of the automaton into
-classes, with quotient matrix Mk, accepting indicator fk and a signed
-initial class per copy.  The classes fall into window groups, each closed
-under the transitions with one initial class (`counting.window_groups`),
-and no transition enters an initial class.  So with B_w the block of Mk on
-group w's k_w other classes, f_w = fk there, and r_w the initial class's row
-there, the group's series is r_w^T B_w^(h-1) f_w for h >= 1 and 0 at h = 0,
-and Cramer's rule writes x r_w^T (I - xB_w)^(-1) f_w as P_w/Q_w with
-Q_w = det(I - xB_w) and deg P_w, deg Q_w <= k_w.  `fit_rational` returns
-only fits P'/Q' with deg Q' <= k and deg P' <= k + 1.  If such a fit agrees
-with the series on 2k + 2 terms, PQ' - P'Q has degree at most 2k + 1 and
-vanishes to order 2k + 2, so it is zero and P'/Q' = P/Q.  So each group is
-fitted on exactly 2k_w + 2 exact terms, and agreement on them is the
-certificate.  The one assumption is that k_w counts the classes of a
-verified lumping, less the initial one; singleton classes, one group per
-copy, bound the degrees the same way.
+The generating functions come from `counting.word_quotient`: for each of
+the widths w = b, b - 1 and b - 2 that is at least 1, a verified lumping of
+the width-w word automaton by reversal, with quotient matrix Mk_w,
+accepting indicator fk_w and an initial class that no step enters
+(`counting.width_groups`, signs 1, -2 and 1).  So with B_w the block of
+Mk_w on its k_w other classes, f_w = fk_w there, and r_w the initial
+class's row there, A_w's series is r_w^T B_w^(h-1) f_w for h >= 1 and 0 at
+h = 0, and Cramer's rule writes x r_w^T (I - xB_w)^(-1) f_w as P_w/Q_w
+with Q_w = det(I - xB_w) and deg P_w, deg Q_w <= k_w.  `fit_rational`
+returns only fits P'/Q' with deg Q' <= k and deg P' <= k + 1.  If such a
+fit agrees with the series on 2k + 2 terms, PQ' - P'Q has degree at most
+2k + 1 and vanishes to order 2k + 2, so it is zero and P'/Q' = P/Q.  So
+each width is fitted on exactly 2k_w + 2 exact terms, and agreement on them
+is the certificate.  The one assumption is that k_w counts the classes of
+a verified lumping, less the initial one.
 
 The height series is 1 + sum(sign_w P_w/Q_w) = N/D with D = prod(Q_w) and
 N = D + sum(sign_w P_w prod_(v != w) Q_v) (`sum_fractions`).  Each fit is
@@ -40,12 +38,12 @@ with constant term 1, so for the generating functions the symmetric lift is
 the answer once the primes' product exceeds twice its largest coefficient.
 
 The area-refined series lives over polynomials in q, and everything above
-holds over Z[q] and its fraction field Q(q): the blocks of Mk(q) have
-entries c * q^fill with c a nonnegative integer, so each group's degrees in
-x are at most k_w over Z[q] as well.  `gf_height_area` fits each group on
+holds over Z[q] and its fraction field Q(q): the matrices Mk_w(q) have
+entries c * q^fill with c a nonnegative integer, so each width's degrees in
+x are at most k_w over Z[q] as well.  `gf_height_area` fits each width on
 its 2k_w + 2 area polynomials and sums the fits; a pair of denominators is
 proved coprime over Q(q) by setting q to an integer where neither leading
-coefficient vanishes (`_coprime`).  A group is fitted by specializing q at
+coefficient vanishes (`_coprime`).  A width is fitted by specializing q at
 t = 1, 2, ... modulo primes just below 2^61: Berlekamp-Massey at each point
 gives D(t) mod p, Lagrange interpolation turns the values into the
 q-coefficients of D mod p, primes are combined by the Chinese remainder
@@ -66,8 +64,8 @@ from math import isqrt, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .automaton import Automaton, DEFAULT_STATE_CEILING, build
-from .counting import group_area_series, group_series, window_groups
+from .automaton import Automaton, DEFAULT_STATE_CEILING, check_ceiling
+from .counting import group_area_series, group_series, width_groups
 from .errors import FitError, ResourceLimitError
 from .polynomial import (
     ONE,
@@ -378,18 +376,19 @@ def gf_height(
     max_states: int = DEFAULT_STATE_CEILING,
     automaton: Automaton | None = None,
 ) -> RationalGF:
-    """Generating function of counts by height, proved group by group.
+    """Generating function of counts by height, proved width by width.
 
-    Each window group's series is fitted on exactly 2k + 2 exact terms with
-    degree bound k, its class count less one, and the fits are summed with
-    the groups' signs (module docstring).
+    Each of A_b, A_(b-1) and A_(b-2) is fitted on exactly 2k + 2 exact
+    terms with degree bound k, its word quotient's class count less one,
+    and the fits are summed with their signs (module docstring).  The
+    automaton argument is accepted and ignored: the counts come from the
+    word quotients.
     """
-    a = automaton if automaton is not None else build(width, max_states)
+    check_ceiling(width, max_states)
     parts = []
-    for group in window_groups(a):
-        sign, lo, hi = group
-        k = hi - lo - 1
-        parts.append((sign, fit_rational(group_series(a, group, 2 * k + 1), k)))
+    for sign, rows in width_groups(width):
+        k = len(rows) - 1
+        parts.append((sign, fit_rational(group_series(rows, 2 * k + 1), k)))
     return sum_fractions(parts)
 
 
@@ -740,27 +739,27 @@ def gf_height_area(
     max_states: int = DEFAULT_STATE_CEILING,
     automaton: Automaton | None = None,
 ) -> RationalGF:
-    """Bivariate generating function by height and area, proved group by group.
+    """Bivariate generating function by height and area, proved width by width.
 
-    Coefficients are exact integer polynomials in q.  Each window group's
-    area series is fitted over Z[q] on exactly 2k + 2 exact terms with
-    degree bound k, its class count less one: its block of the quotient
+    Coefficients are exact integer polynomials in q.  Each of A_b, A_(b-1)
+    and A_(b-2) is fitted over Z[q] on exactly 2k + 2 exact area terms with
+    degree bound k, its word quotient's class count less one: its quotient
     matrix has entries c * q^fill with c a nonnegative integer, so Cramer's
     rule bounds both degrees in x by k over Z[q] too (module docstring).
-    The fits are summed with the groups' signs, in lowest terms over Q(q)
-    once the denominators are proved coprime (`sum_fractions`).  Desk-scale
-    widths only; the guard is a resource ceiling, not a correctness bound.
+    The fits are summed with their signs, in lowest terms over Q(q) once
+    the denominators are proved coprime (`sum_fractions`).  The automaton
+    argument is accepted and ignored.  Desk-scale widths only; the guard is
+    a resource ceiling, not a correctness bound.
     """
     if width > AREA_WIDTH_LIMIT:
         raise ResourceLimitError(
             f"area generating functions are desk-scale for width <= {AREA_WIDTH_LIMIT}"
         )
-    a = automaton if automaton is not None else build(width, max_states)
+    check_ceiling(width, max_states)
     parts = []
-    for group in window_groups(a):
-        sign, lo, hi = group
-        k = hi - lo - 1
-        parts.append((sign, _fit_bivariate(group_area_series(a, group, 2 * k + 1), k)))
+    for sign, rows in width_groups(width):
+        k = len(rows) - 1
+        parts.append((sign, _fit_bivariate(group_area_series(rows, width, 2 * k + 1), k)))
     return sum_fractions(parts)
 
 

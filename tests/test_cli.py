@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from polyrect import FitError, build, cli, deserialize, genfunc
+from polyrect import FitError, build, cli, count_series, counting, deserialize, genfunc, gf_height
 from polyrect.cli import main
 
 FIG_ROWS = [
@@ -362,10 +362,50 @@ def test_nonpositive_env_ceiling_is_usage_error(monkeypatch, capsys, value):
 
 
 def test_area_gf_respects_state_ceiling(capsys):
-    code, out, err = run(capsys, "area-gf", "--b", "3", "--max-states", "5")
-    assert code == 3
+    # the counting commands build no automaton, but stop at the same widths
+    for argv in (
+        ["count", "--h", "2"],
+        ["series", "--h-max", "2"],
+        ["area-series", "--h-max", "2"],
+        ["gf"],
+        ["area-gf"],
+        ["verify", "--h-max", "2"],
+    ):
+        code, out, err = run(capsys, *argv, "--b", "3", "--max-states", "5")
+        assert code == 3, argv
+        assert out == "", argv
+        assert err == "error: width 3 projects 16 states, ceiling is 5\n", argv
+
+
+def test_failed_lumping_is_an_internal_error(monkeypatch, capsys):
+    def merged(width):
+        # every word in one class: the rows disagree
+        for _, row in real(width):
+            yield 0, row
+
+    real = counting._word_rows
+    monkeypatch.setattr(counting, "_word_rows", merged)
+    code, out, err = run(capsys, "series", "--b", "3", "--h-max", "2")
+    assert code == 4
     assert out == ""
-    assert "ceiling" in err
+    assert err.startswith("error: internal error: ValueError: class 0 is not a lumping")
+    assert err.count("\n") == 1
+
+
+def test_counting_commands_never_build(monkeypatch, capsys):
+    # the automaton stays the paper's artifact, but counting and fitting
+    # run on the word quotients alone
+    def refused(*args, **kwargs):
+        raise AssertionError("the automaton was built")
+
+    for name in ("polyrect.automaton.build", "polyrect.automaton._explore", "polyrect.cli.build"):
+        monkeypatch.setattr(name, refused)
+    assert count_series(5, 30).counts[30] > 0
+    assert gf_height(5).degrees()[2] == 49
+    for argv in (["series", "--h-max", "30"], ["gf"]):
+        code, out, err = run(capsys, *argv, "--b", "5")
+        assert (code, err) == (0, ""), argv
+        assert out, argv
 
 
 def test_byte_identical_reruns(capsys):

@@ -1,15 +1,10 @@
-from array import array
 from collections import Counter
-from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from polyrect import (
-    Automaton,
-    AutomatonState,
     FitError,
-    LabeledWord,
     Polynomial,
     RowConfig,
     accepts,
@@ -21,29 +16,29 @@ from polyrect import (
     expand,
     fit_rational,
     gf_height,
-    initial_state,
     sample_accepted_stacks,
 )
+from polyrect import counting
 from polyrect.counting import (
     FIT_SPAN,
     PLAN_PAYBACK_STEPS,
+    _word_rows,
     dp_plan,
     group_series,
-    quotient_rows,
-    window_groups,
-    window_nodes,
-    window_quotient,
+    lumped_rows,
+    width_groups,
+    word_quotient,
 )
-from polyrect.rowconfig import enumerate_alphabet
+from polyrect.rowconfig import enumerate_alphabet, letter_runs
+from polyrect.transition import advance
 
 from reference import forward_area_counts, forward_counts, validate_table
 
-# classes of the window quotient for b = 1..9, against the state counts 2, 6,
-# 16, 40, 99, 247, 625, 1605, 4178, and K, the classes less the initial ones:
-# the degree bound of the generating functions
-CLASS_COUNTS = [3, 6, 12, 23, 52, 115, 281, 684, 1756]
+# K for b = 1..9, the word quotients' classes less their initial ones: the
+# degree bound of the generating functions, against the state counts 2, 6,
+# 16, 40, 99, 247, 625, 1605, 4178
 DEGREE_BOUNDS = [1, 3, 9, 20, 49, 112, 278, 681, 1753]
-# g_w, the class count of the all-columns window group at width w = 1..9
+# g_w, the class count of the word quotient of width w = 1..9
 GROUP_SIZES = [2, 3, 7, 13, 32, 70, 179, 435, 1142]
 
 
@@ -172,22 +167,39 @@ def test_h_max_validation(automaton):
         count_area_series(automaton(2), -1)
 
 
-def _numbered(labels):
-    """A partition renumbered in order of first state, as quotient_rows takes it."""
-    first: dict = {}
-    return [first.setdefault(x, len(first)) for x in labels]
+def _mirror(masks, width):
+    """A kernel word or letter read right to left."""
+    flip = [int(format(m, f"0{width}b")[::-1], 2) for m in masks]
+    return tuple(sorted(flip, reverse=True))
 
 
-def test_reflection_class_counts(automaton):
-    for width, (want, k) in enumerate(zip(CLASS_COUNTS, DEGREE_BOUNDS), 1):
-        classes, rows, starts = window_quotient(automaton(width))
-        assert len(rows) == want == max(classes) + 1, width
-        assert len(rows) - len({c for _, c in starts}) == k, width
-        # all columns, left empty, right empty, both empty; the two side
-        # copies share their initial class
-        assert [sign for sign, _ in starts] == [1, -1, -1, 1]
-        assert starts[0][1] == classes[0] == 0
-        assert starts[1][1] == starts[2][1]
+def test_advance_commutes_with_reversal():
+    # reading the columns right to left maps the word automaton to itself,
+    # which is what makes the reversal classes a lumping
+    for width in range(1, 8):
+        words = [()]
+        seen = {()}
+        for word in words:
+            for bits in range(1, 1 << width):
+                (flipped,) = _mirror([bits], width)
+                nxt = advance(word, bits, letter_runs(bits))
+                back = advance(_mirror(word, width), flipped, letter_runs(flipped))
+                if nxt is None:
+                    assert back is None, (width, word, bits)
+                    continue
+                assert back == _mirror(nxt, width), (width, word, bits)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    words.append(nxt)
+        assert len({min(w, _mirror(w, width)) for w in words}) == GROUP_SIZES[width - 1]
+
+
+def test_reflection_class_counts():
+    # g_w at w = 1..8; class 0 is the empty word: no component, no cell
+    for width, size in enumerate(GROUP_SIZES[:8], 1):
+        rows = word_quotient(width)
+        assert len(rows) == size, width
+        assert rows[0][:2] == (False, 0), width
 
 
 def test_degree_bound_is_the_gf_degree(automaton):
@@ -195,129 +207,103 @@ def test_degree_bound_is_the_gf_degree(automaton):
         assert gf_height(width, automaton=automaton(width)).degrees()[2] == k, width
 
 
-def test_window_groups_are_all_columns_groups_of_three_widths(automaton):
-    # the groups of width b are the all-columns groups of widths b, b - 1
-    # and b - 2, with signs 1, -2, 1; one class per group is initial, so
-    # K = sum(g_w - 1)
-    for width, (k, size) in enumerate(zip(DEGREE_BOUNDS, GROUP_SIZES), 1):
-        groups = window_groups(automaton(width))
-        sizes = [hi - lo for _, lo, hi in groups]
-        assert sizes[0] == size, width
-        assert sum(g - 1 for g in sizes) == k, width
-        if width >= 3:
-            assert sizes == [GROUP_SIZES[w - 1] for w in (width, width - 1, width - 2)], width
-            assert [sign for sign, _, _ in groups] == [1, -2, 1], width
+def test_window_groups_are_all_columns_groups_of_three_widths():
+    # the groups of width b are the word quotients of widths b, b - 1 and
+    # b - 2, those that are at least 1, with signs 1, -2, 1; one class per
+    # group is initial, so K = sum(g_w - 1)
+    for width, k in enumerate(DEGREE_BOUNDS[:8], 1):
+        groups = width_groups(width)
+        widths = [w for w in (width, width - 1, width - 2) if w >= 1]
+        assert [len(rows) for _, rows in groups] == [GROUP_SIZES[w - 1] for w in widths]
+        assert [sign for sign, _ in groups] == [1, -2, 1][: len(widths)], width
+        assert sum(len(rows) - 1 for _, rows in groups) == k, width
 
 
-def test_window_groups_reject_a_target_in_another_group(automaton):
-    # each group's DP runs alone only while its targets stay in it
-    a = automaton(3)
-    classes, rows, starts = window_quotient(a)
-    (_, lo, hi), (_, other, _) = window_groups(a)[:2]
-    row = next(c for c in range(lo, hi) if rows[c][2])
-    edited = replace(a)
-    leaving = (*rows[row][:2], sorted(rows[row][2] + [other + 1]))
-    edited.__dict__["_window_quotient"] = classes, [*rows[:row], leaving, *rows[row + 1 :]], starts
-    with pytest.raises(ValueError, match="leaves its window group"):
-        window_groups(edited)
+def _one_component_counts(a, letters, h_max):
+    """Stacks over letters reaching a one-component word of a, by height 0..h_max."""
+    one = [max(s.word.labels) == 1 for s in a.states]
+    v = {0: 1}
+    counts = [0]
+    for _ in range(h_max):
+        w = Counter()
+        for s, weight in v.items():
+            row = a.transitions[s]
+            for bits in letters:
+                if row[bits - 1] >= 0:
+                    w[row[bits - 1]] += weight
+        v = w
+        counts.append(sum(x for s, x in v.items() if one[s]))
+    return counts
 
 
 def test_side_groups_count_narrower_boxes(automaton):
-    # the side strip's group counts what the all-columns group of width
-    # b - 1 counts, and the both-empty group what that of width b - 2 does
-    for width in range(3, 8):
+    # on the flagged automaton of width b, the stacks that avoid the left
+    # column, the right column or both and end one component are counted
+    # by the word quotients of widths b - 1, b - 1 and b - 2: the
+    # inclusion-exclusion the signs 1, -2, 1 stand for
+    for width in range(3, 7):
         a = automaton(width)
-        for group, narrower in zip(window_groups(a)[1:], (width - 1, width - 2)):
-            b = automaton(narrower)
-            all_columns = window_groups(b)[0]
-            assert group_series(a, group, 30) == group_series(b, all_columns, 30), width
+        half = 1 << (width - 1)
+        letters = range(1, 1 << width)
+        windows = (
+            [bits for bits in letters if bits < half],
+            [bits for bits in letters if bits % 2 == 0],
+            [bits for bits in letters if bits < half and bits % 2 == 0],
+        )
+        for window, narrower in zip(windows, (width - 1, width - 1, width - 2)):
+            want = group_series(word_quotient(narrower), 20)
+            assert _one_component_counts(a, window, 20) == want, (width, narrower)
+        everything = _one_component_counts(a, letters, 20)
+        assert everything == group_series(word_quotient(width), 20), width
 
 
-def test_lumping_check_rejects_merged_classes(automaton):
-    # the window classes are the coarsest lumping, so merging any two of
+def _merged(members, c, d):
+    """members with class d merged into class c < d, renumbered by first word."""
+    def number(x):
+        return c if x == d else x - (x > d)
+
+    return [
+        (number(x), (one, fill, sorted(map(number, out)))) for x, (one, fill, out) in members
+    ]
+
+
+def test_lumping_check_rejects_merged_classes():
+    # the reversal classes are the coarsest lumping, so merging any two of
     # them breaks it; pairs that agree on accepting bit and fill count are
     # rejected by their target-class multisets alone
-    a = automaton(3)
-    nodes = window_nodes(a)
-    classes, rows, _ = window_quotient(a)
-    assert quotient_rows(a, nodes, classes) == rows
-    same_kind = 0
-    for c in range(len(rows)):
-        for d in range(c + 1, len(rows)):
-            merged = _numbered([c if x == d else x for x in classes])
-            assert quotient_rows(a, nodes, merged) is None, (c, d)
-            same_kind += rows[c][:2] == rows[d][:2]
-    assert same_kind
-
-
-def _width_two(accepting, right_flags):
-    """(00,F,F) reaching (01,*,*) on letter 01 and (11,T,T) on letter 11."""
-    states = (
-        initial_state(2),
-        AutomatonState(LabeledWord((1, 1)), True, True),
-        AutomatonState(LabeledWord((0, 1)), *right_flags),
-    )
-    rows = (array("i", [2, -1, 1]), array("i", [-1] * 3), array("i", [-1] * 3))
-    return Automaton(2, states, frozenset(accepting), rows)
+    for width in (3, 4):
+        members = list(_word_rows(width))
+        rows = lumped_rows(members)
+        assert rows == word_quotient(width)
+        same_kind = 0
+        for c in range(len(rows)):
+            for d in range(c + 1, len(rows)):
+                with pytest.raises(ValueError):
+                    lumped_rows(_merged(members, c, d))
+                same_kind += rows[c][:2] == rows[d][:2]
+        assert same_kind, width
 
 
 def test_lumping_check_compares_fill_counts():
-    # two one-component dead ends, (01,F,T) and (11,T,T), agree on everything
-    # but their fill counts, so merging them would be a lumping of the
-    # height series but not of the area series
-    a = _width_two({1}, (False, True))
-    nodes = window_nodes(a)
-    assert nodes[1:3] == [(0, 1), (0, 2)]
-    singletons = list(range(len(nodes)))
-    rows = quotient_rows(a, nodes, singletons)
-    assert rows[1][::2] == rows[2][::2] and rows[1][1] != rows[2][1]
-    assert quotient_rows(a, nodes, [0, 1, 1, *range(2, len(nodes) - 1)]) is None
-    assert count_area_series(a, 1).area_counts[1] == Polynomial((0, 0, 1))
-
-
-def test_counting_rejects_flags_that_do_not_follow_the_letters():
-    # letter 01 touches only the right side, so (01,T,T) cannot follow
-    # (00,F,F) on it; the counts would not be the automaton's
-    a = _width_two({1, 2}, (True, True))
-    with pytest.raises(ValueError, match="flags"):
-        count_series(a, 2)
-    with pytest.raises(ValueError, match="flags"):
-        count_area_series(a, 2)
-
-
-def test_counting_rejects_an_accepting_set_off_the_flags():
-    # (01,F,T) is one component but has not touched the left side
-    a = _width_two({1, 2}, (False, True))
-    with pytest.raises(ValueError, match="accepts"):
-        count_series(a, 2)
+    # a word whose row differs from its class's only in the fill count would
+    # keep the height series but not the area series
+    members = list(_word_rows(3))
+    classes = [c for c, _ in members]
+    second = next(i for i, c in enumerate(classes) if classes.index(c) < i)
+    c, (one, fill, out) = members[second]
+    members[second] = c, (one, fill + 1, out)
+    with pytest.raises(ValueError, match="not a lumping"):
+        lumped_rows(members)
 
 
 def test_counting_rejects_a_transition_into_the_initial_state():
-    # letter 010 touches no side, so the flags allow (000,F,F) to loop
-    row = array("i", [-1] * 7)
-    row[0b010 - 1] = 0
-    a = Automaton(3, (initial_state(3),), frozenset(), (row,))
-    with pytest.raises(ValueError, match="initial state"):
-        count_series(a, 2)
-
-
-def test_asymmetric_copy_counts_on_singleton_classes(automaton):
-    # drop one transition of a state whose class has another member: the
-    # classes are no longer a lumping, so every node is its own class
-    a = automaton(3)
-    classes, _, _ = window_quotient(a)
-    nodes = window_nodes(a)
-    s = next(s for (w, s), c in zip(nodes, classes) if w == 0 and classes.count(c) > 1)
-    row = a.transitions[s][:]
-    rank = next(r for r, t in enumerate(row) if t >= 0)
-    row[rank] = -1
-    edited = replace(a, transitions=a.transitions[:s] + (row,) + a.transitions[s + 1 :])
-    edited_classes = window_quotient(edited)[0]
-    assert edited_classes == list(range(len(edited_classes)))
-    counts = count_series(edited, 12).counts
-    assert counts == forward_counts(edited, 12)
-    assert counts != count_series(a, 12).counts
-    assert count_area_series(edited, 8).area_counts == forward_area_counts(edited, 8)
+    # every member of class 1 gains a step into class 0, so the classes are
+    # still a lumping, but class 0 is no longer entered only at height 0
+    members = [
+        (c, (one, fill, [0, *out] if c == 1 else out)) for c, (one, fill, out) in _word_rows(3)
+    ]
+    with pytest.raises(ValueError, match="initial class"):
+        lumped_rows(members)
 
 
 def test_lumped_dp_matches_forward_dp(automaton):
@@ -327,19 +313,15 @@ def test_lumped_dp_matches_forward_dp(automaton):
         assert count_area_series(a, 40).area_counts == forward_area_counts(a, 40), width
 
 
-def test_dp_plan_rebuilds_every_row(automaton):
+def test_dp_plan_rebuilds_every_row():
     # each entry, applied to its parent's multiset, gives its row's target
-    # multiset in the group's own class numbers; parents come first, and at
-    # b = 5..7 a step takes at most 0.35 of the additions a plain sum over
-    # every row would
+    # multiset; parents come first, and at b = 5..7 a step takes at most
+    # 0.35 of the additions a plain sum over every row would
     for width in range(1, 8):
-        a = automaton(width)
-        _, rows, _ = window_quotient(a)
-        additions = 0
-        for group in window_groups(a):
-            _, lo, hi = group
-            plan = dp_plan(a, group)
-            assert sorted(c for c, _, _, _ in plan) == list(range(hi - lo)), width
+        additions = targets = 0
+        for _, rows in width_groups(width):
+            plan = dp_plan(rows)
+            assert sorted(c for c, _, _, _ in plan) == list(range(len(rows))), width
             built = {-1: Counter()}
             for c, p, plus, minus in plan:
                 assert p in built, (width, c, p)
@@ -347,11 +329,12 @@ def test_dp_plan_rebuilds_every_row(automaton):
                 row.update(plus)
                 row.subtract(minus)
                 assert min(row.values(), default=0) >= 0, (width, c)
-                assert +row == Counter(t - lo for t in rows[lo + c][2]), (width, c)
+                assert +row == Counter(rows[c][2]), (width, c)
                 built[c] = row
             additions += sum(len(plus) + len(minus) for _, _, plus, minus in plan)
+            targets += sum(len(out) for _, _, out in rows)
         if width >= 5:
-            assert additions <= 0.35 * sum(len(targets) for _, _, targets in rows), width
+            assert additions <= 0.35 * targets, width
 
 
 def test_fit_needs_two_k_plus_two_terms(automaton):
@@ -387,8 +370,8 @@ def test_each_group_fit_switch_matches_forward_dp(automaton):
     for width in range(2, 7):
         a = automaton(width)
         heights = set()
-        for _, lo, hi in window_groups(a):
-            head = 2 * (hi - lo)
+        for _, rows in width_groups(width):
+            head = 2 * len(rows)
             heights |= {head - 2, head - 1, head, 2 * head}
             heights |= {FIT_SPAN * head - 2, FIT_SPAN * head - 1}
         reference = forward_counts(a, max(heights))
@@ -396,12 +379,21 @@ def test_each_group_fit_switch_matches_forward_dp(automaton):
             assert count_series(a, h).counts == reference[: h + 1], (width, h)
 
 
-def test_short_runs_build_no_plan():
+def test_short_runs_build_no_plan(monkeypatch):
+    # at b = 4 and h = 25 the width-2 series is fitted from 6 DP terms, and
+    # only widths 4 and 3 run long enough to plan
     a = build(4)
+    planned = []
+
+    def spy(rows):
+        planned.append(len(rows))
+        return dp_plan(rows)
+
+    monkeypatch.setattr(counting, "dp_plan", spy)
     assert count_area_series(a, 4).area_counts == forward_area_counts(a, 4)
-    assert "_dp_plans" not in a.__dict__
+    assert planned == []
     assert count_series(a, PLAN_PAYBACK_STEPS).counts == forward_counts(a, PLAN_PAYBACK_STEPS)
-    assert "_dp_plans" in a.__dict__
+    assert planned == [GROUP_SIZES[3], GROUP_SIZES[2]]
 
 
 def test_short_series_is_a_prefix_of_a_tall_one(automaton):

@@ -231,18 +231,20 @@ def test_gf_height_is_fixed_by_two_n_plus_two_terms(automaton):
 
 
 def test_fits_build_the_quotient_once(monkeypatch):
-    # the degree bound and the series it counts share one verified quotient
+    # a fit lumps each of its widths' words once, and keeps nothing for the
+    # next call
     built = []
-    window_nodes = counting.window_nodes
+    word_quotient = counting.word_quotient
 
-    def counted(a):
-        built.append(a.width)
-        return window_nodes(a)
+    def counted(width):
+        built.append(width)
+        return word_quotient(width)
 
-    monkeypatch.setattr(counting, "window_nodes", counted)
+    monkeypatch.setattr(counting, "word_quotient", counted)
     gf_height(4)
     gf_height_area(3)
-    assert built == [4, 3]
+    gf_height(4)
+    assert built == [4, 3, 2, 3, 2, 1, 4, 3, 2]
 
 
 def test_gf_height_numerator_denominator_coprime(automaton):
@@ -270,21 +272,25 @@ def test_sum_of_fractions_with_a_common_factor_is_reduced_exactly():
     assert expand(got, 20) == want
 
 
+def _degree_bound(width):
+    """K: the classes of the width's word quotients less their initial ones."""
+    return sum(len(rows) - 1 for _, rows in counting.width_groups(width))
+
+
 def test_window_group_denominators_are_coprime_mod_p(automaton):
     # the certificate gf_height relies on: each pair of the groups' reduced
     # denominators has gcd 1 modulo a 61-bit prime, and the reduced sum
     # is the fit of the whole series
     for width in (3, 4, 5):
-        a = automaton(width)
         parts = []
-        for group in counting.window_groups(a):
-            sign, lo, hi = group
-            k = hi - lo - 1
-            parts.append((sign, fit_rational(counting.group_series(a, group, 2 * k + 1), k)))
+        for sign, rows in counting.width_groups(width):
+            k = len(rows) - 1
+            parts.append((sign, fit_rational(counting.group_series(rows, 2 * k + 1), k)))
         dens = [gf.denominator for _, gf in parts]
         assert all(_coprime(p, q) for i, p in enumerate(dens) for q in dens[i + 1 :]), width
-        k = counting.degree_bound(a)
-        assert sum_fractions(parts) == fit_rational(forward_counts(a, 2 * k + 1), k), width
+        k = _degree_bound(width)
+        whole = fit_rational(forward_counts(automaton(width), 2 * k + 1), k)
+        assert sum_fractions(parts) == whole, width
 
 
 def test_elimination_backend_agrees(automaton):
@@ -338,7 +344,7 @@ def test_bivariate_group_sum_is_the_whole_series_fit(automaton):
     # bound K: the reduced fraction with denominator constant term 1 is unique
     for width in (1, 2, 3, 4):
         a = automaton(width)
-        k = counting.degree_bound(a)
+        k = _degree_bound(width)
         whole = _fit_bivariate(count_area_series(a, 2 * k + 1).area_counts, k)
         assert gf_height_area(width, automaton=a) == whole, width
 
