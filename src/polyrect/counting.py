@@ -63,7 +63,7 @@ from typing import Iterable, Sequence
 
 from .automaton import Automaton
 from .polynomial import Polynomial, unpack_coefficients
-from .rowconfig import RowConfig, letter_runs
+from .rowconfig import MAX_WIDTH, RowConfig, letter_runs
 from .transition import advance
 
 # sign of A_b, A_(b-1) and A_(b-2) in the inscribed counts
@@ -250,6 +250,14 @@ def group_series(rows: Sequence[Row], h_max: int, slot: int = 0) -> list[int]:
     return terms
 
 
+def _width(b: int | Automaton) -> int:
+    """b's width, read from an Automaton or given; ValueError outside 1..MAX_WIDTH."""
+    width = getattr(b, "width", b)
+    if not 1 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+    return width
+
+
 def count_series(b: int | Automaton, h_max: int) -> SeriesTable:
     """Exact number of inscribed stacks of width b for every height 0..h_max.
 
@@ -261,7 +269,7 @@ def count_series(b: int | Automaton, h_max: int) -> SeriesTable:
         raise ValueError("h_max must be >= 0")
     from .genfunc import expand, fit_rational  # genfunc imports this module
 
-    width = getattr(b, "width", b)
+    width = _width(b)
     counts = [1] + [0] * h_max
     for sign, rows in width_groups(width):
         k = len(rows) - 1
@@ -298,7 +306,7 @@ def count_area_series(b: int | Automaton, h_max: int) -> SeriesTable:
     """
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
-    width = getattr(b, "width", b)
+    width = _width(b)
     slot_bytes = _area_slot_bytes(width, h_max)
     packed = [1] + [0] * h_max
     for sign, rows in width_groups(width):

@@ -29,7 +29,7 @@ from polyrect.counting import (
     width_groups,
     word_quotient,
 )
-from polyrect.rowconfig import enumerate_alphabet, letter_runs
+from polyrect.rowconfig import MAX_WIDTH, enumerate_alphabet, letter_runs
 from polyrect.transition import advance
 
 from reference import forward_area_counts, forward_counts, validate_table
@@ -167,6 +167,15 @@ def test_h_max_validation(automaton):
         count_area_series(automaton(2), -1)
 
 
+def test_width_validation():
+    # a width outside 1..MAX_WIDTH is refused before any word is explored
+    for width in (0, -1, MAX_WIDTH + 1):
+        with pytest.raises(ValueError, match="width must be in"):
+            count_series(width, 3)
+        with pytest.raises(ValueError, match="width must be in"):
+            count_area_series(width, 3)
+
+
 def _mirror(masks, width):
     """A kernel word or letter read right to left."""
     flip = [int(format(m, f"0{width}b")[::-1], 2) for m in masks]
@@ -211,7 +220,7 @@ def test_window_groups_are_all_columns_groups_of_three_widths():
     # the groups of width b are the word quotients of widths b, b - 1 and
     # b - 2, those that are at least 1, with signs 1, -2, 1; one class per
     # group is initial, so K = sum(g_w - 1)
-    for width, k in enumerate(DEGREE_BOUNDS[:8], 1):
+    for width, k in enumerate(DEGREE_BOUNDS, 1):
         groups = width_groups(width)
         widths = [w for w in (width, width - 1, width - 2) if w >= 1]
         assert [len(rows) for _, rows in groups] == [GROUP_SIZES[w - 1] for w in widths]
@@ -241,7 +250,7 @@ def test_side_groups_count_narrower_boxes(automaton):
     # column, the right column or both and end one component are counted
     # by the word quotients of widths b - 1, b - 1 and b - 2: the
     # inclusion-exclusion the signs 1, -2, 1 stand for
-    for width in range(3, 7):
+    for width in range(3, 8):
         a = automaton(width)
         half = 1 << (width - 1)
         letters = range(1, 1 << width)
@@ -251,10 +260,10 @@ def test_side_groups_count_narrower_boxes(automaton):
             [bits for bits in letters if bits < half and bits % 2 == 0],
         )
         for window, narrower in zip(windows, (width - 1, width - 1, width - 2)):
-            want = group_series(word_quotient(narrower), 20)
-            assert _one_component_counts(a, window, 20) == want, (width, narrower)
-        everything = _one_component_counts(a, letters, 20)
-        assert everything == group_series(word_quotient(width), 20), width
+            want = group_series(word_quotient(narrower), 30)
+            assert _one_component_counts(a, window, 30) == want, (width, narrower)
+        everything = _one_component_counts(a, letters, 30)
+        assert everything == group_series(word_quotient(width), 30), width
 
 
 def _merged(members, c, d):
