@@ -7,9 +7,10 @@ per alphabet letter, -1 marking undefined transitions.
 
 Side flags never affect the word transition, so build() and deserialize()
 step each distinct (kernel word, letter) pair once, through a per-word memo
-that lives only as long as the call.  While building, a state is the plain
-tuple (kernel word, left, right); AutomatonState objects, and with them word
-validation, are made once per discovered state at the end.
+that lives only as long as the call.  While building, a state is the int
+word_id << 2 | left << 1 | right; one LabeledWord per word, and with it word
+validation, and one AutomatonState per state are made at the end.  For the
+same reason serialize() and export_dot() format each word's row shape once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
 
 from .errors import (
@@ -95,39 +97,45 @@ class Automaton:
         return None if t < 0 else t
 
 
-def _explore(width: int, keys: list, max_states: int) -> list[array]:
+def _explore(width: int, words: list, keys: list[int], max_states: int) -> list[array]:
     """Transition rows of keys, appending every newly reached state to keys.
 
-    keys holds (kernel word, left, right) tuples; walking it while it grows
-    is the breadth-first search.
+    A key is word_id << 2 | left << 1 | right, where words[word_id] is the
+    state's kernel word; words met for the first time are appended to words.
+    Walking keys while it grows is the breadth-first search.
     """
     letters = [
-        (bits - 1, bits, letter_runs(bits), bool(bits >> (width - 1)), bool(bits & 1))
+        (bits - 1, bits, letter_runs(bits), (bits >> (width - 1)) << 1 | bits & 1)
         for bits in range(1, 1 << width)
     ]
-    memo: dict[tuple[int, ...], list] = {}
+    word_ids = {word: i for i, word in enumerate(words)}
+    memo: dict[int, list] = {}
     index = {key: i for i, key in enumerate(keys)}
     rows = []
-    for word, left, right in keys:
-        steps = memo.get(word)
+    for key in keys:
+        steps = memo.get(key >> 2)
         if steps is None:
-            steps = memo[word] = [
-                (rank, nxt, touches_left, touches_right)
-                for rank, bits, runs, touches_left, touches_right in letters
-                if (nxt := advance(word, bits, runs)) is not None
-            ]
+            steps = memo[key >> 2] = []
+            word = words[key >> 2]
+            for rank, bits, runs, touches in letters:
+                nxt = advance(word, bits, runs)
+                if nxt is not None:
+                    nid = word_ids.setdefault(nxt, len(words))
+                    if nid == len(words):
+                        words.append(nxt)
+                    steps.append((rank, nid << 2 | touches))
+        flags = key & 3
         row = array("i", [-1]) * len(letters)
-        for rank, nxt, touches_left, touches_right in steps:
-            key = (nxt, left or touches_left, right or touches_right)
-            j = index.get(key)
+        for rank, base in steps:
+            j = index.get(base | flags)
             if j is None:
                 j = len(keys)
                 if j >= max_states:
                     raise ResourceLimitError(
                         f"state ceiling {max_states} hit while building width {width}"
                     )
-                index[key] = j
-                keys.append(key)
+                index[base | flags] = j
+                keys.append(base | flags)
             row[rank] = j
         rows.append(row)
     return rows
@@ -156,12 +164,11 @@ def build(width: int, max_states: int = DEFAULT_STATE_CEILING) -> Automaton:
     exceeds max_states.
     """
     check_ceiling(width, max_states)
-    keys = [((), False, False)]
-    rows = _explore(width, keys, max_states)
-    states = tuple(
-        AutomatonState(LabeledWord(word_labels(word, width)), left, right)
-        for word, left, right in keys
-    )
+    words: list[tuple[int, ...]] = [()]
+    keys = [0]
+    rows = _explore(width, words, keys, max_states)
+    labeled = [LabeledWord(word_labels(word, width)) for word in words]
+    states = tuple(AutomatonState(labeled[key >> 2], key & 2 > 0, key & 1 > 0) for key in keys)
     accepting = frozenset(i for i, s in enumerate(states) if is_accepting(s))
     return Automaton(width, states, accepting, tuple(rows))
 
@@ -183,8 +190,36 @@ def _parse_word(text: str, width: int) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
+def _row_shapes(a: Automaton, make):
+    """Per state, (make(selector), targets) for the selector of its defined letters.
+
+    States sharing a kernel word share their defined letters, so make runs
+    once per word.  A row keeps its word's shape only if it has as many -1s
+    as the shape leaves undefined and no negative target where it defines
+    one; a hand-made row that differs gets a shape of its own.
+    """
+    shapes = {}
+    for s, row in zip(a.states, a.transitions):
+        known = shapes.get(id(s.word))
+        if known is not None:
+            selector, undefined, template = known
+            targets = tuple(compress(row, selector))
+            if row.count(-1) == undefined and min(targets, default=0) >= 0:
+                yield template, targets
+                continue
+        selector = [t >= 0 for t in row]
+        template = make(selector)
+        shapes[id(s.word)] = selector, selector.count(False), template
+        yield template, tuple(compress(row, selector))
+
+
 def serialize(a: Automaton) -> bytes:
-    """Versioned JSON encoding; byte-identical for equal automata."""
+    """Versioned JSON encoding; byte-identical for equal automata.
+
+    The transitions are spliced in as text, each row filled from a printf
+    template made once per kernel word: "[[1,%d],[3,%d],...]".
+    """
+    pairs = ["[%d,%%d]" % bits for bits in range(1, 1 << a.width)]
     doc = {
         "version": FORMAT_VERSION,
         "b": a.width,
@@ -193,12 +228,14 @@ def serialize(a: Automaton) -> bytes:
             for s in a.states
         ],
         "accepting": sorted(a.accepting),
-        "transitions": [
-            [[rank + 1, t] for rank, t in enumerate(row) if t >= 0]
-            for row in a.transitions
-        ],
+        "transitions": 0,
     }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=False).encode("ascii")
+    head = json.dumps(doc, separators=(",", ":"))[:-2]  # up to the placeholder "0}"
+    rows = ",".join(
+        template % targets
+        for template, targets in _row_shapes(a, lambda sel: f"[{','.join(compress(pairs, sel))}]")
+    )
+    return f"{head}[{rows}]}}".encode("ascii")
 
 
 def deserialize(data: bytes | str) -> Automaton:
@@ -221,13 +258,14 @@ def deserialize(data: bytes | str) -> Automaton:
     if not isinstance(doc, dict):
         raise AutomatonFormatError("top level must be an object")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    # bool is an int subclass and 1.0 == 1, so every number is checked by type
+    if type(version) is not int or version != FORMAT_VERSION:
         raise AutomatonVersionError(f"unsupported format version {version!r}")
     for key in ("b", "states", "accepting", "transitions"):
         if key not in doc:
             raise AutomatonFormatError(f"missing key {key!r}")
     width = doc["b"]
-    if not isinstance(width, int) or not 1 <= width <= MAX_WIDTH:
+    if type(width) is not int or not 1 <= width <= MAX_WIDTH:
         raise AutomatonFormatError(f"bad width {width!r}")
     raw_states = doc["states"]
     raw_accepting = doc["accepting"]
@@ -236,6 +274,9 @@ def deserialize(data: bytes | str) -> Automaton:
         raise AutomatonFormatError("states must be a nonempty list")
     if not isinstance(raw_accepting, list):
         raise AutomatonFormatError("accepting must be a list")
+    for entry in raw_accepting:
+        if type(entry) is not int:
+            raise AutomatonFormatError(f"bad accepting entry {entry!r}")
     if not isinstance(raw_transitions, list) or len(raw_transitions) != len(raw_states):
         raise AutomatonFormatError("transitions must list one row per state")
 
@@ -270,8 +311,8 @@ def deserialize(data: bytes | str) -> Automaton:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not isinstance(pair[0], int)
-                or not isinstance(pair[1], int)
+                or type(pair[0]) is not int
+                or type(pair[1]) is not int
             ):
                 raise AutomatonFormatError(f"bad transition entry {pair!r} in row {i}")
             bits, target = pair
@@ -284,9 +325,12 @@ def deserialize(data: bytes | str) -> Automaton:
 
     # Every defined transition must agree with the transition map, and every
     # defined step must be present.
-    keys = [(word_masks(s.word.labels), s.left_touched, s.right_touched) for s in states]
+    ids: dict[LabeledWord, int] = {}
+    keys = [ids.setdefault(s.word, len(ids)) << 2 | s.left_touched << 1 | s.right_touched
+            for s in states]
+    words = [word_masks(word.labels) for word in ids]
     try:
-        want_rows = _explore(width, keys, n)
+        want_rows = _explore(width, words, keys, n)
     except ResourceLimitError as exc:
         raise AutomatonInvariantError("a step leaves the listed states") from exc
     for i, (want, have) in enumerate(zip(want_rows, rows)):
@@ -324,10 +368,15 @@ def export_dot(a: Automaton) -> str:
         shape = "doublecircle" if i in a.accepting else "circle"
         lines.append(f'  q{i} [shape={shape}, label="{s}"];')
     lines.append("  __start -> q0;")
-    for i, row in enumerate(a.transitions):
-        for rank, t in enumerate(row):
-            if t >= 0:
-                label = format(rank + 1, f"0{a.width}b")
-                lines.append(f'  q{i} -> q{t} [label="{label}"];')
+    labels = [format(bits, f"0{a.width}b") for bits in range(1, 1 << a.width)]
+
+    def make(selector):
+        return "\n".join(
+            f'  {{source}} -> q%d [label="{label}"];' for label in compress(labels, selector)
+        )
+
+    for i, (template, targets) in enumerate(_row_shapes(a, make)):
+        if targets:
+            lines.append(template.replace("{source}", f"q{i}") % targets)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -51,12 +51,13 @@ from dataclasses import dataclass
 from .automaton import (
     DEFAULT_STATE_CEILING, build, check_ceiling, export_dot, serialize, state_count_formula,
 )
-from .counting import accepts, count_area_series, count_series
+from .counting import count_area_series, count_series
 from .errors import FitError, ResourceLimitError
 from .genfunc import gf_height, gf_height_area
 from .oracle import ORACLE_CELL_LIMIT, brute_force_area_histogram
 from .rowconfig import MAX_WIDTH, RowConfig
-from .states import enumerate_valid_states
+from .states import enumerate_valid_states, initial_state, is_accepting
+from .transition import step
 
 USAGE_ERROR = 2
 MISMATCH = 1
@@ -233,9 +234,13 @@ def _run_accepts(cfg: RunConfig) -> tuple[int, str]:
     if any(line.count("1") == 0 for line in rows):
         # no letter exists for an empty row, so no run can accept the stack
         return MISMATCH, "rejected\n"
-    a = build(cfg.width, cfg.max_states)
-    stack = [RowConfig.from_string(line) for line in rows]
-    ok = accepts(a, stack)
+    check_ceiling(cfg.width, cfg.max_states)
+    state = initial_state(cfg.width)
+    for line in rows:
+        state = step(state, RowConfig.from_string(line))
+        if state is None:
+            return MISMATCH, "rejected\n"
+    ok = is_accepting(state)
     return (0 if ok else MISMATCH), ("accepted\n" if ok else "rejected\n")
 
 
@@ -290,7 +295,11 @@ def run(cfg: RunConfig) -> int:
     return status
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(wanted=None) -> argparse.ArgumentParser:
+    """Every subcommand's parser, with arguments only for those named in wanted (all if None).
+
+    main passes its argv entries, one of which names the command to run.
+    """
     parser = argparse.ArgumentParser(
         prog="polyrect",
         description="Count polyominoes inscribed in a b x h rectangle.",
@@ -306,6 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, *, height=False, h_max=False, stack=False, fmts=("text", "json")):
         p = sub.add_parser(name)
+        if wanted is not None and name not in wanted:
+            return
         p.add_argument("--b", type=int, required=True, metavar="WIDTH",
                        help=f"rectangle width, 1..{MAX_WIDTH}")
         if height:
@@ -318,7 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=fmts, default=fmts[0])
         p.add_argument("--output", metavar="FILE")
         p.add_argument("--max-states", type=int, default=default_ceiling)
-        return p
 
     add("states")
     add("build", fmts=())
@@ -356,8 +366,8 @@ def _to_config(ns: argparse.Namespace) -> RunConfig:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = _build_parser(set(argv)).parse_args(argv)
     return run(_to_config(ns))
 
 

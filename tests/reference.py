@@ -3,14 +3,51 @@
 Each one computes something the package computes faster or by another
 route, so the tests can cross-check the two: the forward counting DP on the
 full automaton, the dense transfer matrix, a symbolic generating function by
-determinant elimination, and the reversed characteristic polynomial.
+determinant elimination, the reversed characteristic polynomial, and the
+straightforward serializer and DOT writer that render one transition at a time.
 """
 
 from __future__ import annotations
 
+import json
+
 from polyrect import Automaton, Polynomial, SeriesTable, build
 from polyrect.genfunc import RationalGF, reduce_gf
 from polyrect.polynomial import ONE, ZERO, unpack_coefficients
+
+
+def serialize_reference(a: Automaton) -> bytes:
+    """serialize(a) as one json.dumps over the whole document."""
+    def word(s):
+        return str(s.word) if a.width <= 9 else ",".join(map(str, s.word.labels))
+
+    doc = {
+        "version": 1,
+        "b": a.width,
+        "states": [
+            {"word": word(s), "l": s.left_touched, "r": s.right_touched} for s in a.states
+        ],
+        "accepting": sorted(a.accepting),
+        "transitions": [
+            [[rank + 1, t] for rank, t in enumerate(row) if t >= 0] for row in a.transitions
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":")).encode("ascii")
+
+
+def export_dot_reference(a: Automaton) -> str:
+    """export_dot(a), one line per state and per defined transition."""
+    lines = ["digraph automaton {", "  rankdir=TB;", '  __start [shape=point, label=""];']
+    for i, s in enumerate(a.states):
+        shape = "doublecircle" if i in a.accepting else "circle"
+        lines.append(f'  q{i} [shape={shape}, label="{s}"];')
+    lines.append("  __start -> q0;")
+    for i, row in enumerate(a.transitions):
+        for rank, t in enumerate(row):
+            if t >= 0:
+                lines.append(f'  q{i} -> q{t} [label="{rank + 1:0{a.width}b}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def transfer_matrix(a: Automaton) -> list[list[int]]:

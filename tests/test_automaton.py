@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from array import array
 
 import pytest
 
@@ -7,17 +9,21 @@ from polyrect import (
     AutomatonFormatError,
     AutomatonInvariantError,
     AutomatonVersionError,
+    Automaton,
+    AutomatonState,
+    LabeledWord,
     ResourceLimitError,
     RowConfig,
     build,
     deserialize,
     export_dot,
     serialize,
+    initial_state,
     state_count_formula,
 )
 from polyrect.automaton import catalan, runs_of_ones
 
-from reference import transfer_matrix
+from reference import export_dot_reference, serialize_reference, transfer_matrix
 
 # closed-form state counts for b = 0..11
 FORMULA_TABLE = [1, 2, 6, 16, 40, 99, 247, 625, 1605, 4178, 11006, 29292]
@@ -34,6 +40,18 @@ SERIALIZED_SHA256 = {
     7: "2b48487e3d58245b946ddfc2ea0055bf09db8ec7d166b511bc84a0aad217c298",
     8: "9ecaa74ca91d7775b3ab0c4408fe753379f238d0789085e5f12abfc44e5eefaf",
     9: "231dd585fb8bf4175135435499a772168e058686dd8eea232f173312a34fb5e1",
+}
+
+# sha256 of export_dot(build(b)), b = 1..7, as written one line per
+# transition before rows were formatted per kernel word
+EXPORT_DOT_SHA256 = {
+    1: "712f746a409b9e41e72a5e1e5d2745457f697c4b2d5f451390f67d76e5cd566f",
+    2: "42403a3d7afdc20473119ad7e99fae756c78fd7095f6ccce3c26cef5a3a3954e",
+    3: "e4afb9a048fd1885580276e39795b7ce5382e61e0045e5cc726d5dbe601a4fac",
+    4: "e84e62e580e3704fc63df176e487bade366ce303eaf574d8bcb79f7f93a1cd44",
+    5: "a7cbee21f1c68c2413f543cbf8583790400fda6a88302dcb20d19052ec7aecb0",
+    6: "4d170bde88b4c7629e54038e4baa7375f15dc4f3a37dc31cca02d04c936ebd73",
+    7: "f9741cb07dbbd49e7b5d8cec4551456c56d0236e62a56997183f01edb101572d",
 }
 
 
@@ -140,6 +158,82 @@ def test_serialize_matches_pinned_digests(automaton):
         assert hashlib.sha256(serialize(automaton(width))).hexdigest() == digest, width
 
 
+def test_serialize_matches_reference(automaton):
+    for width in range(1, 9):
+        assert serialize(automaton(width)) == serialize_reference(automaton(width)), width
+
+
+def test_export_dot_matches_pinned_digests(automaton):
+    for width, digest in EXPORT_DOT_SHA256.items():
+        assert hashlib.sha256(export_dot(automaton(width)).encode()).hexdigest() == digest, width
+
+
+def _same_word_states(a):
+    """Indices of the first kernel word held by at least four states."""
+    groups = {}
+    for i, s in enumerate(a.states):
+        groups.setdefault(s.word, []).append(i)
+    return next(g for g in groups.values() if len(g) >= 4)
+
+
+def _drop_a_defined_letter(rows, group):
+    # a -1 in a slot the word's shape defines
+    row = rows[group[1]]
+    row[next(k for k, t in enumerate(row) if t >= 0)] = -1
+
+
+def _move_a_defined_letter(rows, group):
+    # as many letters defined as the word's shape, but not the same ones
+    row = rows[group[2]]
+    row[next(k for k, t in enumerate(row) if t >= 0)] = -1
+    row[next(k for k, t in enumerate(row) if t < 0)] = 0
+
+
+def _reshape_the_first_state(rows, group):
+    # the first state of a word sets the shape its later states are checked against
+    row = rows[group[0]]
+    row[next(k for k, t in enumerate(row) if t < 0)] = 0
+
+
+def _negative_two_as_undefined(rows, group):
+    # any negative target reads as undefined
+    row = rows[group[0]]
+    row[next(k for k, t in enumerate(row) if t < 0)] = -2
+    rows[group[3]][next(k for k, t in enumerate(row) if t == -2)] = 1
+
+
+def _empty_row(rows, group):
+    rows[group[1]] = array("i", [-1]) * len(rows[group[1]])
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop_a_defined_letter,
+    _move_a_defined_letter,
+    _reshape_the_first_state,
+    _negative_two_as_undefined,
+    _empty_row,
+])
+def test_hand_made_rows_serialize_as_reference(mutate):
+    a = build(3)
+    rows = [array("i", row) for row in a.transitions]
+    mutate(rows, _same_word_states(a))
+    hand_made = Automaton(a.width, a.states, a.accepting, tuple(rows))
+    assert serialize(hand_made) != serialize(a)
+    assert serialize(hand_made) == serialize_reference(hand_made)
+    assert export_dot(hand_made) == export_dot_reference(hand_made)
+
+
+def test_wide_words_serialize_with_commas():
+    width = 10
+    last = AutomatonState(LabeledWord((1,) + (0,) * (width - 2) + (2,)), True, True)
+    rows = [array("i", [-1]) * ((1 << width) - 1) for _ in range(2)]
+    rows[0][(1 << width - 1 | 1) - 1] = 1
+    a = Automaton(width, (initial_state(width), last), frozenset(), tuple(rows))
+    assert b'"word":"1,0,0,0,0,0,0,0,0,2"' in serialize(a)
+    assert serialize(a) == serialize_reference(a)
+    assert export_dot(a) == export_dot_reference(a)
+
+
 def test_serialize_round_trip():
     for width in (1, 2, 3, 4):
         a = build(width)
@@ -167,9 +261,47 @@ def test_deserialize_format_errors():
 
 
 def test_deserialize_version_error():
+    for version in (99, True, 1.0):
+        doc = json.loads(serialize(build(2)))
+        doc["version"] = version
+        with pytest.raises(AutomatonVersionError):
+            deserialize(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("key, value, prefix", [
+    # bool is an int subclass, and 1.0 == 1, so width 1 would load as True
+    ("b", True, "bad width True"),
+    ("b", 1.0, "bad width 1.0"),
+    ("accepting", [True], "bad accepting entry True"),
+    ("accepting", [1.0], "bad accepting entry 1.0"),
+])
+def test_deserialize_rejects_non_int_numbers(key, value, prefix):
+    doc = json.loads(serialize(build(1)))
+    assert doc[key] == value
+    doc[key] = value
+    with pytest.raises(AutomatonFormatError, match="^" + re.escape(prefix)):
+        deserialize(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("pair, error, prefix", [
+    ("x", AutomatonFormatError, "bad transition entry 'x' in row 0"),
+    (5, AutomatonFormatError, "bad transition entry 5 in row 0"),
+    ([1], AutomatonFormatError, "bad transition entry [1] in row 0"),
+    ([1, 1, 1], AutomatonFormatError, "bad transition entry [1, 1, 1] in row 0"),
+    (["1", 1], AutomatonFormatError, "bad transition entry ['1', 1] in row 0"),
+    ([1.0, 1], AutomatonFormatError, "bad transition entry [1.0, 1] in row 0"),
+    ([True, 1], AutomatonFormatError, "bad transition entry [True, 1] in row 0"),
+    ([1, True], AutomatonFormatError, "bad transition entry [1, True] in row 0"),
+    ([0, 1], AutomatonFormatError, "letter 0 out of range in row 0"),
+    ([4, 1], AutomatonFormatError, "letter 4 out of range in row 0"),
+    ([1, -1], AutomatonInvariantError, "target -1 out of range in row 0"),
+    ([1, 6], AutomatonInvariantError, "target 6 out of range in row 0"),
+])
+def test_deserialize_rejects_bad_transition_entries(pair, error, prefix):
     doc = json.loads(serialize(build(2)))
-    doc["version"] = 99
-    with pytest.raises(AutomatonVersionError):
+    assert len(doc["states"]) == 6
+    doc["transitions"][0][0] = pair
+    with pytest.raises(error, match="^" + re.escape(prefix)):
         deserialize(json.dumps(doc).encode())
 
 

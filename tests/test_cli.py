@@ -1,9 +1,13 @@
 import hashlib
 import json
+import random
 
 import pytest
 
-from polyrect import FitError, build, cli, count_series, counting, deserialize, genfunc, gf_height
+from polyrect import (
+    FitError, RowConfig, accepts, build, cli, count_series, counting, deserialize, genfunc,
+    gf_height,
+)
 from polyrect.cli import main
 
 FIG_ROWS = [
@@ -249,6 +253,53 @@ def test_accepts_rejects_empty_row(tmp_path, capsys):
     assert (code, out) == (1, "rejected\n")
 
 
+def test_accepts_matches_the_automaton(tmp_path, capsys):
+    rng = random.Random(14)
+    path = tmp_path / "stack.txt"
+    verdicts = set()
+    for width in range(1, 7):
+        a = build(width)
+        for _ in range(40):
+            # half walk the automaton's defined letters, half are any nonempty rows
+            state, rows = 0, []
+            for _ in range(rng.randint(1, 8)):
+                defined = [k + 1 for k, t in enumerate(a.transitions[state]) if t >= 0]
+                bits = rng.choice(defined) if rng.random() < 0.5 else rng.randrange(1, 1 << width)
+                rows.append(format(bits, f"0{width}b"))
+                state = max(a.transitions[state][bits - 1], 0)
+            path.write_text("\n".join(rows) + "\n")
+            ok = accepts(a, [RowConfig.from_string(row) for row in rows])
+            verdicts.add(ok)
+            want = (0, "accepted\n", "") if ok else (1, "rejected\n", "")
+            assert run(capsys, "accepts", "--b", str(width), "--stack", str(path)) == want, rows
+    assert verdicts == {True, False}
+
+
+def test_accepts_never_builds(monkeypatch, tmp_path, capsys):
+    def refused(*args, **kwargs):
+        raise AssertionError("the automaton was built")
+
+    for name in ("polyrect.automaton.build", "polyrect.automaton._explore", "polyrect.cli.build"):
+        monkeypatch.setattr(name, refused)
+    path = tmp_path / "stack.txt"
+    # accepted; two components; a component lost
+    for rows, want in (
+        (FIG_ROWS, (0, "accepted\n", "")),
+        (["10001"], (1, "rejected\n", "")),
+        (["01000", "00010"], (1, "rejected\n", "")),
+    ):
+        path.write_text("\n".join(rows) + "\n")
+        assert run(capsys, "accepts", "--b", "5", "--stack", str(path)) == want
+
+
+def test_accepts_respects_state_ceiling(tmp_path, capsys):
+    path = tmp_path / "stack.txt"
+    path.write_text("111\n")
+    code, out, err = run(capsys, "accepts", "--b", "3", "--stack", str(path), "--max-states", "5")
+    assert (code, out) == (3, "")
+    assert err == "error: width 3 projects 16 states, ceiling is 5\n"
+
+
 def test_accepts_bad_row_is_usage_error(tmp_path, capsys):
     path = tmp_path / "stack.txt"
     path.write_text("011\n")
@@ -327,6 +378,29 @@ def test_missing_flag_is_usage_error(capsys):
         main(["count", "--b", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _usage_output(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+def test_parser_builds_only_the_named_command(command, capsys):
+    # main adds arguments only to the subcommand its argv names; help and
+    # usage errors must read as with every subcommand's arguments built
+    complete = cli._build_parser()
+    for argv in ([command, "--help"], [command], [command, "--b"]):
+        want = _usage_output(capsys, complete, argv)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out, out.err) == want, argv
+    for argv in (["--help"], ["nope"], []):
+        want = _usage_output(capsys, complete, argv)
+        assert _usage_output(capsys, cli._build_parser({command}), argv) == want, argv
 
 
 def test_env_ceiling(monkeypatch, capsys):
