@@ -200,7 +200,7 @@ def _row_shapes(a: Automaton, make):
     """
     shapes = {}
     for s, row in zip(a.states, a.transitions):
-        known = shapes.get(id(s.word))
+        known = shapes.get(s.word)
         if known is not None:
             selector, undefined, template = known
             targets = tuple(compress(row, selector))
@@ -209,7 +209,7 @@ def _row_shapes(a: Automaton, make):
                 continue
         selector = [t >= 0 for t in row]
         template = make(selector)
-        shapes[id(s.word)] = selector, selector.count(False), template
+        shapes[s.word] = selector, selector.count(False), template
         yield template, tuple(compress(row, selector))
 
 
