@@ -274,10 +274,11 @@ def test_deserialize_version_error():
     ("b", 1.0, "bad width 1.0"),
     ("accepting", [True], "bad accepting entry True"),
     ("accepting", [1.0], "bad accepting entry 1.0"),
+    # unhashable, so it used to escape as a TypeError
+    ("accepting", [[1]], "bad accepting entry [1]"),
 ])
 def test_deserialize_rejects_non_int_numbers(key, value, prefix):
     doc = json.loads(serialize(build(1)))
-    assert doc[key] == value
     doc[key] = value
     with pytest.raises(AutomatonFormatError, match="^" + re.escape(prefix)):
         deserialize(json.dumps(doc).encode())
