@@ -27,15 +27,16 @@ constant term 1 is unique, so this is the fit of the whole series with
 K = sum(k_w), which bounds its degrees the same way; at b = 1..7, K is its
 degree.
 
-The fit is a minimal recurrence.  Berlekamp-Massey runs modulo primes just
-below 2^61; the residues of primes that agree on the recurrence length are
-combined by the Chinese remainder theorem, and after each prime the lift is
-checked exactly, in the integers, against every term.  Only a candidate that
-passes is used, so the primes decide the running time, never the result: the
-certificate is that exact check plus the degree bounds.  By Fatou's lemma a
-rational power series with integer coefficients has an integer denominator
-with constant term 1, so for the generating functions the symmetric lift is
-the answer once the primes' product exceeds twice its largest coefficient.
+The fit is a minimal recurrence, and it takes integer terms only.  By
+Fatou's lemma a rational power series with integer coefficients has an
+integer denominator with constant term 1, so the recurrence is integral.
+Berlekamp-Massey runs modulo primes just below 2^61; the residues of primes
+that agree on the recurrence length are combined by the Chinese remainder
+theorem, and after each prime the symmetric lift is checked exactly, in the
+integers, against every term.  Only a candidate that passes is used, so the
+primes decide the running time, never the result: the certificate is that
+exact check plus the degree bounds.  The lift is the answer once the primes'
+product exceeds twice the largest coefficient.
 
 The area-refined series lives over polynomials in q, and everything above
 holds over Z[q] and its fraction field Q(q): the matrices Mk_w(q) have
@@ -58,9 +59,8 @@ time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, count, islice
-from math import isqrt, lcm, prod
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -70,10 +70,8 @@ from .errors import FitError, ResourceLimitError
 from .polynomial import (
     ONE,
     Polynomial,
-    divmod_exact,
     json_ready,
     pack_coefficients,
-    poly_gcd,
     unpack_coefficients,
     unpack_signed,
 )
@@ -204,42 +202,6 @@ def _min_lfsr_mod(seq: Sequence[int], p: int) -> tuple[list[int], int]:
     return c + [0] * (length + 1 - len(c)), length
 
 
-def _lifts(residues: list[int], modulus: int, rational: bool):
-    """Integer candidates for the connection polynomial with these residues.
-
-    First the symmetric lift.  Then, if rational is set, a rational
-    reconstruction over one common denominator d: each residue r lifts as
-    the symmetric residue of d * r, and when that exceeds sqrt(modulus / 2)
-    the half extended Euclidean algorithm finds the factor d lacks.  Each
-    candidate has C[0] > 0; only C / C[0] matters.
-    """
-    yield _symmetric(residues, modulus)
-    if not rational:
-        return
-    half = modulus >> 1
-    bound = isqrt(half)
-    den, nums = 1, []
-    for r in residues:
-        a = den * r % modulus
-        if a > half:
-            a -= modulus
-        if abs(a) > bound:
-            r0, r1, t0, t1 = modulus, a % modulus, 0, 1
-            while r1 > bound:
-                q = r0 // r1
-                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-            if t1 < 0:
-                r1, t1 = -r1, -t1
-            den *= t1
-            if den > bound:
-                return
-            nums = [v * t1 for v in nums]
-            a = r1
-        nums.append(a)
-    if den != 1:
-        yield nums
-
-
 def _symmetric(residues: list[int], modulus: int) -> list[int]:
     """Each residue as the integer of least absolute value it stands for."""
     half = modulus >> 1
@@ -258,23 +220,24 @@ def _reproduces(c: list[int], seq: list[int], length: int) -> bool:
 
 
 def _min_recurrence(seq: list[int], degree_bound: int) -> tuple[list[int], int]:
-    """Minimal recurrence (C, L) of an integer sequence over Q, C[0] > 0.
+    """Minimal integral recurrence (C, L) of an integer sequence, C[0] = 1.
 
     Primes whose recurrence length L agrees are combined by the Chinese
-    remainder theorem.  After each prime the lifts of its group are checked
-    exactly (`_reproduces`), and the first that passes is returned.  A prime
-    can give another L than the run over Q.  A shorter one comes from a
-    discrepancy that vanishes mod p; no lift of it passes, as no shorter
-    recurrence exists.  A longer one comes from a prime that divides a
-    denominator of C / C[0], and its lift can pass as a recurrence that is
-    not minimal: P^3, P^2, P, 1 is 0, 0, 0, 1 mod P, with L = 4, where the
-    check tests no term.  While 2L <= len(seq) it cannot pass (Gauss's
-    lemma: it would be a multiple of the primitive C, whose constant term
-    the prime divides), so a group with 2L > len(seq) is lifted only once
-    its modulus passes the limit below, which the primes dividing one
-    denominator do not reach.
+    remainder theorem.  After each prime the symmetric lift of its group is
+    checked exactly (`_reproduces`), and returned if it passes.  A prime can
+    give another L than the run over Q.  A shorter one comes from a
+    discrepancy that vanishes mod p; its lift does not pass, as no shorter
+    recurrence exists.  A longer one comes only when the minimal recurrence
+    C over Q is not integral, from a prime that divides a denominator of C,
+    and its lift can pass as a recurrence that is not minimal: P^3, P^2, P,
+    1 is 0, 0, 0, 1 mod P, with L = 4, where the check tests no term.  While
+    2L <= len(seq) it cannot pass (Gauss's lemma: it would be a multiple of
+    the primitive form of C, whose constant term the prime divides), so a
+    group with 2L > len(seq) is lifted only once its modulus passes the
+    limit below, which the primes dividing one denominator do not reach.
+    Such an input has no integral fit and ends in FitError.
 
-    Each coefficient of C / C[0] is a ratio of two L x L minors of the
+    Each coefficient of C over Q is a ratio of two L x L minors of the
     Hankel matrix of seq, at most (sqrt(L) * max |seq|)^L by Hadamard's
     inequality.  So a group whose modulus exceeds twice the square of that
     bound at L = degree_bound + 2 without a passing lift rules out every
@@ -283,44 +246,40 @@ def _min_recurrence(seq: list[int], degree_bound: int) -> tuple[list[int], int]:
     rank = degree_bound + 2
     top_bits = max(max(seq), -min(seq)).bit_length()
     limit_bits = 2 * rank * (top_bits + rank.bit_length()) + 2
-    # length -> (modulus, residues, modulus bits for the next rational
-    # reconstruction); reconstruction costs grow with the modulus, so it is
-    # tried each time the modulus doubles in size, not at every prime
-    groups: dict[int, tuple[int, list[int], int]] = {}
+    # length -> (modulus, residues)
+    groups: dict[int, tuple[int, list[int]]] = {}
     for p in _primes():
         values, length = _min_lfsr_mod(seq, p)
         if length in groups:
-            modulus, residues, rational_bits = groups[length]
+            modulus, residues = groups[length]
             inv = pow(modulus % p, -1, p)
             residues = [
                 r + modulus * ((v - r % p) * inv % p) for r, v in zip(residues, values)
             ]
             modulus *= p
         else:
-            modulus, residues, rational_bits = p, values, 0
+            modulus, residues = p, values
         bits = modulus.bit_length()
-        rational = bits >= rational_bits or bits > limit_bits
-        if rational:
-            rational_bits = 2 * bits
-        groups[length] = modulus, residues, rational_bits
+        groups[length] = modulus, residues
         if 2 * length <= len(seq) or bits > limit_bits:
-            for c in _lifts(residues, modulus, rational):
-                while not c[-1]:
-                    c.pop()
-                if _reproduces(c, seq, length):
-                    return c, length
+            c = _symmetric(residues, modulus)
+            while not c[-1]:
+                c.pop()
+            if _reproduces(c, seq, length):
+                return c, length
         if bits > limit_bits:
             break
     raise FitError("insufficient terms: no rational fit reproduces the series")
 
 
 def fit_rational(
-    series: Sequence[int | Fraction],
+    series: Sequence[int],
     degree_bound: int,
 ) -> RationalGF:
-    """Minimal rational function matching every supplied series term.
+    """Minimal rational function with integer coefficients matching every term.
 
-    Raises FitError("insufficient terms ...") when fewer than
+    The terms must be ints; any other type raises ValueError.  Raises
+    FitError("insufficient terms ...") when fewer than
     2 * degree_bound + 2 terms are supplied or when no rational function with
     denominator degree <= degree_bound and numerator degree <= degree_bound + 1
     fits.  Within those bounds 2 * degree_bound + 2 terms determine the fit:
@@ -331,23 +290,19 @@ def fit_rational(
     against every term.  So when the series is known to be a rational
     function within the bounds, the returned fit is that function in lowest
     terms: a proof, not evidence, and no further term needs checking.  A
-    finite prefix may need rational recurrence coefficients (128, 64, ..., 1
-    has C = 1 - x/2); rational reconstruction recovers them.
+    finite prefix whose minimal recurrence is not integral (128, 64, ..., 1
+    has C = 1 - x/2) has no such fit and raises FitError.
     """
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
     series = list(series)
+    if not all(type(v) is int for v in series):
+        raise ValueError("series terms must be ints")
     if len(series) < 2 * degree_bound + 2:
         raise FitError(
             f"insufficient terms: need at least {2 * degree_bound + 2}, got {len(series)}"
         )
-    # Scale rational inputs to integers; the connection polynomial is scale
-    # invariant and the numerator is rebuilt from the original terms.
-    ints = series
-    if not all(isinstance(v, int) for v in series):
-        scale = lcm(*(v.denominator for v in series))
-        ints = [int(v * scale) for v in series]
-    c, length = _min_recurrence(ints, degree_bound)
+    c, length = _min_recurrence(series, degree_bound)
     deg_c = len(c) - 1
     if deg_c > degree_bound:
         raise FitError(
@@ -360,14 +315,7 @@ def fit_rational(
         raise FitError(
             f"insufficient terms: numerator degree {deg_num} exceeds bound {degree_bound + 1}"
         )
-    c0 = c[0]
-    if c0 != 1:
-        c = [Fraction(v, c0) for v in c]
-        num = [Fraction(v, c0) if not isinstance(v, Fraction) else v / c0 for v in num]
-    return RationalGF(
-        Polynomial(map(_scalar_tidy, num)),
-        Polynomial(map(_scalar_tidy, c)),
-    )
+    return RationalGF(Polynomial(num), Polynomial(c))
 
 
 def gf_height(
@@ -424,8 +372,16 @@ def sum_fractions(parts: Sequence[tuple[int, RationalGF]]) -> RationalGF:
     dens = [gf.denominator for _, gf in parts]
     if all(_coprime(p, q) for p, q in combinations(dens, 2)):
         return RationalGF(num, den)
+    return _refit(num, den, _fit_bivariate if bivariate else fit_rational)
+
+
+def _refit(num: Polynomial, den: Polynomial, fit) -> RationalGF:
+    """N/D in lowest terms: fit again from 2k + 2 terms, k = max(deg D, deg N - 1).
+
+    N/D lies within the degree bound k, so the fit of its own 2k + 2 terms is
+    N/D reduced (`fit_rational`).
+    """
     k = max(den.degree, num.degree - 1)
-    fit = _fit_bivariate if bivariate else fit_rational
     return fit(expand(RationalGF(num, den), 2 * k + 2), k)
 
 
@@ -763,37 +719,15 @@ def gf_height_area(
     return sum_fractions(parts)
 
 
-def specialize_q(gf: RationalGF, value) -> RationalGF:
-    """Substitute a value for q in a bivariate generating function and reduce."""
-    return reduce_gf(_substitute(gf.numerator, value), _substitute(gf.denominator, value))
+def specialize_q(gf: RationalGF, value: int) -> RationalGF:
+    """Set q to the integer value in a bivariate generating function and reduce.
+
+    The substituted fraction is fitted again from its own expansion
+    (`_refit`); a value that is not an int raises ValueError there.
+    """
+    return _refit(_substitute(gf.numerator, value), _substitute(gf.denominator, value), fit_rational)
 
 
-def _substitute(f: Polynomial, value) -> Polynomial:
+def _substitute(f: Polynomial, value: int) -> Polynomial:
     """f in Z[q][x] with q set to value."""
     return f.map_coefficients(lambda c: c.evaluate(value) if isinstance(c, Polynomial) else c)
-
-
-def reduce_gf(num: Polynomial, den: Polynomial) -> RationalGF:
-    """Cancel the gcd and normalize the denominator constant term to 1.
-
-    Integer polynomials that `_coprime` proves coprime skip the gcd over Q.
-    """
-    if not den:
-        raise ValueError("zero denominator")
-    integral = all(type(c) is int for c in num.coeffs + den.coeffs)
-    g = ONE if not num or (integral and _coprime(num, den)) else poly_gcd(num, den)
-    if g.degree >= 1:
-        num = divmod_exact(num, g)[0]
-        den = divmod_exact(den, g)[0]
-    d0 = den.coeffs[0]
-    if d0 != 1:
-        if not d0:
-            raise ValueError("denominator constant term vanishes")
-        inv = Fraction(1, 1) / Fraction(d0)
-        num = (num * inv).map_coefficients(_scalar_tidy)
-        den = (den * inv).map_coefficients(_scalar_tidy)
-    return RationalGF(num, den)
-
-
-def _scalar_tidy(v):
-    return int(v) if isinstance(v, Fraction) and v.denominator == 1 else v

@@ -1,7 +1,7 @@
 """Dense exact polynomials.
 
-Coefficients are Python ints, Fractions, or (for bivariate work) nested
-Polynomial values; arithmetic never leaves exact types.  Large integer
+Coefficients are Python ints or (for bivariate work) nested Polynomial
+values, so arithmetic stays in the integers.  Large integer
 multiplications go through Kronecker packing: coefficients are laid out in
 fixed-width bit slots of one big integer so CPython's subquadratic integer
 multiply does the convolution.
@@ -9,14 +9,11 @@ multiply does the convolution.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as _int_gcd
-
 _KRONECKER_MIN = 16
 
 
 def _is_scalar(v) -> bool:
-    return isinstance(v, (int, Fraction))
+    return isinstance(v, int)
 
 
 class Polynomial:
@@ -231,75 +228,8 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return unpack_signed(pack_coefficients(a, slot_bytes) * pack_coefficients(b, slot_bytes), slot_bytes)
 
 
-def _as_fraction_coeffs(p: Polynomial) -> list[Fraction]:
-    return [c if isinstance(c, Fraction) else Fraction(c) for c in p.coeffs]
-
-
-def divmod_exact(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder over the rationals (scalar coefficients only)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = _as_fraction_coeffs(a)
-    den = _as_fraction_coeffs(b)
-    dlen = len(den)
-    lead = den[-1]
-    if len(rem) < dlen:
-        return Polynomial(), a
-    quot = [Fraction(0)] * (len(rem) - dlen + 1)
-    for i in range(len(rem) - dlen, -1, -1):
-        factor = rem[i + dlen - 1] / lead
-        if factor:
-            quot[i] = factor
-            for j, c in enumerate(den):
-                rem[i + j] -= factor * c
-    return Polynomial(_tidy(quot)), Polynomial(_tidy(rem[: dlen - 1]))
-
-
-def _tidy(coeffs) -> list:
-    """Turn denominator-1 fractions back into ints."""
-    return [int(c) if isinstance(c, Fraction) and c.denominator == 1 else c for c in coeffs]
-
-
-def content(p: Polynomial) -> int:
-    """Positive gcd of integer coefficients (0 for the zero polynomial)."""
-    g = 0
-    for c in p.coeffs:
-        g = _int_gcd(g, c)
-    return g
-
-
-def primitive_part(p: Polynomial) -> Polynomial:
-    """Divide out the content; leading coefficient made positive."""
-    if not p:
-        return p
-    g = content(p)
-    if p.coeffs[-1] < 0:
-        g = -g
-    return Polynomial(tuple(c // g for c in p.coeffs))
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Gcd over the rationals, returned as a primitive integer polynomial.
-
-    The leading coefficient is normalized positive (the sign tie-break), so
-    the result is deterministic.
-    """
-    while b:
-        a, b = b, divmod_exact(a, b)[1]
-    if not a:
-        return a
-    fracs = _as_fraction_coeffs(a)
-    scale = 1
-    for c in fracs:
-        scale = scale * c.denominator // _int_gcd(scale, c.denominator)
-    ints = Polynomial(tuple(int(c * scale) for c in fracs))
-    return primitive_part(ints)
-
-
 def json_ready(c):
-    """Coefficient as a JSON-safe value: int, 'p/q' string, or nested list."""
+    """Coefficient as a JSON-safe value: an int, or a nested list for a Polynomial."""
     if isinstance(c, Polynomial):
         return [json_ready(v) for v in c.coeffs]
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
     return c

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from polyrect import Automaton, Polynomial, SeriesTable, build
-from polyrect.genfunc import RationalGF, reduce_gf
+from polyrect.genfunc import RationalGF
 from polyrect.polynomial import ONE, ZERO, unpack_coefficients
 
 
@@ -182,8 +182,8 @@ def gf_height_by_elimination(
 
     G = 1 + a^T (I - xM)^{-1} e0 for transfer matrix M, accepting indicator a,
     and initial unit vector e0, computed as a ratio of two determinants by
-    fraction-free elimination.  Exponentially sized intermediates make this a
-    small-width cross-check, not a production path.
+    fraction-free elimination, and not reduced.  Exponentially sized
+    intermediates make this a small-width cross-check, not a production path.
     """
     a = automaton if automaton is not None else build(width)
     m = transfer_matrix(a)
@@ -206,8 +206,7 @@ def gf_height_by_elimination(
     border_row = [Polynomial((-1,)) if i == 0 else ZERO for i in range(n)] + [ZERO]
     bordered.append(border_row)
     num = _poly_det_bareiss(bordered)
-    total_num = den + num
-    return reduce_gf(total_num, den)
+    return RationalGF(den + num, den)
 
 
 def reversed_charpoly(a: Automaton) -> Polynomial:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyrect
 from polyrect import (
     FitError, RowConfig, accepts, build, cli, count_series, counting, deserialize, genfunc,
     gf_height,
@@ -489,3 +494,13 @@ def test_byte_identical_reruns(capsys):
     third = run(capsys, "export-dot", "--b", "3")
     fourth = run(capsys, "export-dot", "--b", "3")
     assert third == fourth
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # the package computes in ints only, and neither module is paid for at startup
+    code = "import sys, polyrect.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(polyrect.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

@@ -23,10 +23,9 @@ from polyrect.genfunc import (
     _interpolate,
     _matches,
     _symmetric,
-    reduce_gf,
     sum_fractions,
 )
-from polyrect.polynomial import ONE, divmod_exact, poly_gcd
+from polyrect.polynomial import ONE
 
 from reference import forward_counts, gf_height_by_elimination, reversed_charpoly
 
@@ -81,23 +80,19 @@ def test_fit_fibonacci():
     assert gf.denominator.coeffs == (1, -1, -1)
 
 
-def test_fit_fraction_series():
-    series = [Fraction(1, 2 ** (k + 1)) for k in range(8)]
-    gf = fit_rational(series, 2)
-    assert expand(gf, 8) == series
-    assert gf.denominator.coeffs == (1, Fraction(-1, 2))
+def test_fit_rejects_non_integer_terms():
+    for series in ([1.0, 2.0, 4.0, 8.0], [1, 2, Fraction(4), 8], [1, 2, 4, True]):
+        with pytest.raises(ValueError, match="must be ints"):
+            fit_rational(series, 1)
 
 
 def test_fit_series_with_prime_ratio():
     # P^3, P^2, P, 1 is 0, 0, 0, 1 mod P: that prime alone gives a recurrence
-    # of length 4, which reproduces the four terms without testing one
+    # of length 4, which reproduces the four terms without testing one.  The
+    # only fit is P^3 / (1 - x/P), which is not integral
     big = 2**61 - 1
-    gf = fit_rational([big ** (3 - k) for k in range(4)], 1)
-    assert gf.numerator.coeffs == (big**3,)
-    assert gf.denominator.coeffs == (1, Fraction(-1, big))
-    gf = fit_rational([Fraction(1, big**k) for k in range(4)], 1)
-    assert gf.numerator.coeffs == (1,)
-    assert gf.denominator.coeffs == (1, Fraction(-1, big))
+    with pytest.raises(FitError, match="insufficient terms"):
+        fit_rational([big ** (3 - k) for k in range(4)], 1)
 
 
 def test_fit_limit_ends_search(monkeypatch):
@@ -163,9 +158,9 @@ SMALL_PRIMES = [p for p in range(3, 212) if all(p % d for d in range(2, p))]
 
 def test_small_primes_change_no_fit(automaton, monkeypatch):
     # primes this small make discrepancies vanish, so some primes give the
-    # wrong recurrence length, lifts need several CRT rounds, and the
-    # fraction series needs rational reconstruction; 3 divides the ratio of
-    # the geometric series below, so that prime gives a longer recurrence.
+    # wrong recurrence length and lifts need several CRT rounds; 3 divides
+    # the ratio of the geometric series below, so that prime gives a longer
+    # recurrence, and its only fit 3^7 / (1 - x/3) is not integral.
     # The 46 primes are all there is: a FitError case that uses them up
     # ends for that reason, not at the limit (see test_fit_limit_ends_search)
     heights = {b: gf_height(b, automaton=automaton(b)) for b in range(1, 5)}
@@ -185,7 +180,7 @@ def test_small_primes_change_no_fit(automaton, monkeypatch):
         test_fit_transient_then_constant,
         test_fit_zero_series,
         test_fit_fibonacci,
-        test_fit_fraction_series,
+        test_fit_rejects_non_integer_terms,
         test_fit_series_with_prime_ratio,
         test_fit_requires_enough_terms,
         test_fit_rejects_numerator_beyond_bound,
@@ -193,9 +188,8 @@ def test_small_primes_change_no_fit(automaton, monkeypatch):
         test_fit_round_trip_random_rationals,
     ):
         check()
-    gf = fit_rational([3 ** (7 - k) for k in range(8)], 2)
-    assert gf.numerator.coeffs == (3**7,)
-    assert gf.denominator.coeffs == (1, Fraction(-1, 3))
+    with pytest.raises(FitError, match="insufficient terms"):
+        fit_rational([3 ** (7 - k) for k in range(8)], 2)
     for b, gf in heights.items():
         assert gf_height(b, automaton=automaton(b)) == gf, b
     assert gf_height_area(2, automaton=automaton(2)) == area
@@ -250,7 +244,7 @@ def test_fits_build_the_quotient_once(monkeypatch):
 def test_gf_height_numerator_denominator_coprime(automaton):
     for width in (1, 2, 3, 4):
         gf = gf_height(width, automaton=automaton(width))
-        assert poly_gcd(gf.numerator, gf.denominator).degree == 0, width
+        assert _coprime(gf.numerator, gf.denominator), width
 
 
 def test_sum_of_fractions_with_a_common_factor_is_reduced_exactly():
@@ -264,7 +258,7 @@ def test_sum_of_fractions_with_a_common_factor_is_reduced_exactly():
     den = first.denominator * second.denominator
     num = den + first.numerator * second.denominator - second.numerator * first.denominator * 2
     got = sum_fractions([(1, first), (-2, second)])
-    assert got == reduce_gf(num, den)
+    assert got.numerator * den == num * got.denominator
     assert got.denominator.degree == 3
     assert got.denominator.coeffs[0] == 1
     want = [a - 2 * b for a, b in zip(expand(first, 20), expand(second, 20))]
@@ -297,17 +291,18 @@ def test_elimination_backend_agrees(automaton):
     for width in (1, 2, 3):
         ge = gf_height_by_elimination(width, automaton=automaton(width))
         gh = gf_height(width, automaton=automaton(width))
-        assert ge.numerator == gh.numerator, width
-        assert ge.denominator == gh.denominator, width
+        assert ge.numerator * gh.denominator == gh.numerator * ge.denominator, width
 
 
 def test_denominator_divides_reversed_charpoly(automaton):
     for width in (2, 3, 4):
         a = automaton(width)
-        gh = gf_height(width, automaton=a)
-        quotient, remainder = divmod_exact(reversed_charpoly(a), gh.denominator)
-        assert not remainder, width
-        assert quotient.coeffs == tuple(int(c) for c in quotient.coeffs)
+        den = gf_height(width, automaton=a).denominator
+        charpoly = reversed_charpoly(a)
+        # den(0) = 1, so den divides charpoly exactly when the quotient's
+        # expansion, truncated past deg charpoly, multiplies back to it
+        quotient = Polynomial(expand(RationalGF(charpoly, den), charpoly.degree + 1))
+        assert quotient * den == charpoly, width
 
 
 def test_reversed_charpoly_constant_term(automaton):
@@ -337,6 +332,12 @@ def test_bivariate_collapses_at_q_one(automaton):
         collapsed = specialize_q(gf, 1)
         direct = gf_height(width, automaton=automaton(width))
         assert expand(collapsed, 20) == expand(direct, 20), width
+        if width < 2:
+            continue
+        area = count_area_series(width, 30).area_counts
+        for t in (2, -1, 0):
+            want = [p.evaluate(t) for p in area]
+            assert expand(specialize_q(gf, t), 31) == want, (width, t)
 
 
 def test_bivariate_group_sum_is_the_whole_series_fit(automaton):
@@ -384,16 +385,9 @@ def test_specialize_q_reduces():
     collapsed = specialize_q(gf, 1)
     assert collapsed.numerator == 1
     assert collapsed.denominator.coeffs == (1, 1)
-
-
-def test_reduce_gf_normalizes():
-    num = Polynomial((2, 2))
-    den = Polynomial((2, 0, -2))
-    gf = reduce_gf(num, den)
-    assert gf.numerator == 1
-    assert gf.denominator.coeffs == (1, -1)
+    # q = 1/2 would leave rational coefficients
     with pytest.raises(ValueError):
-        reduce_gf(ONE, Polynomial())
+        specialize_q(gf_height_area(2), 0.5)
 
 
 def test_modular_interpolation_rebuilds_integer_polynomial():
