@@ -180,14 +180,11 @@ def _render_word(word: LabeledWord, width: int) -> str:
 
 
 def _parse_word(text: str, width: int) -> tuple[int, ...]:
-    if width <= 9:
-        if len(text) != width or not text.isdigit():
-            raise AutomatonFormatError(f"bad word string {text!r} for width {width}")
-        return tuple(int(c) for c in text)
-    parts = text.split(",")
-    if len(parts) != width or not all(p.isdigit() for p in parts):
+    # isdigit alone also admits digits such as "²" and "١"
+    parts = text if width <= 9 else text.split(",")
+    if len(parts) != width or not text.isascii() or not all(p.isdigit() for p in parts):
         raise AutomatonFormatError(f"bad word string {text!r} for width {width}")
-    return tuple(int(p) for p in parts)
+    return tuple(map(int, parts))
 
 
 def _row_shapes(a: Automaton, make):

@@ -46,7 +46,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .automaton import (
     DEFAULT_STATE_CEILING, build, check_ceiling, export_dot, serialize, state_count_formula,
@@ -65,18 +64,6 @@ RESOURCE = 3
 INTERNAL = 4
 
 
-@dataclass(slots=True)
-class RunConfig:
-    command: str
-    width: int
-    height: int = 0
-    h_max: int = 0
-    stack_path: str | None = None
-    output: str | None = None
-    fmt: str = "text"
-    max_states: int = DEFAULT_STATE_CEILING
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -89,11 +76,11 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _gf_payload(cfg: RunConfig, gf) -> str:
+def _gf_payload(ns: argparse.Namespace, gf) -> str:
     dn, dd, dm = gf.degrees()
-    if cfg.fmt == "json":
+    if ns.format == "json":
         obj = gf.to_json_obj()
-        obj.update({"b": cfg.width, "degrees": {"num": dn, "den": dd, "max": dm}})
+        obj.update({"b": ns.b, "degrees": {"num": dn, "den": dd, "max": dm}})
         return _json_text(obj)
     return (
         f"numerator: {gf.numerator.to_string()}\n"
@@ -102,14 +89,15 @@ def _gf_payload(cfg: RunConfig, gf) -> str:
     )
 
 
-def _run_states(cfg: RunConfig) -> tuple[int, str]:
-    formula = state_count_formula(cfg.width)
-    enumerated = len(enumerate_valid_states(cfg.width))
-    reachable = build(cfg.width, cfg.max_states).n_states
-    if cfg.fmt == "json":
+def _run_states(ns: argparse.Namespace) -> tuple[int, str]:
+    check_ceiling(ns.b, ns.max_states)
+    formula = state_count_formula(ns.b)
+    enumerated = len(enumerate_valid_states(ns.b))
+    reachable = build(ns.b, ns.max_states).n_states
+    if ns.format == "json":
         return 0, _json_text(
             {
-                "b": cfg.width,
+                "b": ns.b,
                 "formula": formula,
                 "enumerated": enumerated,
                 "reachable": reachable,
@@ -120,29 +108,29 @@ def _run_states(cfg: RunConfig) -> tuple[int, str]:
     )
 
 
-def _run_build(cfg: RunConfig) -> tuple[int, bytes]:
-    a = build(cfg.width, cfg.max_states)
+def _run_build(ns: argparse.Namespace) -> tuple[int, bytes]:
+    a = build(ns.b, ns.max_states)
     return 0, serialize(a) + b"\n"
 
 
-def _run_count(cfg: RunConfig) -> tuple[int, str]:
-    check_ceiling(cfg.width, cfg.max_states)
-    value = count_series(cfg.width, cfg.height).counts[cfg.height]
-    if cfg.fmt == "json":
-        return 0, _json_text({"b": cfg.width, "h": cfg.height, "count": value})
-    if cfg.fmt == "csv":
-        return 0, _csv_text(["h", "count"], [[cfg.height, value]])
+def _run_count(ns: argparse.Namespace) -> tuple[int, str]:
+    check_ceiling(ns.b, ns.max_states)
+    value = count_series(ns.b, ns.h).counts[ns.h]
+    if ns.format == "json":
+        return 0, _json_text({"b": ns.b, "h": ns.h, "count": value})
+    if ns.format == "csv":
+        return 0, _csv_text(["h", "count"], [[ns.h, value]])
     return 0, f"{value}\n"
 
 
-def _run_series(cfg: RunConfig) -> tuple[int, str]:
-    check_ceiling(cfg.width, cfg.max_states)
-    counts = count_series(cfg.width, cfg.h_max).counts
-    if cfg.fmt == "json":
+def _run_series(ns: argparse.Namespace) -> tuple[int, str]:
+    check_ceiling(ns.b, ns.max_states)
+    counts = count_series(ns.b, ns.h_max).counts
+    if ns.format == "json":
         return 0, _json_text(
-            {"b": cfg.width, "h_max": cfg.h_max, "counts": list(counts)}
+            {"b": ns.b, "h_max": ns.h_max, "counts": list(counts)}
         )
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
         return 0, _csv_text(["h", "count"], list(enumerate(counts)))
     return 0, "".join(f"{h}\t{c}\n" for h, c in enumerate(counts))
 
@@ -156,48 +144,48 @@ def _area_rows(area_counts) -> list[list[int]]:
     return rows
 
 
-def _run_area_series(cfg: RunConfig) -> tuple[int, str]:
-    check_ceiling(cfg.width, cfg.max_states)
-    table = count_area_series(cfg.width, cfg.h_max)
-    if cfg.fmt == "json":
+def _run_area_series(ns: argparse.Namespace) -> tuple[int, str]:
+    check_ceiling(ns.b, ns.max_states)
+    table = count_area_series(ns.b, ns.h_max)
+    if ns.format == "json":
         return 0, _json_text(
             {
-                "b": cfg.width,
-                "h_max": cfg.h_max,
+                "b": ns.b,
+                "h_max": ns.h_max,
                 "area_counts": [
                     [[n, c] for _, n, c in _area_rows([poly])]
                     for poly in table.area_counts
                 ],
             }
         )
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
         return 0, _csv_text(["h", "n", "coefficient"], _area_rows(table.area_counts))
     return 0, "".join(f"{h}\t{poly.to_string('q')}\n" for h, poly in enumerate(table.area_counts))
 
 
-def _run_gf(cfg: RunConfig) -> tuple[int, str]:
-    gf = gf_height(cfg.width, max_states=cfg.max_states)
-    return 0, _gf_payload(cfg, gf)
+def _run_gf(ns: argparse.Namespace) -> tuple[int, str]:
+    gf = gf_height(ns.b, max_states=ns.max_states)
+    return 0, _gf_payload(ns, gf)
 
 
-def _run_area_gf(cfg: RunConfig) -> tuple[int, str]:
-    gf = gf_height_area(cfg.width, max_states=cfg.max_states)
-    return 0, _gf_payload(cfg, gf)
+def _run_area_gf(ns: argparse.Namespace) -> tuple[int, str]:
+    gf = gf_height_area(ns.b, max_states=ns.max_states)
+    return 0, _gf_payload(ns, gf)
 
 
-def _run_verify(cfg: RunConfig) -> tuple[int, str]:
-    check_ceiling(cfg.width, cfg.max_states)
-    table = count_area_series(cfg.width, cfg.h_max)
+def _run_verify(ns: argparse.Namespace) -> tuple[int, str]:
+    check_ceiling(ns.b, ns.max_states)
+    table = count_area_series(ns.b, ns.h_max)
     lines = []
     failed = False
-    for h in range(1, cfg.h_max + 1):
-        if cfg.width * h > ORACLE_CELL_LIMIT:
+    for h in range(1, ns.h_max + 1):
+        if ns.b * h > ORACLE_CELL_LIMIT:
             lines.append(
-                f"b={cfg.width} h={h}: skipped (oracle ceiling {ORACLE_CELL_LIMIT} cells)\n"
+                f"b={ns.b} h={h}: skipped (oracle ceiling {ORACLE_CELL_LIMIT} cells)\n"
             )
             continue
         # the histogram sums to the count, so one oracle scan checks both
-        expected_hist = brute_force_area_histogram(cfg.width, h)
+        expected_hist = brute_force_area_histogram(ns.b, h)
         got_hist = {
             n: c for n, c in enumerate(table.area_counts[h].coeffs) if c
         }
@@ -205,21 +193,21 @@ def _run_verify(cfg: RunConfig) -> tuple[int, str]:
             got, expected = sum(got_hist.values()), sum(expected_hist.values())
             failed = True
             lines.append(
-                f"b={cfg.width} h={h}: FAIL (automaton {got}, oracle {expected})\n"
+                f"b={ns.b} h={h}: FAIL (automaton {got}, oracle {expected})\n"
             )
         else:
-            lines.append(f"b={cfg.width} h={h}: pass\n")
+            lines.append(f"b={ns.b} h={h}: pass\n")
     return (MISMATCH if failed else 0), "".join(lines)
 
 
-def _run_export_dot(cfg: RunConfig) -> tuple[int, str]:
-    a = build(cfg.width, cfg.max_states)
+def _run_export_dot(ns: argparse.Namespace) -> tuple[int, str]:
+    a = build(ns.b, ns.max_states)
     return 0, export_dot(a)
 
 
-def _run_accepts(cfg: RunConfig) -> tuple[int, str]:
+def _run_accepts(ns: argparse.Namespace) -> tuple[int, str]:
     try:
-        with open(cfg.stack_path, "r", encoding="ascii") as fh:
+        with open(ns.stack, "r", encoding="ascii") as fh:
             raw = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_usage(f"cannot read stack file: {exc}"))
@@ -227,15 +215,15 @@ def _run_accepts(cfg: RunConfig) -> tuple[int, str]:
     if not rows:
         raise SystemExit(_usage("stack file contains no rows"))
     for line in rows:
-        if len(line) != cfg.width or set(line) - {"0", "1"}:
+        if len(line) != ns.b or set(line) - {"0", "1"}:
             raise SystemExit(
-                _usage(f"stack row {line!r} is not a 0/1 word of width {cfg.width}")
+                _usage(f"stack row {line!r} is not a 0/1 word of width {ns.b}")
             )
     if any(line.count("1") == 0 for line in rows):
         # no letter exists for an empty row, so no run can accept the stack
         return MISMATCH, "rejected\n"
-    check_ceiling(cfg.width, cfg.max_states)
-    state = initial_state(cfg.width)
+    check_ceiling(ns.b, ns.max_states)
+    state = initial_state(ns.b)
     for line in rows:
         state = step(state, RowConfig.from_string(line))
         if state is None:
@@ -263,10 +251,10 @@ def _usage(message: str) -> int:
     return USAGE_ERROR
 
 
-def run(cfg: RunConfig) -> int:
+def run(ns: argparse.Namespace) -> int:
     """Execute one command; returns the process exit status."""
     try:
-        status, payload = _HANDLERS[cfg.command](cfg)
+        status, payload = _HANDLERS[ns.command](ns)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RESOURCE
@@ -279,10 +267,10 @@ def run(cfg: RunConfig) -> int:
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL
-    if cfg.output:
+    if ns.output:
         mode = "wb" if isinstance(payload, bytes) else "w"
         try:
-            with open(cfg.output, mode) as fh:
+            with open(ns.output, mode) as fh:
                 fh.write(payload)
         except OSError as exc:
             return _usage(f"cannot write output file: {exc}")
@@ -295,11 +283,8 @@ def run(cfg: RunConfig) -> int:
     return status
 
 
-def _build_parser(wanted=None) -> argparse.ArgumentParser:
-    """Every subcommand's parser, with arguments only for those named in wanted (all if None).
-
-    main passes its argv entries, one of which names the command to run.
-    """
+def _build_parser(names=None) -> argparse.ArgumentParser:
+    """The parser, with subcommands only for the commands in names (all if None)."""
     parser = argparse.ArgumentParser(
         prog="polyrect",
         description="Count polyominoes inscribed in a b x h rectangle.",
@@ -314,9 +299,9 @@ def _build_parser(wanted=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, *, height=False, h_max=False, stack=False, fmts=("text", "json")):
-        p = sub.add_parser(name)
-        if wanted is not None and name not in wanted:
+        if names is not None and name not in names:
             return
+        p = sub.add_parser(name)
         p.add_argument("--b", type=int, required=True, metavar="WIDTH",
                        help=f"rectangle width, 1..{MAX_WIDTH}")
         if height:
@@ -343,32 +328,27 @@ def _build_parser(wanted=None) -> argparse.ArgumentParser:
     return parser
 
 
-def _to_config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=ns.command,
-        width=ns.b,
-        height=getattr(ns, "h", 0),
-        h_max=getattr(ns, "h_max", 0),
-        stack_path=getattr(ns, "stack", None),
-        output=ns.output,
-        fmt=getattr(ns, "format", "text"),
-        max_states=ns.max_states,
-    )
-    if not 1 <= cfg.width <= MAX_WIDTH:
+def _checked(ns: argparse.Namespace) -> argparse.Namespace:
+    if not 1 <= ns.b <= MAX_WIDTH:
         raise SystemExit(_usage(f"--b must be in 1..{MAX_WIDTH}"))
-    if cfg.height < 0 or cfg.h_max < 0:
+    if getattr(ns, "h", 0) < 0 or getattr(ns, "h_max", 0) < 0:
         raise SystemExit(_usage("heights must be nonnegative"))
-    if cfg.max_states <= 0:
+    if ns.max_states <= 0:
         raise SystemExit(_usage("--max-states must be positive"))
-    return cfg
+    return ns
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns = _build_parser(set(argv)).parse_args(argv)
-    return run(_to_config(ns))
+    # one subcommand's parser when argv names it; help and errors need them all
+    names = {argv[0]} if argv and argv[0] in _HANDLERS else None
+    ns, stray = _build_parser(names).parse_known_args(argv)
+    if stray:
+        # argparse's own error, with every command in its usage line
+        _build_parser().parse_args(argv)
+    return run(_checked(ns))
 
 
 if __name__ == "__main__":

@@ -48,11 +48,11 @@ coefficient vanishes (`_coprime`).  A width is fitted by specializing q at
 t = 1, 2, ... modulo primes just below 2^61: Berlekamp-Massey at each point
 gives D(t) mod p, Lagrange interpolation turns the values into the
 q-coefficients of D mod p, primes are combined by the Chinese remainder
-theorem, and the symmetric lift is the candidate denominator.  Its numerator
-is (D * S) mod x^(k_w + 2), exactly, and the candidate is checked once,
-exactly, against the 2k_w + 2 terms by substituting q = 2^s with a slot
-width s large enough that the integer identity implies the identity in
-Z[q] (see `_matches`).  So here too the primes decide only the running
+theorem, and the symmetric lift is the candidate denominator.  One exact
+pass over the 2k_w + 2 terms at q = 2^s, with a slot width s large enough
+that the integer identity implies the identity in Z[q], both reads off the
+numerator (D * S) mod x^(k_w + 2) and proves that N/D reproduces every term
+(see `_proved_numerator`).  So here too the primes decide only the running
 time.
 """
 
@@ -451,7 +451,7 @@ def _coprime(a: Polynomial, b: Polynomial) -> bool:
 
 
 def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalGF:
-    """Fit over Z[q] by specialization modulo primes, proved by `_matches`.
+    """Fit over Z[q] by specialization modulo primes, proved by `_proved_numerator`.
 
     For each prime p, `_denominator_mod` finds the residues of the
     denominator's q-coefficients.  Primes that agree on their shape (the
@@ -460,9 +460,9 @@ def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalG
     degree bound is a candidate when its coefficients leave 32 bits of the
     modulus unused, or else when it agrees with the recurrence at one point
     modulo another prime (`_agrees_mod`); a wrong lift rarely passes either
-    test, which only spare a failing `_matches`.  A candidate's numerator is
-    (D * S) mod x^(degree_bound + 2), exactly, and it is returned once
-    `_matches` proves that it reproduces all of series.  With
+    test, which only spare a failing proof.  A candidate's numerator is
+    (D * S) mod x^(degree_bound + 2), and it is returned once
+    `_proved_numerator` proves that N/D reproduces all of series.  With
     2 * degree_bound + 2 terms of a series that is a rational function
     within the bound, that agreement proves the candidate (`fit_rational`),
     so the primes decide the running time, never the result.  Primes whose
@@ -479,7 +479,7 @@ def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalG
     rank = degree_bound + 2
     top_bits = max(abs(c) for s in series for c in s.coeffs).bit_length()
     limit_bits = 2 * rank * (top_bits + rank.bit_length()) + 2
-    # shape -> (modulus, residues, last lift that failed `_matches`)
+    # shape -> (modulus, residues, last lift whose proof failed)
     groups: dict[tuple, tuple[int, list[list[int]], list | None]] = {}
     spent = 0
     for p in _primes():
@@ -511,9 +511,9 @@ def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalG
                 or _agrees_mod(lift, series, next(q for q in _primes() if modulus % q))
             )
         ):
-            candidate = RationalGF(_numerator(den, series, degree_bound), den)
-            if _matches(candidate, series):
-                return candidate
+            num = _proved_numerator(den, series, degree_bound)
+            if num is not None:
+                return RationalGF(num, den)
             failed = lift
         groups[shape] = modulus, residues, failed
     raise FitError("insufficient terms: bivariate fit did not stabilize")
@@ -529,9 +529,7 @@ def _evaluator(series: Sequence[Polynomial], p: int):
     width = max(len(s.coeffs) for s in series)
     slot_bytes = (2 * p.bit_length() + width.bit_length() + 7) // 8
     rows = [[c % p for c in s.coeffs] + [0] * (width - len(s.coeffs)) for s in series]
-    raw = b"".join([v.to_bytes(slot_bytes, "little") for col in zip(*rows) for v in col])
-    size = slot_bytes * len(series)
-    columns = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    columns = [pack_coefficients(col, slot_bytes) for col in zip(*rows)]
 
     def at(t: int) -> list[int]:
         powers = [1] * width
@@ -636,7 +634,7 @@ def _agrees_mod(lift: list[list[int]], series: Sequence[Polynomial], p: int) -> 
     The first t whose recurrence has length L decides; a longer one rules
     the lift out.  A wrong lift has a coefficient off by a multiple of the
     modulus, which p does not divide, so it rarely agrees at a point: this
-    spares a failing `_matches`, and proves nothing.  No such t among the
+    spares a failing proof, and proves nothing.  No such t among the
     first few: True.
     """
     for t in range(1, min(p, 8)):
@@ -648,45 +646,39 @@ def _agrees_mod(lift: list[list[int]], series: Sequence[Polynomial], p: int) -> 
     return True
 
 
-def _numerator(den: Polynomial, series: Sequence[Polynomial], degree_bound: int) -> Polynomial:
-    """(den * series) mod x^(degree_bound + 2), over Z[q]."""
-    return Polynomial(
-        sum((d * s for d, s in zip(den.coeffs, series[j::-1])), Polynomial())
-        for j in range(degree_bound + 2)
-    )
+def _proved_numerator(
+    den: Polynomial, series: Sequence[Polynomial], degree_bound: int
+) -> Polynomial | None:
+    """N = (den * series) mod x^(degree_bound + 2) over Z[q] if N/den expands to series, else None.
 
-
-def _matches(gf: RationalGF, series: Sequence[Polynomial]) -> bool:
-    """Whether gf = N/D over Z[q] expands to every term of series, exactly.
-
-    With D_0 = 1, the expansion agrees on all terms j < T exactly when every
-    E_j = sum_k D_k * S_{j-k} - N_j vanishes in Z[q].  Each coefficient of
-    E_j is at most B = sum_k |D_k|_1 * max_h |S_h|_inf + max_j |N_j|_inf in
-    absolute value.  Substitute q = 2^s with s >= bitlen(B) + 2 (whole bytes),
-    so every coefficient lies strictly inside (-2^(s-1), 2^(s-1)).  Balanced
-    base-2^s digits are unique, so E_j(2^s) = 0 holds exactly when E_j = 0,
-    and one integer per term decides the identity in Z[q]: a proof over the
-    checked terms, not a sampled test.
+    With D_0 = 1, the expansion of N/D agrees on all terms j < T exactly
+    when every E_j = sum_k D_k * S_{j-k} is N_j for j < degree_bound + 2
+    and vanishes in Z[q] beyond.  Each coefficient of E_j is at most
+    B = sum_k |D_k|_1 * max_h |S_h|_inf in absolute value.  Substitute
+    q = 2^s with s >= bitlen(B) + 2 (whole bytes), so every coefficient
+    lies strictly inside (-2^(s-1), 2^(s-1)).  Balanced base-2^s digits are
+    unique, so the digits of E_j(2^s) are the q-coefficients of E_j, and
+    E_j(2^s) = 0 holds exactly when E_j = 0: one integer per term decides
+    the identity in Z[q], a proof over the checked terms, not a sampled test.
 
     Each D_k(2^s) * S_i(2^s) is summed as d_km * S_i(2^s) shifted by s*m over
     the nonzero coefficients d_km of D_k: scaling a big integer by the small
     d_km is several times cheaper than multiplying it by the packed D_k.
     """
-    den, num = gf.denominator.coeffs, gf.numerator.coeffs
     top = max(abs(c) for p in series for c in p.coeffs)
-    bound = top * sum(abs(c) for p in den for c in p.coeffs)
-    bound += max((abs(c) for p in num for c in p.coeffs), default=0)
-    slot_bytes = (bound.bit_length() + 2 + 7) // 8
+    slot_bytes = ((top * _l1(den)).bit_length() + 2 + 7) // 8
     slot = 8 * slot_bytes
     packed = [pack_coefficients(p.coeffs, slot_bytes) for p in series]
-    packed_num = [pack_coefficients(p.coeffs, slot_bytes) for p in num]
+    num = []
     for j in range(len(packed)):
-        e_j = -packed_num[j] if j < len(packed_num) else 0
-        for k, p in enumerate(den[: j + 1]):
+        e_j = 0
+        for k, p in enumerate(den.coeffs[: j + 1]):
             e_j += sum(d * packed[j - k] << (slot * m) for m, d in enumerate(p.coeffs) if d)
-        if e_j:
-            return False
-    return True
+        if j < degree_bound + 2:
+            num.append(Polynomial(unpack_signed(e_j, slot_bytes)))
+        elif e_j:
+            return None
+    return Polynomial(num)
 
 
 def gf_height_area(

@@ -223,12 +223,17 @@ def test_hand_made_rows_serialize_as_reference(mutate):
     assert export_dot(hand_made) == export_dot_reference(hand_made)
 
 
-def test_wide_words_serialize_with_commas():
+def _wide_automaton():
+    """A hand-made two-state automaton of width 10, whose words take commas."""
     width = 10
     last = AutomatonState(LabeledWord((1,) + (0,) * (width - 2) + (2,)), True, True)
     rows = [array("i", [-1]) * ((1 << width) - 1) for _ in range(2)]
     rows[0][(1 << width - 1 | 1) - 1] = 1
-    a = Automaton(width, (initial_state(width), last), frozenset(), tuple(rows))
+    return Automaton(width, (initial_state(width), last), frozenset(), tuple(rows))
+
+
+def test_wide_words_serialize_with_commas():
+    a = _wide_automaton()
     assert b'"word":"1,0,0,0,0,0,0,0,0,2"' in serialize(a)
     assert serialize(a) == serialize_reference(a)
     assert export_dot(a) == export_dot_reference(a)
@@ -258,6 +263,16 @@ def test_deserialize_format_errors():
     truncated = serialize(build(2))[:-20]
     with pytest.raises(AutomatonFormatError):
         deserialize(truncated)
+    # digits outside ASCII pass str.isdigit: "²" fails in int(), "٠" and "١" read as 0 and 1
+    for a, state, words in (
+        (build(2), 0, ["²²", "٠٠"]),
+        (_wide_automaton(), 1, ["1,0,0,0,0,0,0,0,0,²", "1,0,0,0,0,0,0,0,0,١"]),
+    ):
+        for word in words:
+            doc = json.loads(serialize(a))
+            doc["states"][state]["word"] = word
+            with pytest.raises(AutomatonFormatError, match="^bad word string"):
+                deserialize(json.dumps(doc).encode())
 
 
 def test_deserialize_version_error():

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -305,6 +306,16 @@ def test_accepts_respects_state_ceiling(tmp_path, capsys):
     assert err == "error: width 3 projects 16 states, ceiling is 5\n"
 
 
+def test_states_checks_the_ceiling_before_listing(monkeypatch, capsys):
+    def refused(width):
+        raise AssertionError("the states were listed")
+
+    monkeypatch.setattr("polyrect.cli.enumerate_valid_states", refused)
+    code, out, err = run(capsys, "states", "--b", "3", "--max-states", "5")
+    assert (code, out) == (3, "")
+    assert err == "error: width 3 projects 16 states, ceiling is 5\n"
+
+
 def test_accepts_bad_row_is_usage_error(tmp_path, capsys):
     path = tmp_path / "stack.txt"
     path.write_text("011\n")
@@ -394,18 +405,32 @@ def _usage_output(capsys, parser, argv):
 
 @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
 def test_parser_builds_only_the_named_command(command, capsys):
-    # main adds arguments only to the subcommand its argv names; help and
-    # usage errors must read as with every subcommand's arguments built
+    # main builds only the subcommand its argv names; help and usage errors
+    # must read as with every subcommand built
     complete = cli._build_parser()
-    for argv in ([command, "--help"], [command], [command, "--b"]):
+    for argv in (
+        [command, "--help"], [command, "-h"], [command], [command, "--b"],
+        [command, "--b", "2", "stray"], ["--b", "2", command],
+        ["--help"], ["nope"], [],
+    ):
         want = _usage_output(capsys, complete, argv)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         out = capsys.readouterr()
         assert (exc.value.code, out.out, out.err) == want, argv
-    for argv in (["--help"], ["nope"], []):
-        want = _usage_output(capsys, complete, argv)
-        assert _usage_output(capsys, cli._build_parser({command}), argv) == want, argv
+
+
+def test_valid_command_builds_one_subparser(monkeypatch, capsys):
+    calls = []
+    real = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        calls.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run(capsys, "area-gf", "--b", "2")[0] == 0
+    assert calls == ["area-gf"]
 
 
 def test_env_ceiling(monkeypatch, capsys):

@@ -21,7 +21,7 @@ from polyrect.genfunc import (
     _coprime,
     _fit_bivariate,
     _interpolate,
-    _matches,
+    _proved_numerator,
     _symmetric,
     sum_fractions,
 )
@@ -461,23 +461,21 @@ def _bump_last(entries, delta):
     return Polynomial(entries[:-1] + (Polynomial(coeffs),))
 
 
-def test_matches_rejects_one_coefficient_perturbations(automaton):
+def test_proved_numerator_rejects_one_coefficient_perturbations(automaton):
     gf, series = _area_setup(automaton, 3)
-    assert _matches(gf, series)
-    num, den = gf.numerator.coeffs, gf.denominator.coeffs
+    bound = max(gf.denominator.degree, gf.numerator.degree - 1)
+    assert _proved_numerator(gf.denominator, series, bound) == gf.numerator
     for delta in (1, -1):
-        bad_num = RationalGF(_bump_last(num, delta), gf.denominator)
-        assert not _matches(bad_num, series), delta
-        bad_den = RationalGF(gf.numerator, _bump_last(den, delta))
-        assert not _matches(bad_den, series), delta
+        bad = _bump_last(gf.denominator.coeffs, delta)
+        assert _proved_numerator(bad, series, bound) is None, delta
 
 
-def test_matches_rejects_perturbations_that_vanish_at_a_power_of_two(automaton):
+def test_proved_numerator_rejects_perturbations_that_vanish_at_a_power_of_two(automaton):
     # adding q - 2^s leaves the value at q = 2^s unchanged, so only a slot
     # width sized from the candidate's own coefficients can see it
     gf, series = _area_setup(automaton, 2)
-    num = gf.numerator.coeffs
+    den = gf.denominator.coeffs
+    bound = max(gf.denominator.degree, gf.numerator.degree - 1)
     for s in range(8, 520, 8):
-        hidden = num[-1] + Polynomial((-(1 << s), 1))
-        bad = RationalGF(Polynomial(num[:-1] + (hidden,)), gf.denominator)
-        assert not _matches(bad, series), s
+        hidden = den[-1] + Polynomial((-(1 << s), 1))
+        assert _proved_numerator(Polynomial(den[:-1] + (hidden,)), series, bound) is None, s
