@@ -10,7 +10,9 @@ step each distinct (kernel word, letter) pair once, through a per-word memo
 that lives only as long as the call.  While building, a state is the int
 word_id << 2 | left << 1 | right; one LabeledWord per word, and with it word
 validation, and one AutomatonState per state are made at the end.  For the
-same reason serialize() and export_dot() format each word's row shape once.
+same reason serialize() and export_dot() format each word's row shape once,
+and deserialize() checks a file in serialize()'s layout by comparing its text
+with the recomputed rows so rendered; only other input is decoded pair by pair.
 """
 
 from __future__ import annotations
@@ -93,6 +95,8 @@ class Automaton:
         """Index of the successor state, or None when undefined."""
         if row.width != self.width:
             raise ValueError(f"width mismatch: {row.width} vs {self.width}")
+        if not 0 <= state_index < self.n_states:
+            raise IndexError(f"state index {state_index} out of range 0..{self.n_states - 1}")
         t = self.transitions[state_index][row.bits - 1]
         return None if t < 0 else t
 
@@ -210,13 +214,21 @@ def _row_shapes(a: Automaton, make):
         yield template, tuple(compress(row, selector))
 
 
+def _rows_json(a: Automaton) -> str:
+    """serialize()'s transitions, each row filling its word's "[[1,%d],[3,%d],...]"."""
+    pairs = ["[%d,%%d]" % bits for bits in range(1, 1 << a.width)]
+    rows = ",".join(
+        template % targets
+        for template, targets in _row_shapes(a, lambda sel: f"[{','.join(compress(pairs, sel))}]")
+    )
+    return f"[{rows}]"
+
+
 def serialize(a: Automaton) -> bytes:
     """Versioned JSON encoding; byte-identical for equal automata.
 
-    The transitions are spliced in as text, each row filled from a printf
-    template made once per kernel word: "[[1,%d],[3,%d],...]".
+    The transitions are spliced in as text after the JSON-encoded header.
     """
-    pairs = ["[%d,%%d]" % bits for bits in range(1, 1 << a.width)]
     doc = {
         "version": FORMAT_VERSION,
         "b": a.width,
@@ -228,30 +240,11 @@ def serialize(a: Automaton) -> bytes:
         "transitions": 0,
     }
     head = json.dumps(doc, separators=(",", ":"))[:-2]  # up to the placeholder "0}"
-    rows = ",".join(
-        template % targets
-        for template, targets in _row_shapes(a, lambda sel: f"[{','.join(compress(pairs, sel))}]")
-    )
-    return f"{head}[{rows}]}}".encode("ascii")
+    return f"{head}{_rows_json(a)}}}".encode("ascii")
 
 
-def deserialize(data: bytes | str) -> Automaton:
-    """Parse and fully re-validate a serialized automaton.
-
-    Malformed or truncated input raises AutomatonFormatError, an unsupported
-    version AutomatonVersionError, and structurally parseable data violating
-    an automaton invariant (wrong accepting set, wrong or missing transition,
-    unreachable state, non-canonical word) AutomatonInvariantError.
-    """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise AutomatonFormatError(f"not utf-8: {exc}") from exc
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise AutomatonFormatError(f"bad json: {exc}") from exc
+def _checked_states(doc) -> tuple[int, list[AutomatonState]]:
+    """Width and states of a decoded document, after every check of its header."""
     if not isinstance(doc, dict):
         raise AutomatonFormatError("top level must be an object")
     version = doc.get("version")
@@ -277,6 +270,7 @@ def deserialize(data: bytes | str) -> Automaton:
     if not isinstance(raw_transitions, list) or len(raw_transitions) != len(raw_states):
         raise AutomatonFormatError("transitions must list one row per state")
 
+    words: dict[str, LabeledWord] = {}  # states share words: parse and validate each once
     states = []
     for entry in raw_states:
         if (
@@ -286,19 +280,25 @@ def deserialize(data: bytes | str) -> Automaton:
             or not isinstance(entry.get("r"), bool)
         ):
             raise AutomatonFormatError(f"bad state entry {entry!r}")
-        labels = _parse_word(entry["word"], width)
+        # outside the try: AutomatonFormatError is a ValueError too
+        labels = None if entry["word"] in words else _parse_word(entry["word"], width)
         try:
-            states.append(AutomatonState(LabeledWord(labels), entry["l"], entry["r"]))
+            if labels is not None:
+                words[entry["word"]] = LabeledWord(labels)
+            states.append(AutomatonState(words[entry["word"]], entry["l"], entry["r"]))
         except ValueError as exc:
             raise AutomatonInvariantError(f"invalid state {entry['word']!r}: {exc}") from exc
 
-    n = len(states)
-    n_letters = (1 << width) - 1
     if states[0] != initial_state(width):
         raise AutomatonInvariantError("state 0 must be the all-empty initial state")
-    if len(set(states)) != n:
+    if len(set(states)) != len(states):
         raise AutomatonInvariantError("duplicate states")
+    return width, states
 
+
+def _parse_rows(raw_transitions: list, width: int, n: int) -> list[array]:
+    """Dense rows from the decoded [letter, target] pairs, each pair checked."""
+    n_letters = (1 << width) - 1
     rows: list[array] = []
     for i, pairs in enumerate(raw_transitions):
         if not isinstance(pairs, list):
@@ -319,39 +319,77 @@ def deserialize(data: bytes | str) -> Automaton:
                 raise AutomatonInvariantError(f"target {target} out of range in row {i}")
             row[bits - 1] = target
         rows.append(row)
+    return rows
 
-    # Every defined transition must agree with the transition map, and every
-    # defined step must be present.
+
+def _recomputed(width: int, states: list, raw_accepting: list, rows=None) -> Automaton:
+    """The automaton of the rows the transition map gives states, once the
+    accepting set and reachability are checked; rows, if given, must equal them."""
     ids: dict[LabeledWord, int] = {}
     keys = [ids.setdefault(s.word, len(ids)) << 2 | s.left_touched << 1 | s.right_touched
             for s in states]
     words = [word_masks(word.labels) for word in ids]
     try:
-        want_rows = _explore(width, words, keys, n)
+        want_rows = _explore(width, words, keys, len(states))
     except ResourceLimitError as exc:
         raise AutomatonInvariantError("a step leaves the listed states") from exc
-    for i, (want, have) in enumerate(zip(want_rows, rows)):
+    for i, (want, have) in enumerate(zip(want_rows, rows or ())):
         if want != have:
-            bits = 1 + next(k for k in range(n_letters) if want[k] != have[k])
+            bits = 1 + next(k for k in range(len(want)) if want[k] != have[k])
             target = states[want[bits - 1]] if want[bits - 1] >= 0 else "nothing (undefined)"
             raise AutomatonInvariantError(f"row {i} letter {bits} should map to {target}")
-
-    want_accepting = frozenset(i for i, s in enumerate(states) if is_accepting(s))
-    if frozenset(raw_accepting) != want_accepting:
+    accepting = frozenset(i for i, s in enumerate(states) if is_accepting(s))
+    if frozenset(raw_accepting) != accepting:
         raise AutomatonInvariantError("accepting set does not match the states")
-
-    seen = {0}
+    seen = {-1, 0}  # -1 is an undefined letter
     queue = [0]
     while queue:
-        i = queue.pop()
-        for t in rows[i]:
-            if t >= 0 and t not in seen:
-                seen.add(t)
-                queue.append(t)
-    if len(seen) != n:
+        new = set(want_rows[queue.pop()]) - seen
+        seen |= new
+        queue.extend(new)
+    if len(seen) != len(states) + 1:
         raise AutomatonInvariantError("serialized automaton has unreachable states")
+    return Automaton(width, tuple(states), accepting, tuple(want_rows))
 
-    return Automaton(width, tuple(states), want_accepting, tuple(rows))
+
+def deserialize(data: bytes | str) -> Automaton:
+    """Parse and fully re-validate a serialized automaton.
+
+    Malformed or truncated input raises AutomatonFormatError, an unsupported
+    version AutomatonVersionError, and structurally parseable data violating
+    an automaton invariant (wrong accepting set, wrong or missing transition,
+    unreachable state, non-canonical word) AutomatonInvariantError.
+
+    In serialize()'s layout only the header before the last ',"transitions":'
+    is decoded: the rows recomputed from its states, rendered as serialize()
+    does, must equal the rest up to trailing JSON whitespace.  Any other input,
+    or one failing a check, is decoded in full and checked pair by pair.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise AutomatonFormatError(f"not utf-8: {exc}") from exc
+    head, _, tail = data.rpartition(',"transitions":')
+    try:
+        doc = json.loads(head + "}")
+        if isinstance(doc, dict) and "transitions" not in doc:
+            doc["transitions"] = [None] * len(doc["states"])  # the comparison checks the rows
+            width, states = _checked_states(doc)
+            a = _recomputed(width, states, doc["accepting"])
+            # the rendering has no quotes, so equal text decodes to the same rows
+            if f"{_rows_json(a)}}}" == tail.rstrip(" \t\n\r"):
+                return a
+    except Exception:  # the full parse below raises the error to report
+        pass
+
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise AutomatonFormatError(f"bad json: {exc}") from exc
+    width, states = _checked_states(doc)
+    rows = _parse_rows(doc["transitions"], width, len(states))
+    return _recomputed(width, states, doc["accepting"], rows)
 
 
 def export_dot(a: Automaton) -> str:

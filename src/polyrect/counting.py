@@ -318,11 +318,12 @@ def count_area_series(b: int | Automaton, h_max: int) -> SeriesTable:
 
 def accepts(a: Automaton, stack: Sequence[RowConfig]) -> bool:
     """Run the stack from the initial state; True when it ends accepting."""
+    width, transitions = a.width, a.transitions
     state = 0
     for row in stack:
-        if row.width != a.width:
-            raise ValueError(f"row width {row.width} does not match automaton width {a.width}")
-        t = a.transitions[state][row.bits - 1]
+        if row.width != width:
+            raise ValueError(f"row width {row.width} does not match automaton width {width}")
+        t = transitions[state][row.bits - 1]
         if t < 0:
             return False
         state = t

@@ -119,6 +119,15 @@ def test_target_width_mismatch():
         a.target(0, RowConfig(3, 1))
 
 
+def test_target_rejects_indices_outside_the_states():
+    a = build(3)
+    assert a.target(0, RowConfig(3, 7)) is not None
+    a.target(a.n_states - 1, RowConfig(3, 7))
+    for index in (-1, -a.n_states, a.n_states):
+        with pytest.raises(IndexError):
+            a.target(index, RowConfig(3, 7))
+
+
 def test_build_rejects_bad_width():
     with pytest.raises(ValueError):
         build(0)
@@ -371,6 +380,77 @@ def test_deserialize_rejects_one_wrong_target(automaton):
 def test_deserialize_accepts_str_input():
     a = build(2)
     assert deserialize(serialize(a).decode()) == a
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_canonical_and_full_parse_agree(automaton, width):
+    a = automaton(width)
+    data = serialize(a)
+    # the last form has spaces after separators, so only the full parse reads it
+    for form in (data, data + b"\n", data.decode(), json.dumps(json.loads(data)).encode()):
+        assert deserialize(form) == a
+
+
+def _wrong_target(doc):
+    row = doc["transitions"][40]
+    entry = row[len(row) // 2]
+    entry[1] = (entry[1] + 1) % len(doc["states"])
+
+
+def _drop_last_row(doc):
+    doc["transitions"].pop()
+
+
+def _first_entry(pair):
+    def mutate(doc):
+        doc["transitions"][0][0] = pair
+    return mutate
+
+
+@pytest.mark.parametrize("width, mutate, suffix, error, message", [
+    (5, _wrong_target, b"", AutomatonInvariantError, "row 40 letter 20 should map to (10200,T,T)"),
+    (5, _wrong_target, b" ", AutomatonInvariantError, "row 40 letter 20 should map to (10200,T,T)"),
+    (5, None, b"\x0c", AutomatonFormatError, "bad json: Extra data: line 1 column 19111 (char 19110)"),
+    (2, None, b"\x0c", AutomatonFormatError, "bad json: Extra data: line 1 column 359 (char 358)"),
+    (2, _drop_last_row, b"", AutomatonFormatError, "transitions must list one row per state"),
+    (2, _first_entry("x"), b"", AutomatonFormatError, "bad transition entry 'x' in row 0"),
+    (2, _first_entry([1]), b"", AutomatonFormatError, "bad transition entry [1] in row 0"),
+    (2, _first_entry([1.0, 1]), b"", AutomatonFormatError, "bad transition entry [1.0, 1] in row 0"),
+    (2, _first_entry([True, 1]), b"", AutomatonFormatError, "bad transition entry [True, 1] in row 0"),
+    (2, _first_entry([1, True]), b"", AutomatonFormatError, "bad transition entry [1, True] in row 0"),
+    (2, _first_entry([4, 1]), b"", AutomatonFormatError, "letter 4 out of range in row 0"),
+    (2, _first_entry([1, 6]), b"", AutomatonInvariantError, "target 6 out of range in row 0"),
+    (2, _first_entry([2, 1]), b"", AutomatonInvariantError, "row 0 letter 1 should map to (01,F,T)"),
+])
+def test_compact_faults_report_as_the_full_parse(automaton, width, mutate, suffix, error, message):
+    # these texts keep serialize()'s layout, so each is tried as canonical first
+    doc = json.loads(serialize(automaton(width)))
+    if mutate is not None:
+        mutate(doc)
+    with pytest.raises(error) as info:
+        deserialize(json.dumps(doc, separators=(",", ":")).encode() + suffix)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_earlier_transitions_key_is_overridden_by_the_last():
+    a = build(2)
+    bogus = b'{"transitions":5,' + serialize(a)[1:]
+    assert deserialize(bogus) == a
+    assert deserialize(serialize(a) + b" ") == a
+    with pytest.raises(AutomatonInvariantError, match=re.escape("row 0 letter 1 should map to (01,F,T)")):
+        deserialize(bogus.replace(b"[[1,", b"[[2,", 1))
+
+
+def test_canonical_input_skips_the_pair_parse(monkeypatch, automaton):
+    def refuse(*args):
+        raise AssertionError("the pair parse ran")
+
+    monkeypatch.setattr("polyrect.automaton._parse_rows", refuse)
+    for width in range(1, 7):
+        a = automaton(width)
+        assert deserialize(serialize(a) + b"\n") == a
+    with pytest.raises(AssertionError):
+        deserialize(json.dumps(json.loads(serialize(build(2)))).encode())
 
 
 def test_export_dot():
