@@ -322,17 +322,21 @@ def _parse_rows(raw_transitions: list, width: int, n: int) -> list[array]:
     return rows
 
 
-def _recomputed(width: int, states: list, raw_accepting: list, rows=None) -> Automaton:
-    """The automaton of the rows the transition map gives states, once the
-    accepting set and reachability are checked; rows, if given, must equal them."""
+def _state_rows(width: int, states: list) -> list[array]:
+    """The rows the transition map gives states, each step staying among them."""
     ids: dict[LabeledWord, int] = {}
     keys = [ids.setdefault(s.word, len(ids)) << 2 | s.left_touched << 1 | s.right_touched
             for s in states]
     words = [word_masks(word.labels) for word in ids]
     try:
-        want_rows = _explore(width, words, keys, len(states))
+        return _explore(width, words, keys, len(states))
     except ResourceLimitError as exc:
         raise AutomatonInvariantError("a step leaves the listed states") from exc
+
+
+def _recomputed(width: int, states: list, raw_accepting: list, want_rows, rows=None) -> Automaton:
+    """The automaton of want_rows, the `_state_rows` of states, once the
+    accepting set and reachability are checked; rows, if given, must equal them."""
     for i, (want, have) in enumerate(zip(want_rows, rows or ())):
         if want != have:
             bits = 1 + next(k for k in range(len(want)) if want[k] != have[k])
@@ -371,12 +375,14 @@ def deserialize(data: bytes | str) -> Automaton:
         except UnicodeDecodeError as exc:
             raise AutomatonFormatError(f"not utf-8: {exc}") from exc
     head, _, tail = data.rpartition(',"transitions":')
+    known = None  # the states and rows the attempt below recomputed
     try:
         doc = json.loads(head + "}")
         if isinstance(doc, dict) and "transitions" not in doc:
             doc["transitions"] = [None] * len(doc["states"])  # the comparison checks the rows
             width, states = _checked_states(doc)
-            a = _recomputed(width, states, doc["accepting"])
+            known = states, _state_rows(width, states)
+            a = _recomputed(width, states, doc["accepting"], known[1])
             # the rendering has no quotes, so equal text decodes to the same rows
             if f"{_rows_json(a)}}}" == tail.rstrip(" \t\n\r"):
                 return a
@@ -389,7 +395,9 @@ def deserialize(data: bytes | str) -> Automaton:
         raise AutomatonFormatError(f"bad json: {exc}") from exc
     width, states = _checked_states(doc)
     rows = _parse_rows(doc["transitions"], width, len(states))
-    return _recomputed(width, states, doc["accepting"], rows)
+    # equal states have equal words, so the same width and the same rows
+    want_rows = known[1] if known and known[0] == states else _state_rows(width, states)
+    return _recomputed(width, states, doc["accepting"], want_rows, rows)
 
 
 def export_dot(a: Automaton) -> str:

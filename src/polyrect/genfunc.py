@@ -48,12 +48,13 @@ coefficient vanishes (`_coprime`).  A width is fitted by specializing q at
 t = 1, 2, ... modulo primes just below 2^61: Berlekamp-Massey at each point
 gives D(t) mod p, Lagrange interpolation turns the values into the
 q-coefficients of D mod p, primes are combined by the Chinese remainder
-theorem, and the symmetric lift is the candidate denominator.  One exact
-pass over the 2k_w + 2 terms at q = 2^s, with a slot width s large enough
-that the integer identity implies the identity in Z[q], both reads off the
-numerator (D * S) mod x^(k_w + 2) and proves that N/D reproduces every term
-(see `_proved_numerator`).  So here too the primes decide only the running
-time.
+theorem, and every new symmetric lift within the degree bound is proved at
+once.  One exact pass over the 2k_w + 2 terms at q = 2^s, with a slot width
+s large enough that the integer identity implies the identity in Z[q],
+first checks that the terms of D * S beyond x^(k_w + 1) vanish, so a wrong
+lift fails after one of them, and then reads off the numerator
+(D * S) mod x^(k_w + 2) (see `_proved_numerator`).  So here too the primes
+decide only the running time.
 """
 
 from __future__ import annotations
@@ -456,19 +457,17 @@ def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalG
     For each prime p, `_denominator_mod` finds the residues of the
     denominator's q-coefficients.  Primes that agree on their shape (the
     recurrence length and each coefficient's length) are combined by the
-    Chinese remainder theorem and lifted symmetrically.  A lift within the
-    degree bound is a candidate when its coefficients leave 32 bits of the
-    modulus unused, or else when it agrees with the recurrence at one point
-    modulo another prime (`_agrees_mod`); a wrong lift rarely passes either
-    test, which only spare a failing proof.  A candidate's numerator is
-    (D * S) mod x^(degree_bound + 2), and it is returned once
-    `_proved_numerator` proves that N/D reproduces all of series.  With
-    2 * degree_bound + 2 terms of a series that is a rational function
-    within the bound, that agreement proves the candidate (`fit_rational`),
-    so the primes decide the running time, never the result.  Primes whose
-    bits add up past the ceiling `_min_recurrence` sets for the largest
-    integer in series end the search with FitError.  An all-zero series is
-    0/1.
+    Chinese remainder theorem and lifted symmetrically.  Every new lift D
+    within the degree bound goes to `_proved_numerator`, which tests the
+    terms of D * S that must vanish first, so a wrong lift costs one such
+    term.  The numerator is (D * S) mod x^(degree_bound + 2), and the lift
+    is returned once `_proved_numerator` proves that N/D reproduces all of
+    series.  With 2 * degree_bound + 2 terms of a series that is a rational
+    function within the bound, that agreement proves the lift
+    (`fit_rational`), so the primes decide the running time, never the
+    result.  Primes whose bits add up past the ceiling `_min_recurrence`
+    sets for the largest integer in series end the search with FitError.
+    An all-zero series is 0/1.
     """
     if len(series) < 2 * degree_bound + 2:
         raise FitError(
@@ -479,8 +478,8 @@ def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalG
     rank = degree_bound + 2
     top_bits = max(abs(c) for s in series for c in s.coeffs).bit_length()
     limit_bits = 2 * rank * (top_bits + rank.bit_length()) + 2
-    # shape -> (modulus, residues, last lift whose proof failed)
-    groups: dict[tuple, tuple[int, list[list[int]], list | None]] = {}
+    # shape -> (modulus, residues)
+    groups: dict[tuple, tuple[int, list[list[int]]]] = {}
     spent = 0
     for p in _primes():
         if spent > limit_bits:
@@ -491,7 +490,7 @@ def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalG
             continue
         shape = tuple(map(len, values))
         if shape in groups:
-            modulus, residues, failed = groups[shape]
+            modulus, residues = groups[shape]
             inv = pow(modulus % p, -1, p)
             residues = [
                 [r + modulus * ((v - r % p) * inv % p) for r, v in zip(rs, vs)]
@@ -499,23 +498,13 @@ def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalG
             ]
             modulus *= p
         else:
-            modulus, residues, failed = p, values, None
-        lift = [_symmetric(rs, modulus) for rs in residues]
-        den = Polynomial([ONE] + [Polynomial(cs) for cs in lift])
-        top = max((abs(c) for cs in lift for c in cs), default=0)
-        if (
-            lift != failed
-            and den.degree <= degree_bound
-            and (
-                top.bit_length() + 32 < modulus.bit_length()
-                or _agrees_mod(lift, series, next(q for q in _primes() if modulus % q))
-            )
-        ):
+            modulus, residues = p, values
+        groups[shape] = modulus, residues
+        den = Polynomial([ONE] + [Polynomial(_symmetric(rs, modulus)) for rs in residues])
+        if den.degree <= degree_bound:
             num = _proved_numerator(den, series, degree_bound)
             if num is not None:
                 return RationalGF(num, den)
-            failed = lift
-        groups[shape] = modulus, residues, failed
     raise FitError("insufficient terms: bivariate fit did not stabilize")
 
 
@@ -628,24 +617,6 @@ def _interpolate(xs: list[int], ys: list[list[int]], p: int) -> list[list[int]]:
     return out
 
 
-def _agrees_mod(lift: list[list[int]], series: Sequence[Polynomial], p: int) -> bool:
-    """Whether the lifted D_1, ..., D_L match the recurrence at one point mod p.
-
-    The first t whose recurrence has length L decides; a longer one rules
-    the lift out.  A wrong lift has a coefficient off by a multiple of the
-    modulus, which p does not divide, so it rarely agrees at a point: this
-    spares a failing proof, and proves nothing.  No such t among the
-    first few: True.
-    """
-    for t in range(1, min(p, 8)):
-        c, n = _min_lfsr_mod([s.evaluate(t) % p for s in series], p)
-        if n > len(lift):
-            return False
-        if n == len(lift):
-            return c[1:] == [Polynomial(cs).evaluate(t) % p for cs in lift]
-    return True
-
-
 def _proved_numerator(
     den: Polynomial, series: Sequence[Polynomial], degree_bound: int
 ) -> Polynomial | None:
@@ -653,7 +624,9 @@ def _proved_numerator(
 
     With D_0 = 1, the expansion of N/D agrees on all terms j < T exactly
     when every E_j = sum_k D_k * S_{j-k} is N_j for j < degree_bound + 2
-    and vanishes in Z[q] beyond.  Each coefficient of E_j is at most
+    and vanishes in Z[q] beyond.  The E_j that must vanish come first, so
+    a wrong den is rejected at the first nonzero one, before any numerator
+    term is computed.  Each coefficient of E_j is at most
     B = sum_k |D_k|_1 * max_h |S_h|_inf in absolute value.  Substitute
     q = 2^s with s >= bitlen(B) + 2 (whole bytes), so every coefficient
     lies strictly inside (-2^(s-1), 2^(s-1)).  Balanced base-2^s digits are
@@ -669,16 +642,17 @@ def _proved_numerator(
     slot_bytes = ((top * _l1(den)).bit_length() + 2 + 7) // 8
     slot = 8 * slot_bytes
     packed = [pack_coefficients(p.coeffs, slot_bytes) for p in series]
-    num = []
-    for j in range(len(packed)):
+
+    def value(j: int) -> int:
         e_j = 0
         for k, p in enumerate(den.coeffs[: j + 1]):
             e_j += sum(d * packed[j - k] << (slot * m) for m, d in enumerate(p.coeffs) if d)
-        if j < degree_bound + 2:
-            num.append(Polynomial(unpack_signed(e_j, slot_bytes)))
-        elif e_j:
-            return None
-    return Polynomial(num)
+        return e_j
+
+    cut = min(degree_bound + 2, len(packed))
+    if any(map(value, range(cut, len(packed)))):
+        return None
+    return Polynomial(Polynomial(unpack_signed(value(j), slot_bytes)) for j in range(cut))
 
 
 def gf_height_area(

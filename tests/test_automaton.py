@@ -21,7 +21,7 @@ from polyrect import (
     initial_state,
     state_count_formula,
 )
-from polyrect.automaton import catalan, runs_of_ones
+from polyrect.automaton import _explore, catalan, runs_of_ones
 
 from reference import export_dot_reference, serialize_reference, transfer_matrix
 
@@ -451,6 +451,38 @@ def test_canonical_input_skips_the_pair_parse(monkeypatch, automaton):
         assert deserialize(serialize(a) + b"\n") == a
     with pytest.raises(AssertionError):
         deserialize(json.dumps(json.loads(serialize(build(2)))).encode())
+
+
+def test_compact_fault_explores_once(monkeypatch, automaton):
+    # the full parse reuses the rows the canonical attempt recomputed
+    doc = json.loads(serialize(automaton(7)))
+    entry = doc["transitions"][1][0]
+    entry[1] = (entry[1] + 1) % len(doc["states"])
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0])
+        return _explore(*args)
+
+    monkeypatch.setattr("polyrect.automaton._explore", spy)
+    with pytest.raises(AutomatonInvariantError) as info:
+        deserialize(json.dumps(doc, separators=(",", ":")).encode())
+    assert str(info.value) == "row 1 letter 1 should map to (0000001,F,T)"
+    assert calls == [7]
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_step_leaving_the_listed_states_is_rejected(width):
+    doc = json.loads(serialize(build(width)))
+    last = len(doc["states"]) - 1
+    del doc["states"][last], doc["transitions"][last]
+    for row in doc["transitions"]:
+        for pair in row:
+            if pair[1] == last:
+                pair[1] = 1
+    doc["accepting"] = [i for i in doc["accepting"] if i != last]
+    with pytest.raises(AutomatonInvariantError, match="^a step leaves the listed states$"):
+        deserialize(json.dumps(doc, separators=(",", ":")).encode())
 
 
 def test_export_dot():

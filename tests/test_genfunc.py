@@ -470,6 +470,18 @@ def test_proved_numerator_rejects_one_coefficient_perturbations(automaton):
         assert _proved_numerator(bad, series, bound) is None, delta
 
 
+def test_proved_numerator_checks_vanishing_sums_first(monkeypatch, automaton):
+    # a wrong denominator is rejected before any numerator term is unpacked
+    gf, series = _area_setup(automaton, 3)
+    bound = max(gf.denominator.degree, gf.numerator.degree - 1)
+
+    def refuse(*args):
+        raise AssertionError("a numerator term was unpacked")
+
+    monkeypatch.setattr(genfunc, "unpack_signed", refuse)
+    assert _proved_numerator(_bump_last(gf.denominator.coeffs, 1), series, bound) is None
+
+
 def test_proved_numerator_rejects_perturbations_that_vanish_at_a_power_of_two(automaton):
     # adding q - 2^s leaves the value at q = 2^s unchanged, so only a slot
     # width sized from the candidate's own coefficients can see it
