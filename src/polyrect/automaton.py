@@ -146,14 +146,14 @@ def _explore(width: int, words: list, keys: list[int], max_states: int) -> list[
 
 
 def check_ceiling(width: int, max_states: int) -> None:
-    """Raise unless width is in 1..MAX_WIDTH and its automaton fits max_states.
+    """Raise unless width is an int in 1..MAX_WIDTH and its automaton fits max_states.
 
     ValueError for the width, ResourceLimitError when the projected state
     count exceeds max_states.  Counting builds no automaton, but keeps this
     ceiling, so every command stops at the same widths.
     """
-    if not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+    if type(width) is not int or not 1 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width!r}")
     projected = state_count_formula(width)
     if projected > max_states:
         raise ResourceLimitError(

@@ -47,11 +47,15 @@ Area weighting packs each polynomial in q into byte-aligned slots of one big
 integer (slot n holds the coefficient of q^n, as
 `polynomial.pack_coefficients` lays it out), that is, evaluates it at
 q = 2^slot.  A step into a word multiplies by q^fill, its filled-cell
-count, which is the same across its class; so each class entry is shifted
-by its fill slots and a step is integer addition and subtraction.  Each
-w[c] is then the integer its row's plain sum gives, and so is the signed
-sum over the widths: its coefficients are inscribed counts, nonnegative and
-below the slot bound, so it unpacks to the area polynomial.
+count, which is the same across its class.  Every row is nonempty, so the
+DP carries each entry over q^h: a step into a class shifts it by fill - 1
+slots, and a step is integer addition and subtraction.  Each w[c] is then
+the integer its row's plain sum gives, and so is the signed sum over the
+widths: term h is the area polynomial over q^h, so unpacking prepends h
+zeros.  Its coefficients are inscribed counts, nonnegative and at most the
+height's count, so `count_area_series` sizes its slot from the counts of a
+plain DP run first, and checks that each polynomial sums to its count,
+which a slot overflow breaks.  `group_area_series` sizes its slot a priori.
 """
 
 from __future__ import annotations
@@ -224,15 +228,17 @@ def _fields(bits: int, span: int, low: int) -> list[int]:
 def group_series(rows: Sequence[Row], h_max: int, slot: int = 0) -> list[int]:
     """A width's weight at its initial class after 0..h_max steps: A_w(0..h_max).
 
-    With slot, a step into a class multiplies by 2^(slot * its fill count).
-    A run shorter than PLAN_PAYBACK_STEPS gives every row the empty row as
-    its parent: the plain row sum, in the same loop.
+    With slot, a step into a class multiplies by 2^(slot * (its fill count
+    - 1)), so term h is the area polynomial over q^h at q = 2^slot.  A run
+    shorter than PLAN_PAYBACK_STEPS gives every row the empty row as its
+    parent: the plain row sum, in the same loop.
     """
     if h_max < PLAN_PAYBACK_STEPS:
         plan = [(c, -1, out, []) for c, (_, _, out) in enumerate(rows)]
     else:
         plan = dp_plan(rows)
-    shifts = [slot * fill for _, fill, _ in rows]
+    # class 0 alone has fill 0, and no step enters it
+    shifts = [slot * max(fill - 1, 0) for _, fill, _ in rows]
     u = [int(one) << k for (one, _, _), k in zip(rows, shifts)]
     terms = [u[0]]
     for _ in range(h_max):
@@ -251,10 +257,10 @@ def group_series(rows: Sequence[Row], h_max: int, slot: int = 0) -> list[int]:
 
 
 def _width(b: int | Automaton) -> int:
-    """b's width, read from an Automaton or given; ValueError outside 1..MAX_WIDTH."""
+    """b's width, read from an Automaton or given; ValueError unless an int in 1..MAX_WIDTH."""
     width = getattr(b, "width", b)
-    if not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+    if type(width) is not int or not 1 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width!r}")
     return width
 
 
@@ -265,8 +271,8 @@ def count_series(b: int | Automaton, h_max: int) -> SeriesTable:
     whose fit pays (FIT_SPAN) takes its terms past 2k + 1 from the fit of
     its first 2k + 2 (module docstring).
     """
-    if h_max < 0:
-        raise ValueError("h_max must be >= 0")
+    if type(h_max) is not int or h_max < 0:
+        raise ValueError(f"h_max must be an int >= 0, got {h_max!r}")
     from .genfunc import expand, fit_rational  # genfunc imports this module
 
     width = _width(b)
@@ -283,37 +289,46 @@ def count_series(b: int | Automaton, h_max: int) -> SeriesTable:
     return SeriesTable(width, tuple(counts))
 
 
-def _area_slot_bytes(width: int, h_max: int) -> int:
-    """Slot width for area polynomials up to h_max in whole bytes.
+def _area_slot_bytes(bits: int) -> int:
+    """Whole bytes per slot for packed coefficients of at most bits bits."""
+    return (bits + 7) // 8
 
-    Coefficients are below (2^b - 1)^h_max, so slots of at least
-    width*h_max + 8 bits can never collide.
-    """
-    return (width * max(h_max, 1) + 15) // 8
+
+def _unpacked(packed: Sequence[int], slot_bytes: int) -> list[Polynomial]:
+    """Each term h of an area DP as a polynomial: h zeros, then its slots."""
+    return [Polynomial([0] * h + unpack_coefficients(x, slot_bytes)) for h, x in enumerate(packed)]
 
 
 def group_area_series(rows: Sequence[Row], width: int, h_max: int) -> list[Polynomial]:
     """A width's series refined by area: one polynomial in q per height."""
-    slot_bytes = _area_slot_bytes(width, h_max)
-    packed = group_series(rows, h_max, 8 * slot_bytes)
-    return [Polynomial(unpack_coefficients(acc, slot_bytes)) for acc in packed]
+    # its coefficients are below (2^width - 1)^h_max, so this slot never overflows
+    slot_bytes = _area_slot_bytes(width * max(h_max, 1) + 8)
+    return _unpacked(group_series(rows, h_max, 8 * slot_bytes), slot_bytes)
 
 
 def count_area_series(b: int | Automaton, h_max: int) -> SeriesTable:
     """Counts refined by area: one polynomial in q per height.
 
     b is a width, or an Automaton of which only the width is read.
+    ValueError when a polynomial does not sum to its count (module docstring).
     """
-    if h_max < 0:
-        raise ValueError("h_max must be >= 0")
+    if type(h_max) is not int or h_max < 0:
+        raise ValueError(f"h_max must be an int >= 0, got {h_max!r}")
     width = _width(b)
-    slot_bytes = _area_slot_bytes(width, h_max)
+    groups = width_groups(width)
+    counts = [1] + [0] * h_max
     packed = [1] + [0] * h_max
-    for sign, rows in width_groups(width):
+    for sign, rows in groups:
+        for h, t in enumerate(group_series(rows, h_max)):
+            counts[h] += sign * t
+    slot_bytes = _area_slot_bytes(max(counts).bit_length())
+    for sign, rows in groups:
         for h, acc in enumerate(group_series(rows, h_max, 8 * slot_bytes)):
             packed[h] += sign * acc
-    polys = tuple(Polynomial(unpack_coefficients(acc, slot_bytes)) for acc in packed)
-    return SeriesTable(width, tuple(poly.evaluate(1) for poly in polys), polys)
+    polys = _unpacked(packed, slot_bytes)
+    if [sum(poly.coeffs) for poly in polys] != counts:
+        raise ValueError("an area polynomial does not sum to its count: a slot overflowed")
+    return SeriesTable(width, tuple(counts), tuple(polys))
 
 
 def accepts(a: Automaton, stack: Sequence[RowConfig]) -> bool:

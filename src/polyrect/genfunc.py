@@ -673,11 +673,11 @@ def gf_height_area(
     argument is accepted and ignored.  Desk-scale widths only; the guard is
     a resource ceiling, not a correctness bound.
     """
+    check_ceiling(width, max_states)
     if width > AREA_WIDTH_LIMIT:
         raise ResourceLimitError(
             f"area generating functions are desk-scale for width <= {AREA_WIDTH_LIMIT}"
         )
-    check_ceiling(width, max_states)
     parts = []
     for sign, rows in width_groups(width):
         k = len(rows) - 1

@@ -496,6 +496,20 @@ def test_failed_lumping_is_an_internal_error(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_area_slot_overflow_is_an_internal_error(monkeypatch, capsys):
+    # one-byte slots cannot hold the area counts at b = 5, h = 20: the carries
+    # lower each overflowing polynomial's coefficient sum below its count
+    monkeypatch.setattr(counting, "_area_slot_bytes", lambda bits: 1)
+    with pytest.raises(ValueError, match="slot overflowed"):
+        counting.count_area_series(5, 20)
+    code, out, err = run(capsys, "area-series", "--b", "5", "--h-max", "20")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal error: ValueError: an area polynomial does not sum")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_counting_commands_never_build(monkeypatch, capsys):
     # the automaton stays the paper's artifact, but counting and fitting
     # run on the word quotients alone

@@ -16,6 +16,7 @@ from polyrect import (
     expand,
     fit_rational,
     gf_height,
+    gf_height_area,
     sample_accepted_stacks,
 )
 from polyrect import counting
@@ -161,19 +162,38 @@ def test_rejects_non_polyomino_stacks(automaton):
 
 
 def test_h_max_validation(automaton):
-    with pytest.raises(ValueError):
-        count_series(automaton(2), -1)
-    with pytest.raises(ValueError):
-        count_area_series(automaton(2), -1)
+    # a bool is an int to Python, but True is no height
+    for h_max in (-1, True, 3.0, "3", None):
+        with pytest.raises(ValueError, match="h_max must be"):
+            count_series(automaton(2), h_max)
+        with pytest.raises(ValueError, match="h_max must be"):
+            count_area_series(automaton(2), h_max)
 
 
 def test_width_validation():
-    # a width outside 1..MAX_WIDTH is refused before any word is explored
-    for width in (0, -1, MAX_WIDTH + 1):
+    # a width that is not an int in 1..MAX_WIDTH, a bool included, is
+    # refused before any word is explored
+    for width in (0, -1, MAX_WIDTH + 1, True, False, 2.0, "2", None):
         with pytest.raises(ValueError, match="width must be in"):
             count_series(width, 3)
         with pytest.raises(ValueError, match="width must be in"):
             count_area_series(width, 3)
+        with pytest.raises(ValueError, match="width must be in"):
+            gf_height(width)
+        with pytest.raises(ValueError, match="width must be in"):
+            gf_height_area(width)
+
+
+def test_one_byte_slots_match_forward_dp(automaton):
+    # the counts to h_max = 2 fit one byte, so the area DP runs on one-byte
+    # slots; the forward DP sizes its own slots and takes no offset
+    for width in range(1, 7):
+        a = automaton(width)
+        for h_max in (0, 1, 2):
+            table = count_area_series(width, h_max)
+            assert max(table.counts) < 256, (width, h_max)
+            assert table.area_counts == forward_area_counts(a, h_max), (width, h_max)
+            assert table.counts == count_series(width, h_max).counts, (width, h_max)
 
 
 def _mirror(masks, width):
