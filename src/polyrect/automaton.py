@@ -391,7 +391,7 @@ def deserialize(data: bytes | str) -> Automaton:
 
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a decode error, or too deep or too long a number
         raise AutomatonFormatError(f"bad json: {exc}") from exc
     width, states = _checked_states(doc)
     rows = _parse_rows(doc["transitions"], width, len(states))

@@ -46,15 +46,21 @@ its 2k_w + 2 area polynomials and sums the fits; a pair of denominators is
 proved coprime over Q(q) by setting q to an integer where neither leading
 coefficient vanishes (`_coprime`).  A width is fitted by specializing q at
 t = 1, 2, ... modulo primes just below 2^61: Berlekamp-Massey at each point
-gives D(t) mod p, Lagrange interpolation turns the values into the
-q-coefficients of D mod p, primes are combined by the Chinese remainder
-theorem, and every new symmetric lift within the degree bound is proved at
-once.  One exact pass over the 2k_w + 2 terms at q = 2^s, with a slot width
-s large enough that the integer identity implies the identity in Z[q],
-first checks that the terms of D * S beyond x^(k_w + 1) vanish, so a wrong
-lift fails after one of them, and then reads off the numerator
+gives D(t) mod p, Lagrange interpolation through F_w + 1 points turns the
+values into the q-coefficients of D mod p, primes are combined by the
+Chinese remainder theorem, and every new symmetric lift within the degree
+bound is proved at once.  F_w, the sum of the classes' fills, bounds every
+q-degree: a term of the x^i coefficient of det(I - xB_w) over a set S of i
+classes enters each class of S once, so it carries q^(sum of S's fills),
+and the reduced denominator divides that determinant over Z[q] (Gauss's
+lemma, as its constant term is 1), so its q-degree is no larger.  One
+exact pass over the 2k_w + 2 terms at q = 2^s, with a slot width s large
+enough that the integer identity implies the identity in Z[q], first
+checks that the terms of D * S beyond x^(k_w + 1) vanish, so a wrong lift
+fails after one of them, and then reads off the numerator
 (D * S) mod x^(k_w + 2) (see `_proved_numerator`).  So here too the primes
-decide only the running time.
+decide only the running time, and so does F_w: a bound that was too small
+could only make every lift fail that pass.
 """
 
 from __future__ import annotations
@@ -209,6 +215,17 @@ def _symmetric(residues: list[int], modulus: int) -> list[int]:
     return [r - modulus if r > half else r for r in residues]
 
 
+def _crt(groups: dict, key: int, values: list[int], p: int) -> tuple[int, list[int]]:
+    """Fold residues mod p into groups[key] = (modulus, residues) by the CRT, and return it."""
+    if key in groups:
+        modulus, residues = groups[key]
+        inv = pow(modulus % p, -1, p)
+        values = [r + modulus * ((v - r % p) * inv % p) for r, v in zip(residues, values)]
+        p *= modulus
+    groups[key] = p, values
+    return p, values
+
+
 def _reproduces(c: list[int], seq: list[int], length: int) -> bool:
     """Whether sum(c[i] * seq[n-i]) == 0 for every n from length on, exactly."""
     total = len(seq)
@@ -247,21 +264,11 @@ def _min_recurrence(seq: list[int], degree_bound: int) -> tuple[list[int], int]:
     rank = degree_bound + 2
     top_bits = max(max(seq), -min(seq)).bit_length()
     limit_bits = 2 * rank * (top_bits + rank.bit_length()) + 2
-    # length -> (modulus, residues)
     groups: dict[int, tuple[int, list[int]]] = {}
     for p in _primes():
         values, length = _min_lfsr_mod(seq, p)
-        if length in groups:
-            modulus, residues = groups[length]
-            inv = pow(modulus % p, -1, p)
-            residues = [
-                r + modulus * ((v - r % p) * inv % p) for r, v in zip(residues, values)
-            ]
-            modulus *= p
-        else:
-            modulus, residues = p, values
+        modulus, residues = _crt(groups, length, values, p)
         bits = modulus.bit_length()
-        groups[length] = modulus, residues
         if 2 * length <= len(seq) or bits > limit_bits:
             c = _symmetric(residues, modulus)
             while not c[-1]:
@@ -367,13 +374,17 @@ def sum_fractions(parts: Sequence[tuple[int, RationalGF]]) -> RationalGF:
             (sign, _pack_xq(gf.numerator, stride, slot_bytes), _pack_xq(gf.denominator, stride, slot_bytes))
             for sign, gf in parts
         ]
-        num, den = (_unpack_xq(f, stride, slot_bytes) for f in _sum(packed, 1))
+        num, den = (_from_flat(unpack_signed(f, slot_bytes), stride) for f in _sum(packed, 1))
     else:
         num, den = _sum([(sign, gf.numerator, gf.denominator) for sign, gf in parts], ONE)
     dens = [gf.denominator for _, gf in parts]
     if all(_coprime(p, q) for p, q in combinations(dens, 2)):
         return RationalGF(num, den)
-    return _refit(num, den, _fit_bivariate if bivariate else fit_rational)
+    if bivariate:
+        # the reduced denominator divides den, so its q-degree is at most den's
+        q_bound = max(c.degree for c in den.coeffs)
+        return _refit(num, den, lambda series, k: _fit_bivariate(series, k, q_bound))
+    return _refit(num, den, fit_rational)
 
 
 def _refit(num: Polynomial, den: Polynomial, fit) -> RationalGF:
@@ -405,8 +416,8 @@ def _pack_xq(f: Polynomial, stride: int, slot_bytes: int) -> int:
     """f in Z[q][x] at q = 2^s, x = 2^(s * stride), s = 8 * slot_bytes.
 
     Products of such values are the values of the products, and read back
-    (`_unpack_xq`) while every q-degree stays below stride and every
-    coefficient strictly inside (-2^(s-1), 2^(s-1)).
+    (`unpack_signed`, then `_from_flat`) while every q-degree stays below
+    stride and every coefficient strictly inside (-2^(s-1), 2^(s-1)).
     """
     flat: list[int] = []
     for c in f.coeffs:
@@ -414,10 +425,9 @@ def _pack_xq(f: Polynomial, stride: int, slot_bytes: int) -> int:
     return pack_coefficients(flat, slot_bytes)
 
 
-def _unpack_xq(value: int, stride: int, slot_bytes: int) -> Polynomial:
-    """The polynomial in Z[q][x] that `_pack_xq` packed into value."""
-    digits = unpack_signed(value, slot_bytes)
-    return Polynomial(Polynomial(digits[i : i + stride]) for i in range(0, len(digits), stride))
+def _from_flat(flat: Sequence[int], stride: int) -> Polynomial:
+    """The polynomial in Z[q][x] whose x^i coefficient is flat[i * stride : (i + 1) * stride]."""
+    return Polynomial(Polynomial(flat[i : i + stride]) for i in range(0, len(flat), stride))
 
 
 def _coprime(a: Polynomial, b: Polynomial) -> bool:
@@ -451,23 +461,25 @@ def _coprime(a: Polynomial, b: Polynomial) -> bool:
     return len(f) == 1
 
 
-def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalGF:
+def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int, q_bound: int) -> RationalGF:
     """Fit over Z[q] by specialization modulo primes, proved by `_proved_numerator`.
 
-    For each prime p, `_denominator_mod` finds the residues of the
-    denominator's q-coefficients.  Primes that agree on their shape (the
-    recurrence length and each coefficient's length) are combined by the
-    Chinese remainder theorem and lifted symmetrically.  Every new lift D
-    within the degree bound goes to `_proved_numerator`, which tests the
-    terms of D * S that must vanish first, so a wrong lift costs one such
-    term.  The numerator is (D * S) mod x^(degree_bound + 2), and the lift
-    is returned once `_proved_numerator` proves that N/D reproduces all of
-    series.  With 2 * degree_bound + 2 terms of a series that is a rational
-    function within the bound, that agreement proves the lift
-    (`fit_rational`), so the primes decide the running time, never the
-    result.  Primes whose bits add up past the ceiling `_min_recurrence`
-    sets for the largest integer in series end the search with FitError.
-    An all-zero series is 0/1.
+    q_bound bounds the denominator's degree in q.  For each prime p,
+    `_denominator_mod` finds the residues of its q-coefficients, q_bound + 1
+    of them per D_i.  Primes that agree on the recurrence length are
+    combined by the Chinese remainder theorem and lifted symmetrically.
+    Every new lift D within the degree bound goes to `_proved_numerator`,
+    which tests the terms of D * S that must vanish first, so a wrong lift
+    costs one such term.  The numerator is (D * S) mod x^(degree_bound + 2),
+    and the lift is returned once `_proved_numerator` proves that N/D
+    reproduces all of series.  With 2 * degree_bound + 2 terms of a series
+    that is a rational function within the bound, that agreement proves the
+    lift (`fit_rational`), so the primes decide the running time, never the
+    result.  So does q_bound: a bound below the denominator's q-degree only
+    makes every lift fail the proof.
+    Primes whose bits add up past the ceiling `_min_recurrence` sets for the
+    largest integer in series end the search with FitError.  An all-zero
+    series is 0/1.
     """
     if len(series) < 2 * degree_bound + 2:
         raise FitError(
@@ -478,29 +490,17 @@ def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int) -> RationalG
     rank = degree_bound + 2
     top_bits = max(abs(c) for s in series for c in s.coeffs).bit_length()
     limit_bits = 2 * rank * (top_bits + rank.bit_length()) + 2
-    # shape -> (modulus, residues)
-    groups: dict[tuple, tuple[int, list[list[int]]]] = {}
+    groups: dict[int, tuple[int, list[int]]] = {}
     spent = 0
     for p in _primes():
         if spent > limit_bits:
             break
         spent += p.bit_length()
-        values = _denominator_mod(series, degree_bound, p)
+        values = _denominator_mod(series, degree_bound, q_bound, p)
         if values is None:
             continue
-        shape = tuple(map(len, values))
-        if shape in groups:
-            modulus, residues = groups[shape]
-            inv = pow(modulus % p, -1, p)
-            residues = [
-                [r + modulus * ((v - r % p) * inv % p) for r, v in zip(rs, vs)]
-                for rs, vs in zip(residues, values)
-            ]
-            modulus *= p
-        else:
-            modulus, residues = p, values
-        groups[shape] = modulus, residues
-        den = Polynomial([ONE] + [Polynomial(_symmetric(rs, modulus)) for rs in residues])
+        modulus, residues = _crt(groups, len(values), [v for vs in values for v in vs], p)
+        den = _from_flat([1] + [0] * q_bound + _symmetric(residues, modulus), q_bound + 1)
         if den.degree <= degree_bound:
             num = _proved_numerator(den, series, degree_bound)
             if num is not None:
@@ -531,31 +531,24 @@ def _evaluator(series: Sequence[Polynomial], p: int):
 
 
 def _denominator_mod(
-    series: Sequence[Polynomial], degree_bound: int, p: int
+    series: Sequence[Polynomial], degree_bound: int, q_bound: int, p: int
 ) -> list[list[int]] | None:
-    """Residues mod p of the q-coefficients of D_1, ..., D_L, or None.
+    """Residues mod p of the q-coefficients 0..q_bound of D_1, ..., D_L, or None.
 
     At q = t = 1, 2, ..., `_min_lfsr_mod` finds the minimal recurrence.
     For a fraction N/D its length L is at most max(deg D, deg N + 1), never
     more than over Q(q), and when 2L is at most the number of terms it is
     unique, so at every t where the length is the largest one met it is
-    D(t) mod p, padded to L + 1 entries.  Points of a shorter length (a root of a leading
-    coefficient, or a common factor of N(t) and D(t) mod p) are skipped.  A
-    Newton table of one weighted sum of D_1(t), ..., D_L(t) finds the
-    q-degree: once its last two divided differences vanish, every D_i is
-    interpolated through the points before them (`_interpolate`).  A sum
-    that settles early leaves some D_i a shorter residue list than its
-    own, so that prime's shape differs.  None when p has too few points;
-    FitError when a recurrence is longer than the bound or half the terms
-    allow, or the table does not settle within 8 * degree_bound + 64
-    points.
+    D(t) mod p, padded to L + 1 entries.  Points of a shorter length (a root
+    of a leading coefficient, or a common factor of N(t) and D(t) mod p) are
+    skipped, and a longer one starts over.  No D_i has q-degree above
+    q_bound, so q_bound + 1 points of one length give every D_i
+    (`_interpolate`).  None when p has too few points; FitError when a
+    recurrence is longer than the bound or half the terms allow.
     """
     at = _evaluator(series, p)
-    cap = 8 * degree_bound + 64
-    weights = [pow(7, i, p) for i in range(1, degree_bound + 3)]
-    inverses: dict[int, int] = {}
-    length, xs, ys, diag, newton = -1, [], [], [], []
-    for t in range(1, min(p, cap + 1)):
+    length, xs, ys = -1, [], []
+    for t in range(1, p):
         c, n = _min_lfsr_mod(at(t), p)
         if n > degree_bound + 2 or 2 * n > len(series):
             raise FitError(f"insufficient terms: recurrence of length {n} at q = {t}")
@@ -563,20 +556,11 @@ def _denominator_mod(
             continue
         if n > length:
             # every earlier point was degenerate: start over from this one
-            length, xs, ys, diag, newton = n, [], [], [], []
-        new = [sum(map(mul, weights, c[1:])) % p]
-        for j, prev in enumerate(diag):
-            gap = t - xs[-1 - j]
-            inv = inverses.get(gap) or inverses.setdefault(gap, pow(gap, -1, p))
-            new.append((new[j] - prev) * inv % p)
+            length, xs, ys = n, [], []
         xs.append(t)
         ys.append(c[1:])
-        diag = new
-        newton.append(new[-1])
-        if len(newton) >= 3 and not newton[-1] and not newton[-2]:
-            return _interpolate(xs[:-2], ys[:-2], p)
-    if p > cap:
-        raise FitError("insufficient terms: bivariate fit did not stabilize")
+        if len(xs) > q_bound:
+            return _interpolate(xs, ys, p)
     return None
 
 
@@ -586,7 +570,7 @@ def _interpolate(xs: list[int], ys: list[list[int]], p: int) -> list[list[int]]:
     Lagrange's basis: with M = prod(q - x), the basis polynomial of node x
     is (M / (q - x)) / M'(x).  Each point's values are packed into one
     integer, as in `_evaluator`, so each q-coefficient of every polynomial
-    comes from one dot product.  Trailing zeros are dropped.
+    comes from one dot product.  Each list has len(xs) entries.
     """
     master = [1]
     for x in xs:
@@ -610,11 +594,7 @@ def _interpolate(xs: list[int], ys: list[list[int]], p: int) -> list[list[int]]:
     for row in zip(*basis):
         values = unpack_coefficients(sum(map(mul, row, packed)), slot_bytes)
         coeffs.append([v % p for v in values] + [0] * (width - len(values)))
-    out = [list(col) for col in zip(*coeffs)]
-    for cs in out:
-        while cs and not cs[-1]:
-            cs.pop()
-    return out
+    return [list(col) for col in zip(*coeffs)]
 
 
 def _proved_numerator(
@@ -667,7 +647,8 @@ def gf_height_area(
     and A_(b-2) is fitted over Z[q] on exactly 2k + 2 exact area terms with
     degree bound k, its word quotient's class count less one: its quotient
     matrix has entries c * q^fill with c a nonnegative integer, so Cramer's
-    rule bounds both degrees in x by k over Z[q] too (module docstring).
+    rule bounds both degrees in x by k over Z[q] too, and the sum of its
+    classes' fills bounds the denominator's degree in q (module docstring).
     The fits are summed with their signs, in lowest terms over Q(q) once
     the denominators are proved coprime (`sum_fractions`).  The automaton
     argument is accepted and ignored.  Desk-scale widths only; the guard is
@@ -681,7 +662,8 @@ def gf_height_area(
     parts = []
     for sign, rows in width_groups(width):
         k = len(rows) - 1
-        parts.append((sign, _fit_bivariate(group_area_series(rows, width, 2 * k + 1), k)))
+        series = group_area_series(rows, width, 2 * k + 1)
+        parts.append((sign, _fit_bivariate(series, k, sum(fill for _, fill, _ in rows))))
     return sum_fractions(parts)
 
 

@@ -20,11 +20,11 @@ class RowConfig:
     bits: int
 
     def __post_init__(self):
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {self.width}")
-        if not 0 < self.bits < (1 << self.width):
+        if type(self.width) is not int or not 1 <= self.width <= MAX_WIDTH:
+            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {self.width!r}")
+        if type(self.bits) is not int or not 0 < self.bits < (1 << self.width):
             raise ValueError(
-                f"bits must encode a nonempty width-{self.width} row, got {self.bits}"
+                f"bits must encode a nonempty width-{self.width} row, got {self.bits!r}"
             )
 
     @classmethod
@@ -64,6 +64,6 @@ def letter_runs(bits: int) -> tuple[int, ...]:
 
 def enumerate_alphabet(width: int) -> list[RowConfig]:
     """All 2^width - 1 nonempty rows in ascending numeric order."""
-    if not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+    if type(width) is not int or not 1 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width!r}")
     return [RowConfig(width, bits) for bits in range(1, 1 << width)]

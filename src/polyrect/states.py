@@ -110,7 +110,7 @@ class LabeledWord:
         labels = self.labels
         bound = max_label(len(labels))
         for a in labels:
-            if not isinstance(a, int) or a < 0 or a > bound:
+            if type(a) is not int or a < 0 or a > bound:
                 raise ValueError(f"label {a!r} out of range 0..{bound}")
         if not separation_ok(labels):
             raise ValueError(f"separation violated: {labels}")
@@ -168,7 +168,7 @@ def is_valid_triplet(labels: Sequence[int], left: bool, right: bool) -> bool:
         raise ValueError("labels must be nonempty")
     bound = max_label(len(labels))
     for a in labels:
-        if not isinstance(a, int) or a < 0 or a > bound:
+        if type(a) is not int or a < 0 or a > bound:
             raise ValueError(f"label {a!r} out of range 0..{bound}")
     if not any(labels):
         return not left and not right

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 from array import array
 
 import pytest
@@ -282,6 +283,22 @@ def test_deserialize_format_errors():
             doc["states"][state]["word"] = word
             with pytest.raises(AutomatonFormatError, match="^bad word string"):
                 deserialize(json.dumps(doc).encode())
+
+
+def test_deserialize_reports_deep_nesting_as_bad_json():
+    # too deep for the decoder, as a whole file and inside the header
+    deep = "[" * 100_000
+    for text in (deep, '{"version":1,"b":' + deep + ',"transitions":[]}'):
+        with pytest.raises(AutomatonFormatError, match="^bad json: maximum recursion depth"):
+            deserialize(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_deserialize_reports_a_number_over_the_digit_limit_as_bad_json():
+    # the limit is in force: the conftest fixture undoes cli.main's lifting of it
+    for text in ("7" * 5000, '{"version":1,"b":' + "7" * 5000 + ',"transitions":[]}'):
+        with pytest.raises(AutomatonFormatError, match="^bad json: Exceeds the limit"):
+            deserialize(text)
 
 
 def test_deserialize_version_error():

@@ -346,7 +346,10 @@ def test_bivariate_group_sum_is_the_whole_series_fit(automaton):
     for width in (1, 2, 3, 4):
         a = automaton(width)
         k = _degree_bound(width)
-        whole = _fit_bivariate(count_area_series(a, 2 * k + 1).area_counts, k)
+        # the whole denominator is the product of the groups', so the sum of
+        # every group's fills bounds its q-degree
+        fills = sum(fill for _, rows in counting.width_groups(width) for _, fill, _ in rows)
+        whole = _fit_bivariate(count_area_series(a, 2 * k + 1).area_counts, k, fills)
         assert gf_height_area(width, automaton=a) == whole, width
 
 
@@ -399,7 +402,12 @@ def test_modular_interpolation_rebuilds_integer_polynomial():
     xs = list(range(1, 7))
     ys = [[first.evaluate(x) % p, second.evaluate(x) % p, 0] for x in xs]
     residues = _interpolate(xs, ys, p)
-    assert [_symmetric(r, p) for r in residues] == [list(first.coeffs), list(second.coeffs), []]
+    # one entry per point, zeros included
+    assert [_symmetric(r, p) for r in residues] == [
+        list(first.coeffs),
+        list(second.coeffs) + [0, 0, 0],
+        [0] * 6,
+    ]
 
 
 def test_bivariate_lift_too_large_for_one_prime_uses_crt(monkeypatch):
@@ -409,25 +417,33 @@ def test_bivariate_lift_too_large_for_one_prime_uses_crt(monkeypatch):
     primes = []
     real = genfunc._denominator_mod
 
-    def spy(series, degree_bound, p):
+    def spy(series, degree_bound, q_bound, p):
         primes.append(p)
-        return real(series, degree_bound, p)
+        return real(series, degree_bound, q_bound, p)
 
     monkeypatch.setattr(genfunc, "_denominator_mod", spy)
-    gf = _fit_bivariate(series, 2)
+    gf = _fit_bivariate(series, 2, 1)
     assert gf.denominator.coeffs == (ONE, Polynomial((0, -c)))
     assert gf.numerator.coeffs == (ONE,)
     assert len(primes) == 2
 
 
+def test_bivariate_q_bound_too_small_fails_the_proof():
+    # with q-degree bound 0 every lift is 1 - c x, which no proof accepts
+    c = 2**70 + 3
+    series = [Polynomial((0,) * j + (c**j,)) for j in range(6)]
+    with pytest.raises(FitError, match="insufficient terms"):
+        _fit_bivariate(series, 2, 0)
+
+
 def test_bivariate_fit_of_a_zero_series_is_zero():
     zero = [Polynomial()] * 6
-    gf = _fit_bivariate(zero, 2)
+    gf = _fit_bivariate(zero, 2, 0)
     assert not gf.numerator
     assert gf.denominator == ONE
     assert expand(gf, 6) == zero
     with pytest.raises(FitError, match="insufficient terms"):
-        _fit_bivariate(zero[:5], 2)
+        _fit_bivariate(zero[:5], 2, 0)
 
 
 def test_bivariate_fit_degree_bounds():
@@ -435,17 +451,59 @@ def test_bivariate_fit_degree_bounds():
     # recurrence of length 4 is fixed by 8 terms, not by 6 (as in fit_rational)
     q = Polynomial((0, 1))
     series = [Polynomial()] * 3 + [Polynomial((0,) * (j - 2) + (1,)) for j in range(3, 8)]
-    gf = _fit_bivariate(series, 2)
+    gf = _fit_bivariate(series, 2, 1)
     assert gf.numerator.coeffs == (Polynomial(), Polynomial(), Polynomial(), q)
     assert gf.denominator.coeffs == (ONE, -q)
     with pytest.raises(FitError, match="insufficient terms"):
-        _fit_bivariate(series[:6], 2)
+        _fit_bivariate(series[:6], 2, 1)
     with pytest.raises(FitError, match="insufficient terms"):
         fit_rational([s.evaluate(1) for s in series[:6]], 2)
     # q^j j! has no recurrence of length 3 or less
     series = [Polynomial((0,) * j + (factorial(j),)) for j in range(6)]
     with pytest.raises(FitError, match="insufficient terms"):
-        _fit_bivariate(series, 2)
+        _fit_bivariate(series, 2, 5)
+
+
+def _width_fit(width):
+    """A width's word quotient, its area series, its fill sum F and its fit."""
+    rows = counting.word_quotient(width)
+    k = len(rows) - 1
+    series = counting.group_area_series(rows, width, 2 * k + 1)
+    fills = sum(fill for _, fill, _ in rows)
+    return rows, series, fills, _fit_bivariate(series, k, fills)
+
+
+def test_fill_sums_bound_each_denominator_coefficient():
+    # D_i of det(I - xB(q)) has q-degree at most the sum of the i largest
+    # fills; the fitted, reduced D obeys the same bound, and meets F_w
+    for width in range(1, 6):
+        rows, _, fills, gf = _width_fit(width)
+        largest = sorted((fill for _, fill, _ in rows[1:]), reverse=True)
+        for i, d in enumerate(gf.denominator.coeffs):
+            assert d.degree <= sum(largest[:i]), (width, i)
+        assert max(d.degree for d in gf.denominator.coeffs) == fills, width
+
+
+def test_denominator_mod_evaluates_one_point_per_q_coefficient(monkeypatch):
+    # one prime runs Berlekamp-Massey at exactly F_w + 1 values of q, plus
+    # one per degenerate point, whose recurrence is shorter (q = 2 at w = 3)
+    degenerate = {}
+    for width in range(1, 6):
+        rows, series, fills, _ = _width_fit(width)
+        lengths = []
+        real = genfunc._min_lfsr_mod
+
+        def spy(seq, p):
+            c, length = real(seq, p)
+            lengths.append(length)
+            return c, length
+
+        monkeypatch.setattr(genfunc, "_min_lfsr_mod", spy)
+        genfunc._denominator_mod(series, len(rows) - 1, fills, (1 << 61) - 1)
+        monkeypatch.undo()
+        degenerate[width] = sum(n < lengths[-1] for n in lengths)
+        assert len(lengths) == fills + 1 + degenerate[width], width
+    assert degenerate == {1: 0, 2: 0, 3: 1, 4: 0, 5: 0}
 
 
 def _area_setup(automaton, width):

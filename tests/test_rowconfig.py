@@ -53,6 +53,10 @@ def test_rejects_out_of_range():
         RowConfig(MAX_WIDTH + 1, 1)
     with pytest.raises(ValueError):
         RowConfig(2, 4)
+    # bool and float look like ints to a range check
+    for width, bits in ((True, 1), (2.0, 1), ("2", 1), (2, True), (2, 1.0), (2, None)):
+        with pytest.raises(ValueError):
+            RowConfig(width, bits)
 
 
 def test_alphabet_is_every_nonempty_row_ascending():
@@ -70,5 +74,6 @@ def test_alphabet_size():
 
 
 def test_alphabet_rejects_bad_width():
-    with pytest.raises(ValueError):
-        enumerate_alphabet(0)
+    for width in (0, True, 2.0, "2", None):
+        with pytest.raises(ValueError):
+            enumerate_alphabet(width)

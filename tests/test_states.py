@@ -124,6 +124,9 @@ def test_labeled_word_validation():
         LabeledWord((0, 2))  # not canonical
     with pytest.raises(ValueError):
         LabeledWord((5, 0))  # label above the width bound
+    for labels in ((True, 0), (1.0, 0), (0, "1"), (None,)):
+        with pytest.raises(ValueError):
+            LabeledWord(labels)
 
 
 def test_state_flag_invariants():
@@ -155,6 +158,9 @@ def test_is_valid_triplet():
         is_valid_triplet((), False, False)
     with pytest.raises(ValueError):
         is_valid_triplet((9, 0), True, False)
+    for labels in ((True,), (1.0, 0), (0, "1"), (None,)):
+        with pytest.raises(ValueError):
+            is_valid_triplet(labels, True, True)
 
 
 def test_is_accepting():
