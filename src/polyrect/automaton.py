@@ -7,12 +7,15 @@ per alphabet letter, -1 marking undefined transitions.
 
 Side flags never affect the word transition, so build() and deserialize()
 step each distinct (kernel word, letter) pair once, through a per-word memo
-that lives only as long as the call.  While building, a state is the int
-word_id << 2 | left << 1 | right; one LabeledWord per word, and with it word
-validation, and one AutomatonState per state are made at the end.  For the
-same reason serialize() and export_dot() format each word's row shape once,
-and deserialize() checks a file in serialize()'s layout by comparing its text
-with the recomputed rows so rendered; only other input is decoded pair by pair.
+of flat arrays that lives only as long as the call.  The left-right
+reflection maps the transition map to itself, so a word whose mirror image
+was stepped first takes the image's steps reflected, without stepping.
+While building, a state is the int word_id << 2 | left << 1 | right; one
+LabeledWord per word, and with it word validation, and one AutomatonState per
+state are made at the end.  For the same reason serialize() and export_dot()
+format each word's row shape once.  deserialize() compares a file that lists
+the formula's state count with serialize(build(b)); only other input is
+decoded pair by pair.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .rowconfig import MAX_WIDTH, RowConfig, letter_runs
 from .states import (
     AutomatonState, LabeledWord, initial_state, is_accepting, word_labels, word_masks,
 )
-from .transition import advance
+from .transition import advance, mirror, reversed_masks
 
 FORMAT_VERSION = 1
 DEFAULT_STATE_CEILING = 10**6
@@ -107,30 +110,53 @@ def _explore(width: int, words: list, keys: list[int], max_states: int) -> list[
     A key is word_id << 2 | left << 1 | right, where words[word_id] is the
     state's kernel word; words met for the first time are appended to words.
     Walking keys while it grows is the breadth-first search.
+
+    A word's defined steps are two flat arrays, letter ranks ascending and
+    target bases word_id << 2 | touches.  A word whose mirror image already
+    has steps takes the image's reflected: each letter flipped, each target
+    word mirrored, the touch bits swapped.
     """
     letters = [
         (bits - 1, bits, letter_runs(bits), (bits >> (width - 1)) << 1 | bits & 1)
         for bits in range(1, 1 << width)
     ]
+    flip = reversed_masks(width)
+    flipped_rank = [flip[bits] - 1 for bits in range(1, 1 << width)]
     word_ids = {word: i for i, word in enumerate(words)}
-    memo: dict[int, list] = {}
+    memo: dict[int, tuple[array, array]] = {}
+    mirrored: dict[int, int] = {}  # target base -> its mirror image's base
     index = {key: i for i, key in enumerate(keys)}
     rows = []
     for key in keys:
         steps = memo.get(key >> 2)
         if steps is None:
-            steps = memo[key >> 2] = []
             word = words[key >> 2]
-            for rank, bits, runs, touches in letters:
-                nxt = advance(word, bits, runs)
-                if nxt is not None:
+            image = memo.get(word_ids.get(mirror(word, flip), -1))  # its mirror's steps
+            if image is None:
+                ranks, bases = array("i"), array("i")
+                for rank, bits, runs, touches in letters:
+                    nxt = advance(word, bits, runs)
+                    if nxt is not None:
+                        nid = word_ids.setdefault(nxt, len(words))
+                        if nid == len(words):
+                            words.append(nxt)
+                        ranks.append(rank)
+                        bases.append(nid << 2 | touches)
+            else:
+                for base in set(image[1]).difference(mirrored):
+                    nxt = mirror(words[base >> 2], flip)
                     nid = word_ids.setdefault(nxt, len(words))
                     if nid == len(words):
                         words.append(nxt)
-                    steps.append((rank, nid << 2 | touches))
+                    mirrored[base] = nid << 2 | (base & 1) << 1 | base >> 1 & 1
+                by_rank = dict(zip(map(flipped_rank.__getitem__, image[0]),
+                                   map(mirrored.__getitem__, image[1])))
+                ranks = array("i", sorted(by_rank))
+                bases = array("i", map(by_rank.__getitem__, ranks))
+            steps = memo[key >> 2] = ranks, bases
         flags = key & 3
         row = array("i", [-1]) * len(letters)
-        for rank, base in steps:
+        for rank, base in zip(*steps):
             j = index.get(base | flags)
             if j is None:
                 j = len(keys)
@@ -214,20 +240,11 @@ def _row_shapes(a: Automaton, make):
         yield template, tuple(compress(row, selector))
 
 
-def _rows_json(a: Automaton) -> str:
-    """serialize()'s transitions, each row filling its word's "[[1,%d],[3,%d],...]"."""
-    pairs = ["[%d,%%d]" % bits for bits in range(1, 1 << a.width)]
-    rows = ",".join(
-        template % targets
-        for template, targets in _row_shapes(a, lambda sel: f"[{','.join(compress(pairs, sel))}]")
-    )
-    return f"[{rows}]"
-
-
 def serialize(a: Automaton) -> bytes:
     """Versioned JSON encoding; byte-identical for equal automata.
 
-    The transitions are spliced in as text after the JSON-encoded header.
+    The transitions are spliced in as text after the JSON-encoded header,
+    each row filling its word's "[[1,%d],[3,%d],...]".
     """
     doc = {
         "version": FORMAT_VERSION,
@@ -240,7 +257,12 @@ def serialize(a: Automaton) -> bytes:
         "transitions": 0,
     }
     head = json.dumps(doc, separators=(",", ":"))[:-2]  # up to the placeholder "0}"
-    return f"{head}{_rows_json(a)}}}".encode("ascii")
+    pairs = ["[%d,%%d]" % bits for bits in range(1, 1 << a.width)]
+    rows = ",".join(
+        template % targets
+        for template, targets in _row_shapes(a, lambda sel: f"[{','.join(compress(pairs, sel))}]")
+    )
+    return f"{head}[{rows}]}}".encode("ascii")
 
 
 def _checked_states(doc) -> tuple[int, list[AutomatonState]]:
@@ -334,10 +356,10 @@ def _state_rows(width: int, states: list) -> list[array]:
         raise AutomatonInvariantError("a step leaves the listed states") from exc
 
 
-def _recomputed(width: int, states: list, raw_accepting: list, want_rows, rows=None) -> Automaton:
-    """The automaton of want_rows, the `_state_rows` of states, once the
-    accepting set and reachability are checked; rows, if given, must equal them."""
-    for i, (want, have) in enumerate(zip(want_rows, rows or ())):
+def _recomputed(width: int, states: list, raw_accepting: list, want_rows, rows) -> Automaton:
+    """The automaton of want_rows, the `_state_rows` of states, once rows equal
+    them and the accepting set and reachability are checked."""
+    for i, (want, have) in enumerate(zip(want_rows, rows)):
         if want != have:
             bits = 1 + next(k for k in range(len(want)) if want[k] != have[k])
             target = states[want[bits - 1]] if want[bits - 1] >= 0 else "nothing (undefined)"
@@ -364,29 +386,26 @@ def deserialize(data: bytes | str) -> Automaton:
     an automaton invariant (wrong accepting set, wrong or missing transition,
     unreachable state, non-canonical word) AutomatonInvariantError.
 
-    In serialize()'s layout only the header before the last ',"transitions":'
-    is decoded: the rows recomputed from its states, rendered as serialize()
-    does, must equal the rest up to trailing JSON whitespace.  Any other input,
-    or one failing a check, is decoded in full and checked pair by pair.
+    When the header before the last ',"transitions":' lists exactly
+    state_count_formula(b) states, the input, up to trailing JSON whitespace,
+    is compared with serialize(build(b)); if equal, that automaton is
+    returned.  Any other input is decoded in full and checked pair by pair,
+    against build's rows when it lists build's states.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise AutomatonFormatError(f"not utf-8: {exc}") from exc
-    head, _, tail = data.rpartition(',"transitions":')
-    known = None  # the states and rows the attempt below recomputed
+    built = None  # build's automaton of the width the header names
     try:
-        doc = json.loads(head + "}")
-        if isinstance(doc, dict) and "transitions" not in doc:
-            doc["transitions"] = [None] * len(doc["states"])  # the comparison checks the rows
-            width, states = _checked_states(doc)
-            known = states, _state_rows(width, states)
-            a = _recomputed(width, states, doc["accepting"], known[1])
-            # the rendering has no quotes, so equal text decodes to the same rows
-            if f"{_rows_json(a)}}}" == tail.rstrip(" \t\n\r"):
-                return a
-    except Exception:  # the full parse below raises the error to report
+        head = json.loads(data.rpartition(',"transitions":')[0] + "}")
+        width, n = head["b"], len(head["states"])
+        if type(width) is int and 1 <= width <= MAX_WIDTH and n == state_count_formula(width):
+            built = build(width, n)
+            if serialize(built).decode("ascii") == data.rstrip(" \t\n\r"):
+                return built
+    except (ValueError, TypeError, LookupError, RecursionError):  # the full parse reports it
         pass
 
     try:
@@ -396,7 +415,8 @@ def deserialize(data: bytes | str) -> Automaton:
     width, states = _checked_states(doc)
     rows = _parse_rows(doc["transitions"], width, len(states))
     # equal states have equal words, so the same width and the same rows
-    want_rows = known[1] if known and known[0] == states else _state_rows(width, states)
+    same = built is not None and built.states == tuple(states)
+    want_rows = built.transitions if same else _state_rows(width, states)
     return _recomputed(width, states, doc["accepting"], want_rows, rows)
 
 

@@ -54,8 +54,9 @@ the integer its row's plain sum gives, and so is the signed sum over the
 widths: term h is the area polynomial over q^h, so unpacking prepends h
 zeros.  Its coefficients are inscribed counts, nonnegative and at most the
 height's count, so `count_area_series` sizes its slot from the counts of a
-plain DP run first, and checks that each polynomial sums to its count,
-which a slot overflow breaks.  `group_area_series` sizes its slot a priori.
+plain DP run on the same plans first, and checks that each polynomial sums
+to its count, which a slot overflow breaks.  `group_area_series` sizes its
+slot a priori.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from typing import Iterable, Sequence
 from .automaton import Automaton
 from .polynomial import Polynomial, unpack_coefficients
 from .rowconfig import MAX_WIDTH, RowConfig, letter_runs
-from .transition import advance
+from .transition import advance, mirror, reversed_masks
 
 # sign of A_b, A_(b-1) and A_(b-2) in the inscribed counts
 WIDTH_SIGNS = (1, -2, 1)
@@ -105,7 +106,7 @@ def _word_rows(width: int) -> Iterable[tuple[int, Row]]:
     classes).
     """
     letters = [(bits, letter_runs(bits)) for bits in range(1, 1 << width)]
-    flip = [int(format(m, f"0{width}b")[::-1], 2) for m in range(1 << width)]
+    flip = reversed_masks(width)
     words = [()]
     classes = {(): 0}
     n_classes = 1
@@ -117,8 +118,7 @@ def _word_rows(width: int) -> Iterable[tuple[int, Row]]:
                 continue
             c = classes.get(nxt)
             if c is None:
-                # a kernel word lists its components in decreasing mask order
-                c = classes.get(tuple(sorted([flip[m] for m in nxt], reverse=True)))
+                c = classes.get(mirror(nxt, flip))
                 if c is None:
                     c = n_classes
                     n_classes += 1
@@ -225,18 +225,25 @@ def _fields(bits: int, span: int, low: int) -> list[int]:
     return targets
 
 
-def group_series(rows: Sequence[Row], h_max: int, slot: int = 0) -> list[int]:
+def _plan(rows: Sequence[Row], h_max: int) -> list[tuple[int, int, list[int], list[int]]]:
+    """dp_plan(rows), or for a run shorter than PLAN_PAYBACK_STEPS every row
+    with the empty row as its parent: the plain row sum, in the same loop."""
+    if h_max < PLAN_PAYBACK_STEPS:
+        return [(c, -1, out, []) for c, (_, _, out) in enumerate(rows)]
+    return dp_plan(rows)
+
+
+def group_series(
+    rows: Sequence[Row], h_max: int, slot: int = 0, plan: list | None = None
+) -> list[int]:
     """A width's weight at its initial class after 0..h_max steps: A_w(0..h_max).
 
     With slot, a step into a class multiplies by 2^(slot * (its fill count
-    - 1)), so term h is the area polynomial over q^h at q = 2^slot.  A run
-    shorter than PLAN_PAYBACK_STEPS gives every row the empty row as its
-    parent: the plain row sum, in the same loop.
+    - 1)), so term h is the area polynomial over q^h at q = 2^slot.  plan
+    defaults to _plan(rows, h_max).
     """
-    if h_max < PLAN_PAYBACK_STEPS:
-        plan = [(c, -1, out, []) for c, (_, _, out) in enumerate(rows)]
-    else:
-        plan = dp_plan(rows)
+    if plan is None:
+        plan = _plan(rows, h_max)
     # class 0 alone has fill 0, and no step enters it
     shifts = [slot * max(fill - 1, 0) for _, fill, _ in rows]
     u = [int(one) << k for (one, _, _), k in zip(rows, shifts)]
@@ -315,15 +322,15 @@ def count_area_series(b: int | Automaton, h_max: int) -> SeriesTable:
     if type(h_max) is not int or h_max < 0:
         raise ValueError(f"h_max must be an int >= 0, got {h_max!r}")
     width = _width(b)
-    groups = width_groups(width)
+    groups = [(sign, rows, _plan(rows, h_max)) for sign, rows in width_groups(width)]
     counts = [1] + [0] * h_max
     packed = [1] + [0] * h_max
-    for sign, rows in groups:
-        for h, t in enumerate(group_series(rows, h_max)):
+    for sign, rows, plan in groups:
+        for h, t in enumerate(group_series(rows, h_max, plan=plan)):
             counts[h] += sign * t
     slot_bytes = _area_slot_bytes(max(counts).bit_length())
-    for sign, rows in groups:
-        for h, acc in enumerate(group_series(rows, h_max, 8 * slot_bytes)):
+    for sign, rows, plan in groups:
+        for h, acc in enumerate(group_series(rows, h_max, 8 * slot_bytes, plan)):
             packed[h] += sign * acc
     polys = _unpacked(packed, slot_bytes)
     if [sum(poly.coeffs) for poly in polys] != counts:

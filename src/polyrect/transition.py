@@ -134,6 +134,21 @@ def advance(word: tuple[int, ...], bits: int, runs: tuple[int, ...]) -> tuple[in
     return tuple(groups)
 
 
+def reversed_masks(width: int) -> list[int]:
+    """Every width-w mask with its cells in reverse order, indexed by mask."""
+    return [int(format(m, f"0{width}b")[::-1], 2) for m in range(1 << width)]
+
+
+def mirror(word: tuple[int, ...], flip: Sequence[int]) -> tuple[int, ...]:
+    """A kernel word's left-right mirror image, flip being reversed_masks(width).
+
+    Stepping commutes with it: mirror(word) under the letter flip[bits] steps
+    to the mirror of what word steps to under bits, or both are undefined.
+    """
+    # a kernel word lists its components in decreasing mask order
+    return tuple(sorted([flip[m] for m in word], reverse=True))
+
+
 def step(state: AutomatonState, row: RowConfig) -> AutomatonState | None:
     """Successor state after reading row, or None when undefined."""
     if state.width != row.width:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -22,7 +23,7 @@ from polyrect import (
     initial_state,
     state_count_formula,
 )
-from polyrect.automaton import _explore, catalan, runs_of_ones
+from polyrect.automaton import _explore, _parse_rows, catalan, runs_of_ones
 
 from reference import export_dot_reference, serialize_reference, transfer_matrix
 
@@ -486,6 +487,64 @@ def test_compact_fault_explores_once(monkeypatch, automaton):
         deserialize(json.dumps(doc, separators=(",", ":")).encode())
     assert str(info.value) == "row 1 letter 1 should map to (0000001,F,T)"
     assert calls == [7]
+
+
+def _spied(monkeypatch, calls):
+    """Record each _explore call as its width and each _parse_rows call as "parse"."""
+    def explore(*args):
+        calls.append(args[0])
+        return _explore(*args)
+
+    def parse(*args):
+        calls.append("parse")
+        return _parse_rows(*args)
+
+    monkeypatch.setattr("polyrect.automaton._explore", explore)
+    monkeypatch.setattr("polyrect.automaton._parse_rows", parse)
+
+
+def test_canonical_input_explores_once_and_parses_no_pair(monkeypatch, automaton):
+    calls = []
+    _spied(monkeypatch, calls)
+    for width in range(1, 7):
+        a = automaton(width)
+        calls.clear()
+        assert deserialize(serialize(a) + b"\n") == a
+        assert calls == [width]
+
+
+@pytest.mark.parametrize("width", range(2, 6))
+def test_reordered_states_load_through_the_full_parse(monkeypatch, automaton, width):
+    # the same automaton with its non-initial states listed in reverse order
+    a = automaton(width)
+    new = [0] + list(range(a.n_states - 1, 0, -1))  # new index of each state
+    old = sorted(range(a.n_states), key=new.__getitem__)
+    reordered = Automaton(
+        width,
+        tuple(a.states[i] for i in old),
+        frozenset(new[i] for i in a.accepting),
+        tuple(array("i", [new[t] if t >= 0 else -1 for t in a.transitions[i]]) for i in old),
+    )
+    calls = []
+    _spied(monkeypatch, calls)
+    assert deserialize(serialize(reordered)) == reordered
+    # build's states differ from the listed ones, so the listed ones are explored too
+    assert calls == [width, "parse", width]
+
+
+def test_build_peak_memory_stays_near_its_table():
+    # build(7)'s dense table is n (2^b - 1) 4 = 625 * 127 * 4 = 317 500 bytes.
+    # With each word's steps in two flat arrays the traced peak measured
+    # 776 548 bytes, 2.45x the table, against 8.1x for a list of (rank, base)
+    # tuples per word; the bound of 4x leaves a margin of about 1.6x.
+    table = state_count_formula(7) * ((1 << 7) - 1) * 4
+    tracemalloc.start()
+    try:
+        build(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * table
 
 
 @pytest.mark.parametrize("width", [2, 3])

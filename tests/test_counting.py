@@ -425,6 +425,21 @@ def test_short_runs_build_no_plan(monkeypatch):
     assert planned == [GROUP_SIZES[3], GROUP_SIZES[2]]
 
 
+def test_area_series_plans_each_width_once(monkeypatch):
+    # the plain pass that sizes the slot and the area pass share one plan
+    a = build(4)
+    planned = []
+
+    def spy(rows):
+        planned.append(len(rows))
+        return dp_plan(rows)
+
+    monkeypatch.setattr(counting, "dp_plan", spy)
+    table = count_area_series(a, PLAN_PAYBACK_STEPS)
+    assert table.area_counts == forward_area_counts(a, PLAN_PAYBACK_STEPS)
+    assert planned == [GROUP_SIZES[3], GROUP_SIZES[2], GROUP_SIZES[1]]
+
+
 def test_short_series_is_a_prefix_of_a_tall_one(automaton):
     a = automaton(4)
     tall = count_series(a, 300).counts
