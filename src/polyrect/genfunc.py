@@ -44,23 +44,31 @@ entries c * q^fill with c a nonnegative integer, so each width's degrees in
 x are at most k_w over Z[q] as well.  `gf_height_area` fits each width on
 its 2k_w + 2 area polynomials and sums the fits; a pair of denominators is
 proved coprime over Q(q) by setting q to an integer where neither leading
-coefficient vanishes (`_coprime`).  A width is fitted by specializing q at
-t = 1, 2, ... modulo primes just below 2^61: Berlekamp-Massey at each point
-gives D(t) mod p, Lagrange interpolation through F_w + 1 points turns the
-values into the q-coefficients of D mod p, primes are combined by the
-Chinese remainder theorem, and every new symmetric lift within the degree
-bound is proved at once.  F_w, the sum of the classes' fills, bounds every
-q-degree: a term of the x^i coefficient of det(I - xB_w) over a set S of i
-classes enters each class of S once, so it carries q^(sum of S's fills),
-and the reduced denominator divides that determinant over Z[q] (Gauss's
-lemma, as its constant term is 1), so its q-degree is no larger.  One
-exact pass over the 2k_w + 2 terms at q = 2^s, with a slot width s large
-enough that the integer identity implies the identity in Z[q], first
-checks that the terms of D * S beyond x^(k_w + 1) vanish, so a wrong lift
-fails after one of them, and then reads off the numerator
-(D * S) mod x^(k_w + 2) (see `_proved_numerator`).  So here too the primes
-decide only the running time, and so does F_w: a bound that was too small
-could only make every lift fail that pass.
+coefficient vanishes (`_coprime`).  A width is fitted at one point q = 2^s
+per slot, s a whole number of bytes (Kronecker substitution, von zur Gathen
+and Gerhard, section 8.4): each term S_j(2^s) is one exact integer,
+Berlekamp-Massey runs on these modulo primes just below 2^61, and primes
+that agree on the recurrence length are combined by the Chinese remainder
+theorem.  F_w, the sum of the classes' fills, bounds every q-degree: a term
+of the x^i coefficient of det(I - xB_w) over a set S of i classes enters
+each class of S once, so it carries q^(sum of S's fills), and the reduced
+denominator divides that determinant over Z[q] (Gauss's lemma, as its
+constant term is 1), so its q-degree is no larger.  So when every
+q-coefficient of D lies inside (-2^(s-1), 2^(s-1)), no |D_i(2^s)| reaches
+2^((F_w + 1) s), and once the modulus has more than (F_w + 1) s + 1 bits
+the symmetric lift is D(2^s), whose balanced base-2^s digits are D's
+q-coefficients.  The first slot is sized from D(x, 1), one run at q = 1
+modulo one prime.  One exact pass over the 2k_w + 2 terms at q = 2^s', with
+a slot width s' large enough that the integer identity implies the
+identity in Z[q], first checks that the terms of D * S beyond x^(k_w + 1)
+vanish, so a wrong candidate fails after one of them, and then reads off
+the numerator (D * S) mod x^(k_w + 2) (see `_proved_numerator`).  A
+candidate that fails, from a q-coefficient too wide for the slot or from a
+point where N(x, 2^s) and D(x, 2^s) share a factor, doubles s.  That pass
+sizes its own slot from the candidate and the terms, so the primes, the
+slot and the point decide only the running time, never the result, and so
+does F_w: a bound that was too small could only make every candidate fail
+that pass.
 """
 
 from __future__ import annotations
@@ -79,7 +87,6 @@ from .polynomial import (
     Polynomial,
     json_ready,
     pack_coefficients,
-    unpack_coefficients,
     unpack_signed,
 )
 
@@ -462,24 +469,16 @@ def _coprime(a: Polynomial, b: Polynomial) -> bool:
 
 
 def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int, q_bound: int) -> RationalGF:
-    """Fit over Z[q] by specialization modulo primes, proved by `_proved_numerator`.
+    """Fit over Z[q] at one point q = 2^s per slot, proved by `_proved_numerator`.
 
-    q_bound bounds the denominator's degree in q.  For each prime p,
-    `_denominator_mod` finds the residues of its q-coefficients, q_bound + 1
-    of them per D_i.  Primes that agree on the recurrence length are
-    combined by the Chinese remainder theorem and lifted symmetrically.
-    Every new lift D within the degree bound goes to `_proved_numerator`,
-    which tests the terms of D * S that must vanish first, so a wrong lift
-    costs one such term.  The numerator is (D * S) mod x^(degree_bound + 2),
-    and the lift is returned once `_proved_numerator` proves that N/D
-    reproduces all of series.  With 2 * degree_bound + 2 terms of a series
-    that is a rational function within the bound, that agreement proves the
-    lift (`fit_rational`), so the primes decide the running time, never the
-    result.  So does q_bound: a bound below the denominator's q-degree only
-    makes every lift fail the proof.
-    Primes whose bits add up past the ceiling `_min_recurrence` sets for the
-    largest integer in series end the search with FitError.  An all-zero
-    series is 0/1.
+    q_bound bounds the denominator's degree in q.  The first slot holds the
+    symmetric lift of D(x, 1) modulo one prime with 2 bits to spare, in
+    whole bytes.  `_denominator_at` reads a candidate D at q = 2^s, and D is
+    returned once `_proved_numerator` proves that N/D reproduces all of
+    series, which with 2 * degree_bound + 2 terms proves the fit
+    (`fit_rational`); otherwise s doubles (module docstring).  A failed slot
+    wider than the ceiling `_min_recurrence` sets for the largest integer
+    in series ends the search with FitError.  An all-zero series is 0/1.
     """
     if len(series) < 2 * degree_bound + 2:
         raise FitError(
@@ -490,111 +489,65 @@ def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int, q_bound: int
     rank = degree_bound + 2
     top_bits = max(abs(c) for s in series for c in s.coeffs).bit_length()
     limit_bits = 2 * rank * (top_bits + rank.bit_length()) + 2
-    groups: dict[int, tuple[int, list[int]]] = {}
-    spent = 0
-    for p in _primes():
-        if spent > limit_bits:
-            break
-        spent += p.bit_length()
-        values = _denominator_mod(series, degree_bound, q_bound, p)
-        if values is None:
-            continue
-        modulus, residues = _crt(groups, len(values), [v for vs in values for v in vs], p)
-        den = _from_flat([1] + [0] * q_bound + _symmetric(residues, modulus), q_bound + 1)
-        if den.degree <= degree_bound:
+    p = next(_primes())
+    at_one, _ = _min_lfsr_mod([sum(s.coeffs) for s in series], p)
+    slot_bytes = (max(map(abs, _symmetric(at_one, p))).bit_length() + 2 + 7) // 8
+    while True:
+        den = _denominator_at(series, degree_bound, q_bound, slot_bytes)
+        if den is not None:
             num = _proved_numerator(den, series, degree_bound)
             if num is not None:
                 return RationalGF(num, den)
-    raise FitError("insufficient terms: bivariate fit did not stabilize")
+        if 8 * slot_bytes > limit_bits:
+            raise FitError("insufficient terms: bivariate fit did not stabilize")
+        slot_bytes *= 2
 
 
-def _evaluator(series: Sequence[Polynomial], p: int):
-    """The map t -> [S(t) for S in series], modulo p, one packed dot product per t.
+def _denominator_at(
+    series: Sequence[Polynomial], degree_bound: int, q_bound: int, slot_bytes: int
+) -> Polynomial | None:
+    """The candidate D read from the terms at q = 2^s, s = 8 * slot_bytes, or None.
 
-    Column m packs the q^m coefficients of every term mod p into slots wide
-    enough for a sum of products of two residues, so sum(column_m * t^m)
-    holds every term's value in its own slot, not yet reduced mod p.
+    `_min_lfsr_mod` runs once per prime on the exact S_j(2^s), and primes
+    that agree on the recurrence length L are combined by the Chinese
+    remainder theorem.  Once a group's modulus has more than
+    (q_bound + 1) * s + 1 bits, its symmetric lift is read back as balanced
+    base-2^s digits (module docstring).  None when the candidate leaves the
+    x-degree or q-degree bound, or the primes run out.  L is at most
+    max(deg D, deg N + 1) over Q(q), as D stays a recurrence at any q and
+    modulo any prime, so FitError when it is longer than the bound or half
+    the terms allow.
     """
-    width = max(len(s.coeffs) for s in series)
-    slot_bytes = (2 * p.bit_length() + width.bit_length() + 7) // 8
-    rows = [[c % p for c in s.coeffs] + [0] * (width - len(s.coeffs)) for s in series]
-    columns = [pack_coefficients(col, slot_bytes) for col in zip(*rows)]
-
-    def at(t: int) -> list[int]:
-        powers = [1] * width
-        for m in range(1, width):
-            powers[m] = powers[m - 1] * t % p
-        values = unpack_coefficients(sum(map(mul, columns, powers)), slot_bytes)
-        return values + [0] * (len(series) - len(values))
-
-    return at
-
-
-def _denominator_mod(
-    series: Sequence[Polynomial], degree_bound: int, q_bound: int, p: int
-) -> list[list[int]] | None:
-    """Residues mod p of the q-coefficients 0..q_bound of D_1, ..., D_L, or None.
-
-    At q = t = 1, 2, ..., `_min_lfsr_mod` finds the minimal recurrence.
-    For a fraction N/D its length L is at most max(deg D, deg N + 1), never
-    more than over Q(q), and when 2L is at most the number of terms it is
-    unique, so at every t where the length is the largest one met it is
-    D(t) mod p, padded to L + 1 entries.  Points of a shorter length (a root
-    of a leading coefficient, or a common factor of N(t) and D(t) mod p) are
-    skipped, and a longer one starts over.  No D_i has q-degree above
-    q_bound, so q_bound + 1 points of one length give every D_i
-    (`_interpolate`).  None when p has too few points; FitError when a
-    recurrence is longer than the bound or half the terms allow.
-    """
-    at = _evaluator(series, p)
-    length, xs, ys = -1, [], []
-    for t in range(1, p):
-        c, n = _min_lfsr_mod(at(t), p)
+    slot = 8 * slot_bytes
+    values = [_at_power_of_two(s, slot_bytes) for s in series]
+    groups: dict[int, tuple[int, list[int]]] = {}
+    for p in _primes():
+        c, n = _min_lfsr_mod(values, p)
         if n > degree_bound + 2 or 2 * n > len(series):
-            raise FitError(f"insufficient terms: recurrence of length {n} at q = {t}")
-        if n < length:
-            continue
-        if n > length:
-            # every earlier point was degenerate: start over from this one
-            length, xs, ys = n, [], []
-        xs.append(t)
-        ys.append(c[1:])
-        if len(xs) > q_bound:
-            return _interpolate(xs, ys, p)
+            raise FitError(f"insufficient terms: recurrence of length {n} at q = 2^{slot}")
+        modulus, residues = _crt(groups, n, c, p)
+        if modulus.bit_length() > (q_bound + 1) * slot + 1:
+            den = Polynomial(
+                Polynomial(unpack_signed(d, slot_bytes)) for d in _symmetric(residues, modulus)
+            )
+            if den.degree > degree_bound or max(d.degree for d in den.coeffs) > q_bound:
+                return None
+            return den
     return None
 
 
-def _interpolate(xs: list[int], ys: list[list[int]], p: int) -> list[list[int]]:
-    """Coefficients mod p of the polynomials through (xs[n], ys[n][i]), one list per i.
+def _at_power_of_two(f: Polynomial, slot_bytes: int) -> int:
+    """f(2^s), s = 8 * slot_bytes, exactly, whatever the size of f's coefficients.
 
-    Lagrange's basis: with M = prod(q - x), the basis polynomial of node x
-    is (M / (q - x)) / M'(x).  Each point's values are packed into one
-    integer, as in `_evaluator`, so each q-coefficient of every polynomial
-    comes from one dot product.  Each list has len(xs) entries.
+    Every r-th coefficient is packed at an r-times-wider slot, with r large
+    enough to hold the largest of them, and the r packs are added, each
+    shifted into place: linear time, as `pack_coefficients`.
     """
-    master = [1]
-    for x in xs:
-        master = [(lo - x * hi) % p for lo, hi in zip([0] + master, master + [0])]
-    basis = []
-    for x in xs:
-        # M / (q - x) by synthetic division, top down, and its value at x
-        quotient, r = [], 0
-        for a in reversed(master[1:]):
-            r = (a + x * r) % p
-            quotient.append(r)
-        slope = 0
-        for a in quotient:
-            slope = (slope * x + a) % p
-        scale = pow(slope, -1, p)
-        basis.append([v * scale % p for v in reversed(quotient)])
-    slot_bytes = (2 * p.bit_length() + len(xs).bit_length() + 7) // 8
-    packed = [pack_coefficients(y, slot_bytes) for y in ys]
-    width = len(ys[0])
-    coeffs = []
-    for row in zip(*basis):
-        values = unpack_coefficients(sum(map(mul, row, packed)), slot_bytes)
-        coeffs.append([v % p for v in values] + [0] * (width - len(values)))
-    return [list(col) for col in zip(*coeffs)]
+    coeffs = f.coeffs
+    r = -(-max(map(abs, coeffs), default=1).bit_length() // (8 * slot_bytes)) or 1
+    return sum(
+        pack_coefficients(coeffs[i::r], r * slot_bytes) << (8 * slot_bytes * i) for i in range(r)
+    )
 
 
 def _proved_numerator(
@@ -660,9 +613,10 @@ def gf_height_area(
             f"area generating functions are desk-scale for width <= {AREA_WIDTH_LIMIT}"
         )
     parts = []
-    for sign, rows in width_groups(width):
+    # width_groups lists the widths width, width - 1 and width - 2 in order
+    for d, (sign, rows) in enumerate(width_groups(width)):
         k = len(rows) - 1
-        series = group_area_series(rows, width, 2 * k + 1)
+        series = group_area_series(rows, width - d, 2 * k + 1)
         parts.append((sign, _fit_bivariate(series, k, sum(fill for _, fill, _ in rows))))
     return sum_fractions(parts)
 

@@ -20,9 +20,7 @@ from polyrect.counting import count_area_series
 from polyrect.genfunc import (
     _coprime,
     _fit_bivariate,
-    _interpolate,
     _proved_numerator,
-    _symmetric,
     sum_fractions,
 )
 from polyrect.polynomial import ONE
@@ -393,39 +391,45 @@ def test_specialize_q_reduces():
         specialize_q(gf_height_area(2), 0.5)
 
 
-def test_modular_interpolation_rebuilds_integer_polynomial():
-    # residues mod p of values at 1..6 give the coefficients mod p, and the
-    # symmetric lift recovers the negative ones
-    p = 2**61 - 1
-    first = Polynomial((3, -5, 0, 7, 0, -2))
-    second = Polynomial((0, 1, -(2**40)))
-    xs = list(range(1, 7))
-    ys = [[first.evaluate(x) % p, second.evaluate(x) % p, 0] for x in xs]
-    residues = _interpolate(xs, ys, p)
-    # one entry per point, zeros included
-    assert [_symmetric(r, p) for r in residues] == [
-        list(first.coeffs),
-        list(second.coeffs) + [0, 0, 0],
-        [0] * 6,
-    ]
-
-
-def test_bivariate_lift_too_large_for_one_prime_uses_crt(monkeypatch):
-    # 1 / (1 - c q x) with c above 2^61: one prime cannot hold -c, two can
+def test_bivariate_slot_grows_until_the_coefficient_fits(monkeypatch):
+    # 1 / (1 - c q x) with c above 2^70: D(x, 1) = 1 - c x sizes the first
+    # slot from c mod p, too narrow for c, so a wider slot is needed
     c = 2**70 + 3
     series = [Polynomial((0,) * j + (c**j,)) for j in range(6)]
-    primes = []
-    real = genfunc._denominator_mod
+    slots = []
+    real = genfunc._denominator_at
 
-    def spy(series, degree_bound, q_bound, p):
-        primes.append(p)
-        return real(series, degree_bound, q_bound, p)
+    def spy(series, degree_bound, q_bound, slot_bytes):
+        slots.append(slot_bytes)
+        return real(series, degree_bound, q_bound, slot_bytes)
 
-    monkeypatch.setattr(genfunc, "_denominator_mod", spy)
+    monkeypatch.setattr(genfunc, "_denominator_at", spy)
     gf = _fit_bivariate(series, 2, 1)
     assert gf.denominator.coeffs == (ONE, Polynomial((0, -c)))
     assert gf.numerator.coeffs == (ONE,)
-    assert len(primes) == 2
+    assert len(slots) > 1
+    assert slots == [slots[0] << i for i in range(len(slots))]
+    assert 8 * slots[0] <= c.bit_length() < 8 * slots[-1]
+
+
+def test_bivariate_fit_survives_a_degenerate_point(monkeypatch):
+    # (1 + 16x) / (1 - q x^2): D(x, 1) = 1 - x^2 sizes an 8-bit slot, and at
+    # q = 256, 1 - 256 x^2 = (1 - 16x)(1 + 16x) shares a factor with the
+    # numerator, so the recurrence there is 1 - 16x, which the proof rejects
+    series = [Polynomial((0,) * (j // 2) + (16 if j % 2 else 1,)) for j in range(6)]
+    tried = []
+    real = genfunc._proved_numerator
+
+    def spy(den, series, degree_bound):
+        tried.append(den.degree)
+        return real(den, series, degree_bound)
+
+    monkeypatch.setattr(genfunc, "_proved_numerator", spy)
+    gf = _fit_bivariate(series, 2, 1)
+    q = Polynomial((0, 1))
+    assert gf.numerator.coeffs == (ONE, Polynomial((16,)))
+    assert gf.denominator.coeffs == (ONE, Polynomial(), -q)
+    assert tried == [1, 2]
 
 
 def test_bivariate_q_bound_too_small_fails_the_proof():
@@ -484,26 +488,22 @@ def test_fill_sums_bound_each_denominator_coefficient():
         assert max(d.degree for d in gf.denominator.coeffs) == fills, width
 
 
-def test_denominator_mod_evaluates_one_point_per_q_coefficient(monkeypatch):
-    # one prime runs Berlekamp-Massey at exactly F_w + 1 values of q, plus
-    # one per degenerate point, whose recurrence is shorter (q = 2 at w = 3)
-    degenerate = {}
-    for width in range(1, 6):
-        rows, series, fills, _ = _width_fit(width)
-        lengths = []
+def test_bivariate_fit_runs_fewer_berlekamp_massey_than_q_coefficients(monkeypatch):
+    # one point q = 2^s packs every q-coefficient of D_i into D_i(2^s), so
+    # the primes' runs, and the one at q = 1 that sizes the slot, number
+    # fewer than the F_w + 1 points an interpolation would need
+    for width in (3, 4, 5):
+        runs = []
         real = genfunc._min_lfsr_mod
 
         def spy(seq, p):
-            c, length = real(seq, p)
-            lengths.append(length)
-            return c, length
+            runs.append(p)
+            return real(seq, p)
 
         monkeypatch.setattr(genfunc, "_min_lfsr_mod", spy)
-        genfunc._denominator_mod(series, len(rows) - 1, fills, (1 << 61) - 1)
+        _, _, fills, _ = _width_fit(width)
         monkeypatch.undo()
-        degenerate[width] = sum(n < lengths[-1] for n in lengths)
-        assert len(lengths) == fills + 1 + degenerate[width], width
-    assert degenerate == {1: 0, 2: 0, 3: 1, 4: 0, 5: 0}
+        assert len(runs) < fills + 1, (width, len(runs))
 
 
 def _area_setup(automaton, width):
