@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass
 from itertools import compress
 from math import comb
 
@@ -32,6 +31,7 @@ from .errors import (
     AutomatonVersionError,
     ResourceLimitError,
 )
+from .record import Record
 from .rowconfig import MAX_WIDTH, RowConfig, letter_runs
 from .states import (
     AutomatonState, LabeledWord, initial_state, is_accepting, word_labels, word_masks,
@@ -63,8 +63,8 @@ def state_count_formula(width: int) -> int:
     doubled once when the rightmost cell is empty (free right flag) and once
     when the leftmost cell is empty (free left flag).
     """
-    if not 0 <= width <= 62:
-        raise ValueError(f"width must be in 0..62, got {width}")
+    if type(width) is not int or not 0 <= width <= 62:
+        raise ValueError(f"width must be in 0..62, got {width!r}")
     total = 1
     half = 1 << (width - 1) if width else 0
     cache: dict[int, int] = {}
@@ -81,14 +81,17 @@ def state_count_formula(width: int) -> int:
     return total
 
 
-@dataclass(frozen=True, eq=True)
-class Automaton:
+class Automaton(Record):
     """Built automaton: states in discovery order, dense transition table."""
 
-    width: int
-    states: tuple[AutomatonState, ...]
-    accepting: frozenset[int]
-    transitions: tuple[array, ...]
+    __slots__ = ("width", "states", "accepting", "transitions")
+
+    def __init__(self, width: int, states: tuple[AutomatonState, ...],
+                 accepting: frozenset[int], transitions: tuple[array, ...]):
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "accepting", accepting)
+        object.__setattr__(self, "transitions", transitions)
 
     @property
     def n_states(self) -> int:

@@ -283,12 +283,23 @@ def run(ns: argparse.Namespace) -> int:
     return status
 
 
-def _build_parser(names=None) -> argparse.ArgumentParser:
-    """The parser, with subcommands only for the commands in names (all if None)."""
-    parser = argparse.ArgumentParser(
-        prog="polyrect",
-        description="Count polyominoes inscribed in a b x h rectangle.",
-    )
+# each command's arguments: a --h, a --h-max, a --stack, and its --format choices
+_ARGUMENTS = {
+    "states": {},
+    "build": {"fmts": ()},
+    "count": {"height": True, "fmts": ("text", "json", "csv")},
+    "series": {"h_max": True, "fmts": ("text", "json", "csv")},
+    "area-series": {"h_max": True, "fmts": ("text", "json", "csv")},
+    "gf": {},
+    "area-gf": {},
+    "verify": {"h_max": True, "fmts": ()},
+    "export-dot": {"fmts": ()},
+    "accepts": {"stack": True, "fmts": ()},
+}
+
+
+def _default_ceiling() -> int:
+    """The --max-states default: POLYRECT_MAX_STATES, else DEFAULT_STATE_CEILING."""
     env_ceiling = os.environ.get("POLYRECT_MAX_STATES", str(DEFAULT_STATE_CEILING))
     try:
         default_ceiling = int(env_ceiling)
@@ -296,35 +307,42 @@ def _build_parser(names=None) -> argparse.ArgumentParser:
         raise SystemExit(_usage(f"POLYRECT_MAX_STATES must be an integer, got {env_ceiling!r}"))
     if default_ceiling <= 0:
         raise SystemExit(_usage(f"POLYRECT_MAX_STATES must be positive, got {env_ceiling!r}"))
+    return default_ceiling
+
+
+def _add_arguments(
+    p: argparse.ArgumentParser, *, height=False, h_max=False, stack=False, fmts=("text", "json"),
+) -> None:
+    """Add one command's arguments (its _ARGUMENTS entry) to p, the command's
+    own parser or its subparser in the full parser."""
+    p.add_argument("--b", type=int, required=True, metavar="WIDTH",
+                   help=f"rectangle width, 1..{MAX_WIDTH}")
+    if height:
+        p.add_argument("--h", type=int, required=True, metavar="HEIGHT")
+    if h_max:
+        p.add_argument("--h-max", type=int, required=True, metavar="HMAX")
+    if stack:
+        p.add_argument("--stack", required=True, metavar="FILE")
+    if fmts:
+        p.add_argument("--format", choices=fmts, default=fmts[0])
+    p.add_argument("--output", metavar="FILE")
+    p.add_argument("--max-states", type=int, default=_default_ceiling())
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, one subparser per command.
+
+    main builds it only to print the top-level help and to report an unknown
+    or missing command or a stray argument; a valid command is parsed by that
+    command's own parser alone.
+    """
+    parser = argparse.ArgumentParser(
+        prog="polyrect",
+        description="Count polyominoes inscribed in a b x h rectangle.",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, *, height=False, h_max=False, stack=False, fmts=("text", "json")):
-        if names is not None and name not in names:
-            return
-        p = sub.add_parser(name)
-        p.add_argument("--b", type=int, required=True, metavar="WIDTH",
-                       help=f"rectangle width, 1..{MAX_WIDTH}")
-        if height:
-            p.add_argument("--h", type=int, required=True, metavar="HEIGHT")
-        if h_max:
-            p.add_argument("--h-max", type=int, required=True, metavar="HMAX")
-        if stack:
-            p.add_argument("--stack", required=True, metavar="FILE")
-        if fmts:
-            p.add_argument("--format", choices=fmts, default=fmts[0])
-        p.add_argument("--output", metavar="FILE")
-        p.add_argument("--max-states", type=int, default=default_ceiling)
-
-    add("states")
-    add("build", fmts=())
-    add("count", height=True, fmts=("text", "json", "csv"))
-    add("series", h_max=True, fmts=("text", "json", "csv"))
-    add("area-series", h_max=True, fmts=("text", "json", "csv"))
-    add("gf")
-    add("area-gf")
-    add("verify", h_max=True, fmts=())
-    add("export-dot", fmts=())
-    add("accepts", stack=True, fmts=())
+    for name, kinds in _ARGUMENTS.items():
+        _add_arguments(sub.add_parser(name), **kinds)
     return parser
 
 
@@ -339,15 +357,25 @@ def _checked(ns: argparse.Namespace) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    """Run the command that argv names; returns the process exit status.
+
+    When argv[0] is a command, only that command's parser is built, with the
+    prog its subparser has.  The full parser (_build_parser) parses help, an
+    unknown or missing command, and any argv the command's parser leaves
+    stray, so every help text and usage error reads as with all commands.
+    """
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
-    # one subcommand's parser when argv names it; help and errors need them all
-    names = {argv[0]} if argv and argv[0] in _HANDLERS else None
-    ns, stray = _build_parser(names).parse_known_args(argv)
+    name = argv[0] if argv else None
+    stray = True
+    if name in _ARGUMENTS:
+        parser = argparse.ArgumentParser(prog=f"polyrect {name}")
+        _add_arguments(parser, **_ARGUMENTS[name])
+        ns, stray = parser.parse_known_args(argv[1:])
+        ns.command = name
     if stray:
-        # argparse's own error, with every command in its usage line
-        _build_parser().parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     return run(_checked(ns))
 
 

@@ -61,13 +61,13 @@ slot a priori.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import compress
 from operator import eq
-from typing import Iterable, Sequence
 
 from .automaton import Automaton
 from .polynomial import Polynomial, unpack_coefficients
+from .record import Record
 from .rowconfig import MAX_WIDTH, RowConfig, letter_runs
 from .transition import advance, mirror, reversed_masks
 
@@ -85,13 +85,16 @@ PLAN_PAYBACK_STEPS = 25
 Row = tuple[bool, int, list[int]]
 
 
-@dataclass(frozen=True)
-class SeriesTable:
+class SeriesTable(Record):
     """Counts by height, optionally refined by area."""
 
-    b: int
-    counts: tuple[int, ...]
-    area_counts: tuple[Polynomial, ...] | None = None
+    __slots__ = ("b", "counts", "area_counts")
+
+    def __init__(self, b: int, counts: tuple[int, ...],
+                 area_counts: tuple[Polynomial, ...] | None = None):
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "area_counts", area_counts)
 
     @property
     def h_max(self) -> int:

@@ -73,11 +73,10 @@ that pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import combinations, count, islice
 from math import prod
 from operator import mul
-from typing import Sequence
 
 from .automaton import Automaton, DEFAULT_STATE_CEILING, check_ceiling
 from .counting import group_area_series, group_series, width_groups
@@ -89,18 +88,19 @@ from .polynomial import (
     pack_coefficients,
     unpack_signed,
 )
+from .record import Record
 
 AREA_WIDTH_LIMIT = 6
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(Record):
     """Reduced rational function with denominator constant term 1."""
 
-    numerator: Polynomial
-    denominator: Polynomial
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
+    def __init__(self, numerator: Polynomial, denominator: Polynomial):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
         if not self.denominator:
             raise ValueError("zero denominator")
         if not self.denominator.coeffs[0] == 1:

@@ -11,30 +11,29 @@ cell a "plane" integer whose bit k says whether set k of the slice holds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import or_, xor
 
 from .errors import ResourceLimitError
+from .record import Record
 from .rowconfig import RowConfig
 
 ORACLE_CELL_LIMIT = 24
 SLICE_BITS = 16
 
 
-@dataclass(frozen=True, slots=True)
-class GridSubset:
+class GridSubset(Record):
     """A subset of grid cells, row-major bitmask."""
 
-    width: int
-    height: int
-    cells: int
+    __slots__ = ("width", "height", "cells")
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("grid dimensions must be positive")
-        if not 0 <= self.cells < (1 << (self.width * self.height)):
+    def __init__(self, width: int, height: int, cells: int):
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "cells", cells)
+        _check_dimensions(self.width, self.height)
+        if type(self.cells) is not int or not 0 <= self.cells < (1 << (self.width * self.height)):
             raise ValueError("cell mask out of range")
 
     def filled(self, row: int, col: int) -> bool:
@@ -68,9 +67,13 @@ def is_inscribed_polyomino(grid: GridSubset) -> bool:
         region = grown
 
 
+def _check_dimensions(width: int, height: int) -> None:
+    if type(width) is not int or type(height) is not int or width < 1 or height < 1:
+        raise ValueError(f"grid dimensions must be positive ints, got {width!r} x {height!r}")
+
+
 def _check_size(width: int, height: int) -> None:
-    if width < 1 or height < 1:
-        raise ValueError("grid dimensions must be positive")
+    _check_dimensions(width, height)
     if width * height > ORACLE_CELL_LIMIT:
         raise ResourceLimitError(
             f"{width}x{height} grid exceeds the {ORACLE_CELL_LIMIT}-cell oracle ceiling"

@@ -31,6 +31,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return Polynomial, (self.coeffs,)
+
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""

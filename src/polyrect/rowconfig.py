@@ -7,19 +7,19 @@ numeric order of the binary words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 MAX_WIDTH = 16
 
 
-@dataclass(frozen=True, slots=True)
-class RowConfig:
+class RowConfig(Record):
     """One nonempty row pattern of a fixed width."""
 
-    width: int
-    bits: int
+    __slots__ = ("width", "bits")
 
-    def __post_init__(self):
+    def __init__(self, width: int, bits: int):
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "bits", bits)
         if type(self.width) is not int or not 1 <= self.width <= MAX_WIDTH:
             raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {self.width!r}")
         if type(self.bits) is not int or not 0 < self.bits < (1 << self.width):

@@ -9,9 +9,9 @@ labels read 1, 2, 3, ... from left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
+from .record import Record
 from .rowconfig import letter_runs
 
 
@@ -96,17 +96,17 @@ def word_labels(masks: Sequence[int], width: int) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledWord:
+class LabeledWord(Record):
     """Canonical component-label word for one row.
 
     Width 0 is permitted only so the degenerate width-0 state table (a lone
     initial state) stays expressible; everything else uses width >= 1.
     """
 
-    labels: tuple[int, ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
+    def __init__(self, labels: tuple[int, ...]):
+        object.__setattr__(self, "labels", labels)
         labels = self.labels
         bound = max_label(len(labels))
         for a in labels:
@@ -127,15 +127,15 @@ class LabeledWord:
         return "".join(str(a) for a in self.labels)
 
 
-@dataclass(frozen=True, slots=True)
-class AutomatonState:
+class AutomatonState(Record):
     """A canonical word plus left/right side-contact flags."""
 
-    word: LabeledWord
-    left_touched: bool
-    right_touched: bool
+    __slots__ = ("word", "left_touched", "right_touched")
 
-    def __post_init__(self):
+    def __init__(self, word: LabeledWord, left_touched: bool, right_touched: bool):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "left_touched", left_touched)
+        object.__setattr__(self, "right_touched", right_touched)
         labels = self.word.labels
         if not any(labels) and (self.left_touched or self.right_touched):
             raise ValueError("empty word cannot have touched a side")
@@ -242,8 +242,8 @@ def enumerate_valid_states(width: int) -> list[AutomatonState]:
     masks ascending, partition strings in generation order, left flag before
     right flag.
     """
-    if width < 0:
-        raise ValueError(f"width must be >= 0, got {width}")
+    if type(width) is not int or width < 0:
+        raise ValueError(f"width must be an int >= 0, got {width!r}")
     if width == 0:
         return [AutomatonState(LabeledWord(()), False, False)]
     states = [initial_state(width)]

@@ -14,7 +14,7 @@ component in leftmost-cell order, so canonical by construction.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .rowconfig import RowConfig, letter_runs
 from .states import (

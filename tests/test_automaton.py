@@ -83,6 +83,12 @@ def test_state_count_formula_bounds():
         state_count_formula(63)
 
 
+def test_state_count_formula_rejects_bools_and_non_ints():
+    for width in (True, False, 2.0, "2", None):
+        with pytest.raises(ValueError):
+            state_count_formula(width)
+
+
 def test_build_width_one():
     a = build(1)
     assert a.n_states == 2

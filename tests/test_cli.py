@@ -411,6 +411,8 @@ def test_parser_builds_only_the_named_command(command, capsys):
     for argv in (
         [command, "--help"], [command, "-h"], [command], [command, "--b"],
         [command, "--b", "2", "stray"], ["--b", "2", command],
+        [command, "--b", "x"], [command, "--b", "2", "--format", "xml"],
+        [command, "--b", "2", "--b"], [command, "--b", "2", "--", "stray"],
         ["--help"], ["nope"], [],
     ):
         want = _usage_output(capsys, complete, argv)
@@ -420,17 +422,17 @@ def test_parser_builds_only_the_named_command(command, capsys):
         assert (exc.value.code, out.out, out.err) == want, argv
 
 
-def test_valid_command_builds_one_subparser(monkeypatch, capsys):
-    calls = []
-    real = argparse._SubParsersAction.add_parser
+def test_valid_command_builds_one_parser(monkeypatch, capsys):
+    built = []
+    real = argparse.ArgumentParser.__init__
 
-    def counted(self, name, **kwargs):
-        calls.append(name)
-        return real(self, name, **kwargs)
+    def counted(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert run(capsys, "area-gf", "--b", "2")[0] == 0
-    assert calls == ["area-gf"]
+    assert built == ["polyrect area-gf"]
 
 
 def test_env_ceiling(monkeypatch, capsys):
@@ -541,5 +543,19 @@ def test_cli_import_loads_no_fractions_or_decimal():
     env = {**os.environ, "PYTHONPATH": str(Path(polyrect.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # the records are plain classes, so no command pays for these at startup;
+    # -S keeps site's own imports (typing, on some installs) out of the check
+    code = (
+        "import sys, polyrect.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(polyrect.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"

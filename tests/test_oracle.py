@@ -46,6 +46,13 @@ def test_grid_subset_validation():
     assert not g.filled(0, 0)
 
 
+def test_grid_subset_rejects_bools_and_non_ints():
+    # bool and float look like ints to a range check
+    for width, height, cells in ((True, 2, 3), (2, True, 3), (2.0, 2, 3), (2, 2, 3.0), (2, 2, True)):
+        with pytest.raises(ValueError):
+            GridSubset(width, height, cells)
+
+
 def test_is_inscribed_polyomino_cases():
     assert is_inscribed_polyomino(grid(2, ["11", "11"]))
     assert is_inscribed_polyomino(grid(2, ["11", "10"]))
@@ -90,6 +97,18 @@ def test_cell_ceiling():
         brute_force_area_histogram(4, 7)
     with pytest.raises(ValueError):
         brute_force_count(0, 3)
+
+
+def test_brute_force_count_rejects_bools_and_non_ints():
+    for width, height in ((True, 2), (2, True), (2.0, 2), (2, "2")):
+        with pytest.raises(ValueError):
+            brute_force_count(width, height)
+
+
+def test_brute_force_histogram_rejects_bools_and_non_ints():
+    for width, height in ((2.0, 2), (2, 2.0), (True, 2), (2, None)):
+        with pytest.raises(ValueError):
+            brute_force_area_histogram(width, height)
 
 
 def test_sample_accepted_stacks():

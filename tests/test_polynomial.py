@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -32,6 +34,12 @@ def test_immutability():
     p = Polynomial((1, 2))
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
+
+
+def test_copy_and_pickle_round_trips():
+    for p in (Polynomial(), Polynomial((1, 2)), Polynomial((ONE, Polynomial((0, -3)), 5))):
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(twin) is Polynomial and twin == p and repr(twin) == repr(p)
 
 
 def test_basic_arithmetic():

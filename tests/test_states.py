@@ -177,6 +177,12 @@ def test_enumerate_width_zero():
     assert table[0].word.labels == ()
 
 
+def test_enumerate_rejects_bools_and_non_ints():
+    for width in (True, False, 2.0, "2", None):
+        with pytest.raises(ValueError):
+            enumerate_valid_states(width)
+
+
 def test_enumerate_small_widths_match_formula():
     for width in range(1, 7):
         assert len(enumerate_valid_states(width)) == state_count_formula(width)
