@@ -32,7 +32,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .record import Record
-from .rowconfig import MAX_WIDTH, RowConfig, letter_runs
+from .rowconfig import MAX_WIDTH, RowConfig, check_width, letter_runs
 from .states import (
     AutomatonState, LabeledWord, initial_state, is_accepting, word_labels, word_masks,
 )
@@ -177,12 +177,14 @@ def _explore(width: int, words: list, keys: list[int], max_states: int) -> list[
 def check_ceiling(width: int, max_states: int) -> None:
     """Raise unless width is an int in 1..MAX_WIDTH and its automaton fits max_states.
 
-    ValueError for the width, ResourceLimitError when the projected state
-    count exceeds max_states.  Counting builds no automaton, but keeps this
-    ceiling, so every command stops at the same widths.
+    ValueError for the width or a max_states that is not an int,
+    ResourceLimitError when the projected state count exceeds max_states.
+    Counting builds no automaton, but keeps this ceiling, so every command
+    stops at the same widths.
     """
-    if type(width) is not int or not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width!r}")
+    check_width(width)
+    if type(max_states) is not int:
+        raise ValueError(f"max_states must be an int, got {max_states!r}")
     projected = state_count_formula(width)
     if projected > max_states:
         raise ResourceLimitError(
@@ -381,13 +383,15 @@ def _recomputed(width: int, states: list, raw_accepting: list, want_rows, rows) 
     return Automaton(width, tuple(states), accepting, tuple(want_rows))
 
 
-def deserialize(data: bytes | str) -> Automaton:
+def deserialize(data: bytes | bytearray | memoryview | str) -> Automaton:
     """Parse and fully re-validate a serialized automaton.
 
-    Malformed or truncated input raises AutomatonFormatError, an unsupported
-    version AutomatonVersionError, and structurally parseable data violating
-    an automaton invariant (wrong accepting set, wrong or missing transition,
-    unreachable state, non-canonical word) AutomatonInvariantError.
+    data is a str or any bytes-like object, which is decoded as UTF-8.
+    Malformed or truncated input, or input of another type, raises
+    AutomatonFormatError, an unsupported version AutomatonVersionError, and
+    structurally parseable data violating an automaton invariant (wrong
+    accepting set, wrong or missing transition, unreachable state,
+    non-canonical word) AutomatonInvariantError.
 
     When the header before the last ',"transitions":' lists exactly
     state_count_formula(b) states, the input, up to trailing JSON whitespace,
@@ -395,10 +399,10 @@ def deserialize(data: bytes | str) -> Automaton:
     returned.  Any other input is decoded in full and checked pair by pair,
     against build's rows when it lists build's states.
     """
-    if isinstance(data, bytes):
+    if not isinstance(data, str):
         try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
+            data = str(data, "utf-8")
+        except (UnicodeDecodeError, TypeError) as exc:  # not utf-8, or not bytes-like
             raise AutomatonFormatError(f"not utf-8: {exc}") from exc
     built = None  # build's automaton of the width the header names
     try:

@@ -68,7 +68,7 @@ from operator import eq
 from .automaton import Automaton
 from .polynomial import Polynomial, unpack_coefficients
 from .record import Record
-from .rowconfig import MAX_WIDTH, RowConfig, letter_runs
+from .rowconfig import RowConfig, check_width, letter_runs
 from .transition import advance, mirror, reversed_masks
 
 # sign of A_b, A_(b-1) and A_(b-2) in the inscribed counts
@@ -268,10 +268,7 @@ def group_series(
 
 def _width(b: int | Automaton) -> int:
     """b's width, read from an Automaton or given; ValueError unless an int in 1..MAX_WIDTH."""
-    width = getattr(b, "width", b)
-    if type(width) is not int or not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width!r}")
-    return width
+    return check_width(getattr(b, "width", b))
 
 
 def count_series(b: int | Automaton, h_max: int) -> SeriesTable:

@@ -133,10 +133,10 @@ def expand(gf: RationalGF, n_terms: int, head: Sequence = ()) -> list:
     """First n_terms power-series coefficients of the rational function.
 
     head holds terms already known to be the first ones; the expansion
-    carries on from them.
+    carries on from them.  ValueError unless n_terms is an int >= 0.
     """
-    if n_terms < 0:
-        raise ValueError("n_terms must be >= 0")
+    if type(n_terms) is not int or n_terms < 0:
+        raise ValueError(f"n_terms must be an int >= 0, got {n_terms!r}")
     num = gf.numerator.coeffs
     den = gf.denominator.coeffs
     out = list(head[:n_terms])
@@ -222,15 +222,22 @@ def _symmetric(residues: list[int], modulus: int) -> list[int]:
     return [r - modulus if r > half else r for r in residues]
 
 
-def _crt(groups: dict, key: int, values: list[int], p: int) -> tuple[int, list[int]]:
-    """Fold residues mod p into groups[key] = (modulus, residues) by the CRT, and return it."""
-    if key in groups:
-        modulus, residues = groups[key]
-        inv = pow(modulus % p, -1, p)
-        values = [r + modulus * ((v - r % p) * inv % p) for r, v in zip(residues, values)]
-        p *= modulus
-    groups[key] = p, values
-    return p, values
+def _lifts(seq: Sequence[int]):
+    """(L, modulus, residues) after each prime p, L the length `_min_lfsr_mod(seq, p)` gives.
+
+    The residues are the connection polynomial modulo every prime so far
+    that gave L, combined by the Chinese remainder theorem.
+    """
+    groups: dict[int, tuple[int, list[int]]] = {}
+    for p in _primes():
+        values, length = _min_lfsr_mod(seq, p)
+        if length in groups:
+            modulus, residues = groups[length]
+            inv = pow(modulus % p, -1, p)
+            values = [r + modulus * ((v - r % p) * inv % p) for r, v in zip(residues, values)]
+            p *= modulus
+        groups[length] = p, values
+        yield length, p, values
 
 
 def _reproduces(c: list[int], seq: list[int], length: int) -> bool:
@@ -258,23 +265,14 @@ def _min_recurrence(seq: list[int], degree_bound: int) -> tuple[list[int], int]:
     1 is 0, 0, 0, 1 mod P, with L = 4, where the check tests no term.  While
     2L <= len(seq) it cannot pass (Gauss's lemma: it would be a multiple of
     the primitive form of C, whose constant term the prime divides), so a
-    group with 2L > len(seq) is lifted only once its modulus passes the
-    limit below, which the primes dividing one denominator do not reach.
-    Such an input has no integral fit and ends in FitError.
-
-    Each coefficient of C over Q is a ratio of two L x L minors of the
-    Hankel matrix of seq, at most (sqrt(L) * max |seq|)^L by Hadamard's
-    inequality.  So a group whose modulus exceeds twice the square of that
-    bound at L = degree_bound + 2 without a passing lift rules out every
-    recurrence a fit within the bounds could have, and FitError is raised.
+    group with 2L > len(seq) is lifted only once its modulus passes
+    `_limit_bits`, which the primes dividing one denominator do not reach.
+    Such an input has no integral fit and ends in FitError.  A group past
+    that limit without a passing lift rules out every recurrence a fit
+    within the bounds could have, and FitError is raised.
     """
-    rank = degree_bound + 2
-    top_bits = max(max(seq), -min(seq)).bit_length()
-    limit_bits = 2 * rank * (top_bits + rank.bit_length()) + 2
-    groups: dict[int, tuple[int, list[int]]] = {}
-    for p in _primes():
-        values, length = _min_lfsr_mod(seq, p)
-        modulus, residues = _crt(groups, length, values, p)
+    limit_bits = _limit_bits(max(max(seq), -min(seq)), degree_bound)
+    for length, modulus, residues in _lifts(seq):
         bits = modulus.bit_length()
         if 2 * length <= len(seq) or bits > limit_bits:
             c = _symmetric(residues, modulus)
@@ -287,13 +285,36 @@ def _min_recurrence(seq: list[int], degree_bound: int) -> tuple[list[int], int]:
     raise FitError("insufficient terms: no rational fit reproduces the series")
 
 
+def _limit_bits(top: int, degree_bound: int) -> int:
+    """An upper bound on the bits of 2 * ((sqrt(L) * top)^L)^2, L = degree_bound + 2.
+
+    Each coefficient of a minimal recurrence of length at most L over Q, of
+    terms at most top in absolute value, is a ratio of two Hankel minors of
+    at most (sqrt(L) * top)^L (Hadamard's inequality), so a modulus with
+    more bits lifts all of them.
+    """
+    rank = degree_bound + 2
+    return 2 * rank * (top.bit_length() + rank.bit_length()) + 2
+
+
+def _check_fit(n_terms: int, degree_bound: int) -> None:
+    """ValueError unless degree_bound is an int >= 0; FitError below 2 * degree_bound + 2 terms."""
+    if type(degree_bound) is not int or degree_bound < 0:
+        raise ValueError(f"degree_bound must be an int >= 0, got {degree_bound!r}")
+    if n_terms < 2 * degree_bound + 2:
+        raise FitError(
+            f"insufficient terms: need at least {2 * degree_bound + 2}, got {n_terms}"
+        )
+
+
 def fit_rational(
     series: Sequence[int],
     degree_bound: int,
 ) -> RationalGF:
     """Minimal rational function with integer coefficients matching every term.
 
-    The terms must be ints; any other type raises ValueError.  Raises
+    The terms and degree_bound must be ints, degree_bound >= 0; anything
+    else raises ValueError.  Raises
     FitError("insufficient terms ...") when fewer than
     2 * degree_bound + 2 terms are supplied or when no rational function with
     denominator degree <= degree_bound and numerator degree <= degree_bound + 1
@@ -308,15 +329,10 @@ def fit_rational(
     finite prefix whose minimal recurrence is not integral (128, 64, ..., 1
     has C = 1 - x/2) has no such fit and raises FitError.
     """
-    if degree_bound < 0:
-        raise ValueError("degree_bound must be >= 0")
     series = list(series)
     if not all(type(v) is int for v in series):
         raise ValueError("series terms must be ints")
-    if len(series) < 2 * degree_bound + 2:
-        raise FitError(
-            f"insufficient terms: need at least {2 * degree_bound + 2}, got {len(series)}"
-        )
+    _check_fit(len(series), degree_bound)
     c, length = _min_recurrence(series, degree_bound)
     deg_c = len(c) - 1
     if deg_c > degree_bound:
@@ -361,29 +377,29 @@ def sum_fractions(parts: Sequence[tuple[int, RationalGF]]) -> RationalGF:
     N/D with D the product of the denominators is in lowest terms when they
     are pairwise coprime (`_coprime`, module docstring).  Otherwise N/D is
     fitted again from its own expansion, which reduces it.  Zero parts are
-    skipped.  Over Z[q] each P and Q is packed into one integer (`_pack_xq`)
-    and the sum is read back from the packed N and D.
+    skipped.  Each P and Q is packed into one integer (`_pack_xq`), N and D
+    are summed on those integers, and read back from them: over Z the
+    stride is 1 and the packed values are the polynomials at x = 2^s.
     """
     parts = [(sign, gf) for sign, gf in parts if gf.numerator]
+    # no coefficient of a product exceeds the product of the L1 norms
+    norms = [_l1(gf.denominator) for _, gf in parts]
+    bound = prod(norms)
+    for i, (sign, gf) in enumerate(parts):
+        bound += abs(sign) * _l1(gf.numerator) * prod(norms[:i] + norms[i + 1 :])
+    slot_bytes = (bound.bit_length() + 8) // 8
+    # a q-degree of N or D is at most the sum of the parts' largest ones
+    stride = 1 + sum(
+        max(len(_q_coeffs(c)) for c in gf.numerator.coeffs + gf.denominator.coeffs) - 1
+        for _, gf in parts
+    )
+    packed = [
+        (sign, _pack_xq(gf.numerator, stride, slot_bytes), _pack_xq(gf.denominator, stride, slot_bytes))
+        for sign, gf in parts
+    ]
+    num, den = (unpack_signed(f, slot_bytes) for f in _sum(packed))
     bivariate = any(gf.is_bivariate for _, gf in parts)
-    if bivariate:
-        # no coefficient of a product exceeds the product of the L1 norms
-        norms = [_l1(gf.denominator) for _, gf in parts]
-        bound = prod(norms)
-        for i, (sign, gf) in enumerate(parts):
-            bound += abs(sign) * _l1(gf.numerator) * prod(norms[:i] + norms[i + 1 :])
-        slot_bytes = (bound.bit_length() + 8) // 8
-        stride = sum(
-            max(len(c.coeffs) for c in gf.numerator.coeffs + gf.denominator.coeffs)
-            for _, gf in parts
-        )
-        packed = [
-            (sign, _pack_xq(gf.numerator, stride, slot_bytes), _pack_xq(gf.denominator, stride, slot_bytes))
-            for sign, gf in parts
-        ]
-        num, den = (_from_flat(unpack_signed(f, slot_bytes), stride) for f in _sum(packed, 1))
-    else:
-        num, den = _sum([(sign, gf.numerator, gf.denominator) for sign, gf in parts], ONE)
+    num, den = (_from_flat(f, stride) if bivariate else Polynomial(f) for f in (num, den))
     dens = [gf.denominator for _, gf in parts]
     if all(_coprime(p, q) for p, q in combinations(dens, 2)):
         return RationalGF(num, den)
@@ -404,31 +420,38 @@ def _refit(num: Polynomial, den: Polynomial, fit) -> RationalGF:
     return fit(expand(RationalGF(num, den), 2 * k + 2), k)
 
 
-def _sum(parts: Sequence[tuple], one):
+def _sum(parts: Sequence[tuple[int, int, int]]) -> tuple[int, int]:
     """(N, D) of 1 + sum(sign * P/Q) over (sign, P, Q) in parts, D = prod(Q)."""
     dens = [den for _, _, den in parts]
-    den = prod(dens, start=one)
+    den = prod(dens)
     num = den
     for i, (sign, p, _) in enumerate(parts):
-        num = num + p * prod(dens[:i] + dens[i + 1 :], start=one) * sign
+        num = num + p * prod(dens[:i] + dens[i + 1 :]) * sign
     return num, den
 
 
+def _q_coeffs(c) -> tuple[int, ...]:
+    """The coefficients in q of an x-coefficient; an int is a constant."""
+    return c.coeffs if isinstance(c, Polynomial) else (c,)
+
+
 def _l1(f: Polynomial) -> int:
-    """Sum of the absolute values of the integer coefficients of f in Z[q][x]."""
-    return sum(abs(c) for p in f.coeffs for c in p.coeffs)
+    """Sum of the absolute values of the integer coefficients of f in Z[x] or Z[q][x]."""
+    return sum(abs(v) for c in f.coeffs for v in _q_coeffs(c))
 
 
 def _pack_xq(f: Polynomial, stride: int, slot_bytes: int) -> int:
-    """f in Z[q][x] at q = 2^s, x = 2^(s * stride), s = 8 * slot_bytes.
+    """f in Z[x] or Z[q][x] at q = 2^s, x = 2^(s * stride), s = 8 * slot_bytes.
 
     Products of such values are the values of the products, and read back
-    (`unpack_signed`, then `_from_flat`) while every q-degree stays below
-    stride and every coefficient strictly inside (-2^(s-1), 2^(s-1)).
+    (`unpack_signed`, then `_from_flat` over Z[q]) while every q-degree
+    stays below stride and every coefficient strictly inside
+    (-2^(s-1), 2^(s-1)).
     """
     flat: list[int] = []
     for c in f.coeffs:
-        flat += c.coeffs + (0,) * (stride - len(c.coeffs))
+        c = _q_coeffs(c)
+        flat += c + (0,) * (stride - len(c))
     return pack_coefficients(flat, slot_bytes)
 
 
@@ -477,18 +500,13 @@ def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int, q_bound: int
     returned once `_proved_numerator` proves that N/D reproduces all of
     series, which with 2 * degree_bound + 2 terms proves the fit
     (`fit_rational`); otherwise s doubles (module docstring).  A failed slot
-    wider than the ceiling `_min_recurrence` sets for the largest integer
-    in series ends the search with FitError.  An all-zero series is 0/1.
+    wider than the ceiling `_limit_bits` sets for the largest integer in
+    series ends the search with FitError.  An all-zero series is 0/1.
     """
-    if len(series) < 2 * degree_bound + 2:
-        raise FitError(
-            f"insufficient terms: need at least {2 * degree_bound + 2}, got {len(series)}"
-        )
+    _check_fit(len(series), degree_bound)
     if not any(series):
         return RationalGF(Polynomial(), Polynomial((ONE,)))
-    rank = degree_bound + 2
-    top_bits = max(abs(c) for s in series for c in s.coeffs).bit_length()
-    limit_bits = 2 * rank * (top_bits + rank.bit_length()) + 2
+    limit_bits = _limit_bits(max(abs(c) for s in series for c in s.coeffs), degree_bound)
     p = next(_primes())
     at_one, _ = _min_lfsr_mod([sum(s.coeffs) for s in series], p)
     slot_bytes = (max(map(abs, _symmetric(at_one, p))).bit_length() + 2 + 7) // 8
@@ -508,9 +526,9 @@ def _denominator_at(
 ) -> Polynomial | None:
     """The candidate D read from the terms at q = 2^s, s = 8 * slot_bytes, or None.
 
-    `_min_lfsr_mod` runs once per prime on the exact S_j(2^s), and primes
-    that agree on the recurrence length L are combined by the Chinese
-    remainder theorem.  Once a group's modulus has more than
+    `_lifts` runs `_min_lfsr_mod` once per prime on the exact S_j(2^s)
+    (`pack_coefficients`) and combines the primes that agree on the
+    recurrence length L.  Once a group's modulus has more than
     (q_bound + 1) * s + 1 bits, its symmetric lift is read back as balanced
     base-2^s digits (module docstring).  None when the candidate leaves the
     x-degree or q-degree bound, or the primes run out.  L is at most
@@ -519,13 +537,10 @@ def _denominator_at(
     the terms allow.
     """
     slot = 8 * slot_bytes
-    values = [_at_power_of_two(s, slot_bytes) for s in series]
-    groups: dict[int, tuple[int, list[int]]] = {}
-    for p in _primes():
-        c, n = _min_lfsr_mod(values, p)
+    values = [pack_coefficients(s.coeffs, slot_bytes) for s in series]
+    for n, modulus, residues in _lifts(values):
         if n > degree_bound + 2 or 2 * n > len(series):
             raise FitError(f"insufficient terms: recurrence of length {n} at q = 2^{slot}")
-        modulus, residues = _crt(groups, n, c, p)
         if modulus.bit_length() > (q_bound + 1) * slot + 1:
             den = Polynomial(
                 Polynomial(unpack_signed(d, slot_bytes)) for d in _symmetric(residues, modulus)
@@ -534,20 +549,6 @@ def _denominator_at(
                 return None
             return den
     return None
-
-
-def _at_power_of_two(f: Polynomial, slot_bytes: int) -> int:
-    """f(2^s), s = 8 * slot_bytes, exactly, whatever the size of f's coefficients.
-
-    Every r-th coefficient is packed at an r-times-wider slot, with r large
-    enough to hold the largest of them, and the r packs are added, each
-    shifted into place: linear time, as `pack_coefficients`.
-    """
-    coeffs = f.coeffs
-    r = -(-max(map(abs, coeffs), default=1).bit_length() // (8 * slot_bytes)) or 1
-    return sum(
-        pack_coefficients(coeffs[i::r], r * slot_bytes) << (8 * slot_bytes * i) for i in range(r)
-    )
 
 
 def _proved_numerator(

@@ -1,19 +1,15 @@
 """Dense exact polynomials.
 
 Coefficients are Python ints or (for bivariate work) nested Polynomial
-values, so arithmetic stays in the integers.  Large integer
-multiplications go through Kronecker packing: coefficients are laid out in
-fixed-width bit slots of one big integer so CPython's subquadratic integer
-multiply does the convolution.
+values, so arithmetic stays in the integers.  Products here are schoolbook
+convolutions.  Callers that multiply large polynomials pack them instead
+(`pack_coefficients`): the coefficients are laid out in fixed-width byte
+slots of one big integer, so CPython's subquadratic integer multiply does
+the convolution, and the balanced digits of the product are read back
+(`unpack_signed`).
 """
 
 from __future__ import annotations
-
-_KRONECKER_MIN = 16
-
-
-def _is_scalar(v) -> bool:
-    return isinstance(v, int)
 
 
 class Polynomial:
@@ -45,7 +41,7 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
-        if _is_scalar(other):
+        if isinstance(other, int):
             if not other:
                 return not self.coeffs
             return len(self.coeffs) == 1 and self.coeffs[0] == other
@@ -65,7 +61,7 @@ class Polynomial:
         return self.to_string()
 
     def __add__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, int):
             if not other:
                 return self
             other = Polynomial((other,))
@@ -85,7 +81,7 @@ class Polynomial:
         return Polynomial(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, int):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -95,7 +91,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, int):
             if not other:
                 return Polynomial()
             return Polynomial(tuple(c * other for c in self.coeffs))
@@ -104,12 +100,6 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial()
-        if (
-            min(len(a), len(b)) >= _KRONECKER_MIN
-            and all(type(c) is int for c in a)
-            and all(type(c) is int for c in b)
-        ):
-            return Polynomial(_kronecker_mul(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
@@ -173,19 +163,28 @@ ONE = Polynomial((1,))
 
 
 def pack_coefficients(coeffs, slot_bytes: int) -> int:
-    """Value of an integer polynomial at x = 2^(8 * slot_bytes), in linear time.
+    """Value of a sequence of int coefficients at x = 2^(8 * slot_bytes), in linear time.
 
-    Each coefficient must have absolute value below 2^(8 * slot_bytes).  The
-    positive and negative parts are laid out byte-wise in two buffers and
+    The positive and negative parts are laid out byte-wise in two buffers and
     read back as two integers, instead of a Horner loop that shifts an
-    ever-growing integer (quadratic time).
+    ever-growing integer (quadratic time).  A coefficient too wide for the
+    slot makes `to_bytes` raise OverflowError; then every r-th coefficient is
+    packed at an r-times-wider slot, r large enough for the widest, and the
+    r packs are added, each shifted into place.
     """
     zero = bytes(slot_bytes)
-    pos = b"".join([c.to_bytes(slot_bytes, "little") if c > 0 else zero for c in coeffs])
-    value = int.from_bytes(pos, "little")
-    if any(c < 0 for c in coeffs):
-        neg = b"".join([(-c).to_bytes(slot_bytes, "little") if c < 0 else zero for c in coeffs])
-        value -= int.from_bytes(neg, "little")
+    try:
+        pos = b"".join([c.to_bytes(slot_bytes, "little") if c > 0 else zero for c in coeffs])
+        value = int.from_bytes(pos, "little")
+        if any(c < 0 for c in coeffs):
+            neg = b"".join([(-c).to_bytes(slot_bytes, "little") if c < 0 else zero for c in coeffs])
+            value -= int.from_bytes(neg, "little")
+    except OverflowError:
+        r = -(-max(map(abs, coeffs)).bit_length() // (8 * slot_bytes))
+        return sum(
+            pack_coefficients(coeffs[i::r], r * slot_bytes) << (8 * slot_bytes * i)
+            for i in range(r)
+        )
     return value
 
 
@@ -217,18 +216,6 @@ def unpack_signed(value: int, slot_bytes: int) -> list[int]:
     half = 1 << (8 * slot_bytes - 1)
     offset = int.from_bytes(half.to_bytes(slot_bytes, "little") * slots, "little")
     return [d - half for d in unpack_coefficients(value + offset, slot_bytes)]
-
-
-def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Signed convolution through one big-integer multiply.
-
-    With s = 8 * slot_bytes, every product coefficient lies strictly inside
-    (-2^(s-1), 2^(s-1)), so its balanced digits are the coefficients.
-    """
-    ma = max(abs(c) for c in a)
-    mb = max(abs(c) for c in b)
-    slot_bytes = (ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 9) // 8
-    return unpack_signed(pack_coefficients(a, slot_bytes) * pack_coefficients(b, slot_bytes), slot_bytes)
 
 
 def json_ready(c):

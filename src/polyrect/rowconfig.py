@@ -12,6 +12,13 @@ from .record import Record
 MAX_WIDTH = 16
 
 
+def check_width(width: int) -> int:
+    """width, if it is an int in 1..MAX_WIDTH; ValueError otherwise."""
+    if type(width) is not int or not 1 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width!r}")
+    return width
+
+
 class RowConfig(Record):
     """One nonempty row pattern of a fixed width."""
 
@@ -20,8 +27,7 @@ class RowConfig(Record):
     def __init__(self, width: int, bits: int):
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "bits", bits)
-        if type(self.width) is not int or not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {self.width!r}")
+        check_width(self.width)
         if type(self.bits) is not int or not 0 < self.bits < (1 << self.width):
             raise ValueError(
                 f"bits must encode a nonempty width-{self.width} row, got {self.bits!r}"
@@ -64,6 +70,5 @@ def letter_runs(bits: int) -> tuple[int, ...]:
 
 def enumerate_alphabet(width: int) -> list[RowConfig]:
     """All 2^width - 1 nonempty rows in ascending numeric order."""
-    if type(width) is not int or not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width!r}")
+    check_width(width)
     return [RowConfig(width, bits) for bits in range(1, 1 << width)]

@@ -19,10 +19,12 @@ from polyrect import (
     build,
     deserialize,
     export_dot,
+    gf_height,
     serialize,
     initial_state,
     state_count_formula,
 )
+from polyrect import automaton as automaton_module
 from polyrect.automaton import _explore, _parse_rows, catalan, runs_of_ones
 
 from reference import export_dot_reference, serialize_reference, transfer_matrix
@@ -146,6 +148,19 @@ def test_build_rejects_bad_width():
 def test_build_respects_state_ceiling():
     with pytest.raises(ResourceLimitError):
         build(3, max_states=5)
+
+
+def test_state_ceiling_must_be_an_int():
+    for bad in ("x", True, 2.0, None):
+        with pytest.raises(ValueError, match="max_states must be an int"):
+            build(3, bad)
+        with pytest.raises(ValueError, match="max_states must be an int"):
+            gf_height(3, max_states=bad)
+    for ceiling in (0, -1):
+        with pytest.raises(ResourceLimitError):
+            build(3, ceiling)
+        with pytest.raises(ResourceLimitError):
+            gf_height(3, max_states=ceiling)
 
 
 def test_transfer_matrix_counts_letters():
@@ -404,6 +419,24 @@ def test_deserialize_rejects_one_wrong_target(automaton):
 def test_deserialize_accepts_str_input():
     a = build(2)
     assert deserialize(serialize(a).decode()) == a
+
+
+def test_deserialize_takes_any_bytes_like_input(monkeypatch):
+    # bytearray and memoryview take the canonical path, as bytes and str do
+    a = build(3)
+    data = serialize(a)
+
+    def full_parse(doc):
+        raise AssertionError("the canonical input took the full parse")
+
+    monkeypatch.setattr(automaton_module, "_checked_states", full_parse)
+    for form in (data, bytearray(data), memoryview(data), data.decode()):
+        assert deserialize(form) == a
+    monkeypatch.undo()
+    assert deserialize(bytearray(json.dumps(json.loads(data)).encode())) == a
+    for bad in (5, None, 2.5, [1], bytearray(b"\xff\xfe")):
+        with pytest.raises(AutomatonFormatError, match="^not utf-8"):
+            deserialize(bad)
 
 
 @pytest.mark.parametrize("width", range(1, 7))

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -49,8 +49,9 @@ def test_expand_basics():
     gf = RationalGF(Polynomial((0, 0, 1)), ONE)
     assert expand(gf, 5) == [0, 0, 1, 0, 0]
     assert expand(gf, 0) == []
-    with pytest.raises(ValueError):
-        expand(gf, -1)
+    for n_terms in (-1, 2.5, 2.0, True, None):
+        with pytest.raises(ValueError, match="n_terms must be an int"):
+            expand(gf, n_terms)
 
 
 def test_fit_geometric():
@@ -82,6 +83,14 @@ def test_fit_rejects_non_integer_terms():
     for series in ([1.0, 2.0, 4.0, 8.0], [1, 2, Fraction(4), 8], [1, 2, 4, True]):
         with pytest.raises(ValueError, match="must be ints"):
             fit_rational(series, 1)
+
+
+def test_fit_rejects_a_degree_bound_that_is_not_an_int():
+    # True would fit as bound 1, and 1.5 reached the arithmetic of the limit
+    series = [1, 2, 4, 8, 16, 32]
+    for bound in (-1, 1.5, 2.0, True, None):
+        with pytest.raises(ValueError, match="degree_bound must be an int"):
+            fit_rational(series, bound)
 
 
 def test_fit_series_with_prime_ratio():
@@ -369,6 +378,66 @@ def test_bivariate_sum_with_a_common_factor_is_reduced():
     third = RationalGF(Polynomial((zero, one)), Polynomial((one, -(q * q))))
     assert _coprime(first.denominator, third.denominator)
     assert sum_fractions([(1, first), (1, third)]).denominator.degree == 3
+
+
+def _schoolbook_sum(parts):
+    """1 + sum(sign * P/Q) as (N, D), D = prod(Q), by the schoolbook product."""
+    den = prod((gf.denominator for _, gf in parts), start=ONE)
+    num = den
+    for i, (sign, gf) in enumerate(parts):
+        others = prod((g.denominator for j, (_, g) in enumerate(parts) if j != i), start=ONE)
+        num = num + gf.numerator * others * sign
+    return num, den
+
+
+def _random_coefficient(rng, q_degree):
+    """An int above 2^64 or below, of either sign, or 0; a Polynomial in q for q_degree >= 0."""
+    def one():
+        return rng.choice((0, 1, -1, rng.randint(-(2**80), 2**80), rng.randint(-9, 9)))
+
+    if q_degree < 0:
+        return one()
+    return Polynomial(one() for _ in range(rng.randint(1, q_degree + 1)))
+
+
+def _random_part(rng, q_degree, shared=ONE):
+    """A random P/Q with Q(0) = 1, Q a multiple of shared."""
+    unit = 1 if q_degree < 0 else ONE
+    num = Polynomial(_random_coefficient(rng, q_degree) for _ in range(rng.randint(1, 4)))
+    den = Polynomial([unit] + [_random_coefficient(rng, q_degree) for _ in range(rng.randint(1, 3))])
+    return RationalGF(num or Polynomial((unit,)), den * shared)
+
+
+def test_sum_fractions_matches_the_schoolbook_sum():
+    # Z[x] (q_degree -1) and Z[q][x]; coefficients above 2^64 and negative
+    rng = random.Random(24001)
+    for q_degree in (-1, 0, 2, 4):
+        for _ in range(12):
+            parts = [(sign, _random_part(rng, q_degree)) for sign in (1, -2, 1)]
+            num, den = _schoolbook_sum(parts)
+            got = sum_fractions(parts)
+            assert got.is_bivariate == (q_degree >= 0)
+            assert got.numerator * den == num * got.denominator
+            dens = [gf.denominator for _, gf in parts]
+            if all(_coprime(p, q) for i, p in enumerate(dens) for q in dens[i + 1 :]):
+                assert got == RationalGF(num, den)
+
+
+def test_sum_fractions_refits_a_common_factor():
+    # two parts share 1 - 3x (over Z) or 1 - q x (over Z[q]), so N/D is refitted
+    rng = random.Random(24002)
+    q = Polynomial((0, 1))
+    for q_degree, shared in ((-1, Polynomial((1, -3))), (1, Polynomial((ONE, -q)))):
+        for _ in range(3):
+            parts = [
+                (1, _random_part(rng, q_degree, shared)),
+                (-2, _random_part(rng, q_degree, shared)),
+                (1, _random_part(rng, q_degree)),
+            ]
+            num, den = _schoolbook_sum(parts)
+            got = sum_fractions(parts)
+            assert got.numerator * den == num * got.denominator
+            assert got.denominator.degree < den.degree
 
 
 def test_bivariate_width_guard():

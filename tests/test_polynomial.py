@@ -81,8 +81,8 @@ def convolve(a, b):
     return tuple(out)
 
 
-def test_kronecker_path_matches_convolution():
-    # lengths >= 16 with int coefficients take the packed-integer path
+def test_long_product_matches_convolution():
+    # long operands with wide signed coefficients, against a plain convolution
     rng = random.Random(40417)
     for _ in range(30):
         la = rng.randrange(16, 40)
@@ -95,7 +95,8 @@ def test_kronecker_path_matches_convolution():
         assert (Polynomial(a) * Polynomial(b)).coeffs == convolve(a, b)
 
 
-def test_kronecker_extremes():
+def test_product_extremes():
+    # zero runs between wide coefficients of opposite signs
     a = [0] * 20 + [-1]
     b = [-(10**40)] + [0] * 18 + [10**40]
     assert (Polynomial(a) * Polynomial(b)).coeffs == convolve(a, b)
@@ -111,6 +112,22 @@ def test_unpack_inverts_pack():
             packed = pack_coefficients(coeffs, slot_bytes)
             assert unpack_coefficients(packed, slot_bytes) == coeffs
     assert unpack_coefficients(0, 4) == []
+
+
+def test_pack_takes_coefficients_wider_than_the_slot():
+    # up to 5 slots wide, negative and zero included: the packs of every r-th
+    # coefficient at an r-times-wider slot add up to the value at 2^s
+    rng = random.Random(52367)
+    for slot_bytes in (1, 2, 8):
+        s = 8 * slot_bytes
+        for length in (1, 2, 7, 30):
+            top = (1 << 5 * s) - 1
+            coeffs = [
+                rng.choice((0, -1, rng.randrange(-(1 << s), 1 << s), rng.randint(-top, top)))
+                for _ in range(length)
+            ]
+            coeffs[rng.randrange(length)] = rng.choice((top, -top))
+            assert pack_coefficients(coeffs, slot_bytes) == Polynomial(coeffs).evaluate(1 << s)
 
 
 def test_unpack_signed_inverts_pack():
