@@ -5,8 +5,19 @@ r*width + c is cell (row r, column c).  A set counts when it is nonempty,
 4-connected, and touches all four grid sides.  Connectivity is an iterated
 neighborhood dilation from the set's lowest cell; nothing here shares code
 with the state or transition modules.  `is_inscribed_polyomino` tests one
-set.  The full scan is bit-sliced: it tests 2^SLICE_BITS sets at once, each
-cell a "plane" integer whose bit k says whether set k of the slice holds it.
+set.  The full scan is bit-sliced: a slice fixes some cells and tests every
+subset of the others at once, each cell a "plane" integer whose bit k says
+whether set k of the slice holds it.
+
+The area histogram scans one slice per reflection orbit.  A reflection of
+the grid (left-right, top-bottom, or both) maps cell sets one-to-one onto
+cell sets; it keeps the cell count and 4-connectivity and permutes the four
+sides, so it maps inscribed sets onto inscribed sets of the same area.  The
+fixed cells are a union of whole orbits of the cells under these
+reflections, so a reflection maps the slice of fixed pattern p onto the
+slice of its image pattern, with the same histogram.  The total is then the
+sum over orbits of patterns of the orbit's size times the histogram of one
+representative's slice: every subset is covered, none sampled or skipped.
 """
 
 from __future__ import annotations
@@ -37,6 +48,8 @@ class GridSubset(Record):
             raise ValueError("cell mask out of range")
 
     def filled(self, row: int, col: int) -> bool:
+        if not (0 <= row < self.height and 0 <= col < self.width):
+            raise IndexError(f"cell ({row}, {col}) outside the {self.width}x{self.height} grid")
         return bool((self.cells >> (row * self.width + col)) & 1)
 
 
@@ -98,24 +111,52 @@ def _low_planes(bits: int):
     return planes, tuple(weights), full
 
 
-def _scan(width: int, height: int):
-    """Yield (base, hits) per slice with hits, in increasing subset order.
-
-    A slice holds the subsets base | k for k < 2^bits; bit k of `hits` is set
-    when that subset is an inscribed polyomino.  Every subset is tested.
-    """
-    _check_size(width, height)
+@lru_cache(maxsize=None)
+def _orbit_slices(width: int, height: int, bits: int):
+    """The fixed cells, sorted, and (base, orbit size) per orbit of their
+    patterns, bases increasing.  The fixed cells are the largest reflection
+    orbits of cells, corners first, until at most `bits` cells are free."""
     n = width * height
-    bits = min(n, SLICE_BITS)
-    low, _, full = _low_planes(bits)
+    # left-right, top-bottom and both reflections as cell maps
+    mirror = [i + width - 1 - 2 * (i % width) for i in range(n)]
+    maps = (mirror, [n - 1 - j for j in mirror], range(n - 1, -1, -1))
+    fixed = []
+    orbits = {frozenset({i, *(m[i] for m in maps)}) for i in range(n)}
+    for orbit in sorted(orbits, key=lambda o: (-len(o), min(o))):
+        if len(fixed) >= n - bits:
+            break
+        fixed += orbit
+    fixed.sort()
+    visits = []
+    for t in range(1 << len(fixed)):
+        base = sum(1 << cell for j, cell in enumerate(fixed) if t >> j & 1)
+        orbit = {base, *(sum(1 << m[i] for i in fixed if base >> i & 1) for m in maps)}
+        if base == min(orbit):
+            visits.append((base, len(orbit)))
+    return tuple(fixed), tuple(visits)
+
+
+def _scan(width: int, height: int, fixed, visits):
+    """Yield (base, multiplicity, hits) per visited slice with hits.
+
+    `visits` gives (base, multiplicity) pairs in scan order, each base a
+    pattern of the `fixed` cells.  Its slice holds base plus each subset of
+    the free cells, subset k taking the free cell of rank i when k has bit i;
+    bit k of `hits` is set when that subset is an inscribed polyomino.  Every
+    subset of a visited slice is tested.
+    """
+    n = width * height
+    low, _, full = _low_planes(n - len(fixed))
+    rank = iter(low)
+    free_planes = [0 if i in fixed else next(rank) for i in range(n)]
     sides = (range(width), range(n - width, n), range(0, n, width), range(width - 1, n, width))
     nbrs = [
         [j for j in (i - width, i + width) if 0 <= j < n]
         + [j for j in (i - 1, i + 1) if 0 <= j < n and j // width == i // width]
         for i in range(n)
     ]
-    for high in range(1 << (n - bits)):
-        planes = low + tuple(full if high >> j & 1 else 0 for j in range(n - bits))
+    for base, multiplicity in visits:
+        planes = [full if base >> i & 1 else plane for i, plane in enumerate(free_planes)]
         ok = full
         for side in sides:
             ok &= reduce(or_, [planes[i] for i in side])
@@ -135,18 +176,21 @@ def _scan(width: int, height: int):
                     changed = True
         hits = ok & ~reduce(or_, map(xor, planes, region))
         if hits:
-            yield high << bits, hits
+            yield base, multiplicity, hits
 
 
 def brute_force_area_histogram(width: int, height: int) -> dict[int, int]:
-    """Counts of inscribed polyominoes keyed by number of cells, by full scan."""
+    """Counts of inscribed polyominoes keyed by number of cells, by a scan
+    of one slice per reflection orbit of fixed-cell patterns."""
+    _check_size(width, height)
+    fixed, visits = _orbit_slices(width, height, SLICE_BITS)
+    weights = _low_planes(width * height - len(fixed))[1]
     hist: dict[int, int] = {}
-    for base, hits in _scan(width, height):
-        weights = _low_planes(min(width * height, SLICE_BITS))[1]
+    for base, multiplicity, hits in _scan(width, height, fixed, visits):
         for a, weight in enumerate(weights, base.bit_count()):
             count = (hits & weight).bit_count()
             if count:
-                hist[a] = hist.get(a, 0) + count
+                hist[a] = hist.get(a, 0) + count * multiplicity
     return dict(sorted(hist.items()))
 
 
@@ -164,8 +208,15 @@ def _to_stack(cells: int, width: int, height: int) -> list[RowConfig]:
 
 def sample_accepted_stacks(width: int, height: int, limit: int) -> list[list[RowConfig]]:
     """Row stacks of the first `limit` inscribed polyominoes in scan order."""
+    if type(limit) is not int or limit < 0:
+        raise ValueError(f"limit must be a non-negative int, got {limit!r}")
+    _check_size(width, height)
+    n = width * height
+    bits = min(n, SLICE_BITS)
     out = []
-    for base, hits in _scan(width, height):
+    # the free cells are 0..bits-1, so subset k of a slice is base | k
+    visits = ((high << bits, 1) for high in range(1 << (n - bits)))
+    for base, _, hits in _scan(width, height, range(bits, n), visits):
         while hits:
             if len(out) >= limit:
                 return out

@@ -129,7 +129,7 @@ def test_criterion_04_oracle_agreement(automaton):
     for b in range(1, 7):
         table = count_area_series(automaton(b), 6)
         for h in range(1, 7):
-            if b * h > 20:
+            if b * h > 24:
                 continue
             assert table.counts[h] == brute_force_count(b, h), (b, h)
             poly = table.area_counts[h]

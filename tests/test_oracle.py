@@ -46,6 +46,14 @@ def test_grid_subset_validation():
     assert not g.filled(0, 0)
 
 
+def test_filled_rejects_cells_outside_the_grid():
+    # a row-major shift would read a neighbouring row's cell instead
+    g = GridSubset(2, 2, 0b0110)
+    for row, col in ((1, -1), (0, 2), (0, -1), (2, 0), (-1, 1)):
+        with pytest.raises(IndexError):
+            g.filled(row, col)
+
+
 def test_grid_subset_rejects_bools_and_non_ints():
     # bool and float look like ints to a range check
     for width, height, cells in ((True, 2, 3), (2, True, 3), (2.0, 2, 3), (2, 2, 3.0), (2, 2, True)):
@@ -74,9 +82,8 @@ def test_counts_frozen():
 
 
 def test_count_transpose_symmetry():
-    for b in range(1, 5):
-        for h in range(1, 5):
-            assert brute_force_count(b, h) == brute_force_count(h, b)
+    for b, h in small_grids(1, 20):
+        assert brute_force_count(b, h) == brute_force_count(h, b), (b, h)
 
 
 def test_histograms_frozen():
@@ -123,6 +130,13 @@ def test_sample_accepted_stacks():
     assert sample_accepted_stacks(2, 2, 2) == stacks[:2]
 
 
+def test_sample_limit_must_be_a_non_negative_int():
+    for limit in (True, 2.5, "3", None, -1):
+        with pytest.raises(ValueError):
+            sample_accepted_stacks(2, 2, limit)
+    assert sample_accepted_stacks(2, 2, 0) == []
+
+
 def test_sample_rows_read_top_down():
     # the first stack element is the grid's row 0
     stacks = sample_accepted_stacks(2, 2, 1)
@@ -164,3 +178,51 @@ def test_narrow_slices_match_default_width(monkeypatch):
         want_stacks = [[str(r) for r in oracle._to_stack(c, 3, 3)] for c in hits[:limit]]
         got = [[str(r) for r in s] for s in sample_accepted_stacks(3, 3, limit)]
         assert got == want_stacks, limit
+
+
+def reflections(b, h):
+    """Left-right and top-bottom reflections as cell maps."""
+    return (
+        [r * b + b - 1 - c for r in range(h) for c in range(b)],
+        [(h - 1 - r) * b + c for r in range(h) for c in range(b)],
+    )
+
+
+def reflect(cells, cell_map):
+    return sum(1 << cell_map[i] for i in range(len(cell_map)) if cells >> i & 1)
+
+
+def test_orbit_slices_cover_every_pattern_once():
+    for b, h in small_grids(1, 24):
+        fixed, visits = oracle._orbit_slices(b, h, oracle.SLICE_BITS)
+        assert len(fixed) >= b * h - oracle.SLICE_BITS, (b, h)
+        maps = reflections(b, h)
+        for cell_map in maps:
+            assert sorted(cell_map[i] for i in fixed) == list(fixed), (b, h)
+        covered = set()
+        for base, multiplicity in visits:
+            orbit = {base}
+            for _ in range(2):
+                orbit |= {reflect(p, m) for p in orbit for m in maps}
+            assert len(orbit) == multiplicity and min(orbit) == base, (b, h, base)
+            covered |= orbit
+        assert sum(m for _, m in visits) == 1 << len(fixed), (b, h)
+        fixed_mask = sum(1 << i for i in fixed)
+        assert len(covered) == 1 << len(fixed), (b, h)
+        assert all(p & ~fixed_mask == 0 for p in covered), (b, h)
+
+
+def test_orbit_histogram_matches_every_pattern_walk():
+    # the sampler's walk: every pattern of the fixed cells, multiplicity 1
+    for b, h in small_grids(17, 20):
+        fixed, _ = oracle._orbit_slices(b, h, oracle.SLICE_BITS)
+        bases = [
+            sum(1 << c for j, c in enumerate(fixed) if t >> j & 1) for t in range(1 << len(fixed))
+        ]
+        weights = oracle._low_planes(b * h - len(fixed))[1]
+        hist = {}
+        for base, multiplicity, hits in oracle._scan(b, h, fixed, [(base, 1) for base in bases]):
+            assert multiplicity == 1
+            for a, weight in enumerate(weights, base.bit_count()):
+                hist[a] = hist.get(a, 0) + (hits & weight).bit_count()
+        assert brute_force_area_histogram(b, h) == {a: c for a, c in hist.items() if c}, (b, h)
