@@ -27,10 +27,10 @@ width; the first line is the first row fed to the automaton.
 
 Exit codes: 0 success or accepted stack; 1 verification mismatch, rejected
 stack, or a failed GF fit (gf, area-gf, and series or count tall enough to
-fit a width's series); 2 usage error, including an unreadable stack file or
-an unwritable --output file; 3 resource ceiling hit or memory exhausted; 4
-internal error (a bug, such as a failed lumping check, reported without a
-traceback).  Diagnostics go to stderr.
+fit a width's series); 2 usage error, including an unreadable stack file,
+an unwritable --output file or a closed stdout; 3 resource ceiling hit or
+memory exhausted; 4 internal error (a bug, such as a failed lumping check,
+reported without a traceback).  Diagnostics go to stderr.
 
 The POLYRECT_MAX_STATES environment variable overrides the default state
 ceiling; --max-states overrides both.  Every command checks it against the
@@ -267,19 +267,20 @@ def run(ns: argparse.Namespace) -> int:
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL
-    if ns.output:
-        mode = "wb" if isinstance(payload, bytes) else "w"
-        try:
-            with open(ns.output, mode) as fh:
+    try:
+        if ns.output:
+            with open(ns.output, "wb" if isinstance(payload, bytes) else "w") as fh:
                 fh.write(payload)
-        except OSError as exc:
-            return _usage(f"cannot write output file: {exc}")
-    else:
-        if isinstance(payload, bytes):
-            sys.stdout.buffer.write(payload)
-            sys.stdout.buffer.flush()
         else:
-            sys.stdout.write(payload)
+            out = sys.stdout.buffer if isinstance(payload, bytes) else sys.stdout
+            out.write(payload)
+            out.flush()
+    except OSError as exc:
+        if ns.output:
+            return _usage(f"cannot write output file: {exc}")
+        # the interpreter flushes stdout again at exit; let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _usage(f"cannot write to stdout: {exc}")
     return status
 
 

@@ -133,19 +133,64 @@ def expand(gf: RationalGF, n_terms: int, head: Sequence = ()) -> list:
     """First n_terms power-series coefficients of the rational function.
 
     head holds terms already known to be the first ones; the expansion
-    carries on from them.  ValueError unless n_terms is an int >= 0.
+    carries on from them.  ValueError unless n_terms is an int >= 0.  Each
+    term is S_j = N_j - sum_(k >= 1) D_k * S_(j-k), with D_0 = 1.  Over Z[q]
+    every new term is a Polynomial, computed at q = 2^s on packed integers
+    by `_convolve`, as `_proved_numerator` does.  Its slot is sized before
+    the first product, from the same recurrence on L1 norms with D's signs
+    dropped: B_j = |N_j|_1 + sum_(k >= 1) |D_k|_1 * B_(j-k), seeded by the
+    head's norms, bounds |S_j|_1 by induction, so with s >= bitlen(max B_j)
+    + 2 every q-coefficient of every term lies strictly inside
+    (-2^(s-1), 2^(s-1)), and the balanced base-2^s digits of S_j(2^s) are
+    exactly its q-coefficients (`unpack_signed`).
     """
     if type(n_terms) is not int or n_terms < 0:
         raise ValueError(f"n_terms must be an int >= 0, got {n_terms!r}")
+    out = list(head[:n_terms])
+    if gf.is_bivariate:
+        return out + _expand_packed(gf, out, n_terms)
     num = gf.numerator.coeffs
     den = gf.denominator.coeffs
-    out = list(head[:n_terms])
     for j in range(len(out), n_terms):
         acc = num[j] if j < len(num) else 0
         for k in range(1, min(j, len(den) - 1) + 1):
             acc = acc - den[k] * out[j - k]
         out.append(acc)
     return out
+
+
+def _expand_packed(gf: RationalGF, head: list, n_terms: int) -> list[Polynomial]:
+    """Terms len(head)..n_terms - 1 of a series over Z[q] (`expand`)."""
+    num = [_q_coeffs(c) for c in gf.numerator.coeffs]
+    den = [_q_coeffs(c) for c in gf.denominator.coeffs]
+    terms = [_q_coeffs(c) for c in head]
+    den_norms = [sum(map(abs, d)) for d in den]
+    bounds = [sum(map(abs, t)) for t in terms]
+    for j in range(len(head), n_terms):
+        b = sum(map(abs, num[j])) if j < len(num) else 0
+        bounds.append(b + sum(map(mul, den_norms[1 : j + 1], bounds[j - 1 :: -1])))
+    slot_bytes = (max(bounds, default=0).bit_length() + 2 + 7) // 8
+    slot = 8 * slot_bytes
+    packed = [pack_coefficients(t, slot_bytes) for t in terms]
+    for j in range(len(head), n_terms):
+        n_j = pack_coefficients(num[j], slot_bytes) if j < len(num) else 0
+        packed.append(n_j - _convolve(den, packed, j, slot, 1))
+    return [Polynomial(unpack_signed(v, slot_bytes)) for v in packed[len(head) :]]
+
+
+def _convolve(
+    den: Sequence[Sequence[int]], packed: Sequence[int], j: int, slot: int, start: int
+) -> int:
+    """sum_(k >= start) D_k(2^slot) * packed[j - k], D_k given by its q-coefficients.
+
+    Each product is summed as d_km * packed[j - k] shifted by slot * m over
+    the nonzero coefficients d_km of D_k: scaling a big integer by the small
+    d_km is several times cheaper than multiplying it by the packed D_k.
+    """
+    e_j = 0
+    for k, p in enumerate(den[start : j + 1], start):
+        e_j += sum(d * packed[j - k] << (slot * m) for m, d in enumerate(p) if d)
+    return e_j
 
 
 # Berlekamp-Massey runs modulo the primes just below 2^61, found on first use
@@ -568,25 +613,20 @@ def _proved_numerator(
     E_j(2^s) = 0 holds exactly when E_j = 0: one integer per term decides
     the identity in Z[q], a proof over the checked terms, not a sampled test.
 
-    Each D_k(2^s) * S_i(2^s) is summed as d_km * S_i(2^s) shifted by s*m over
-    the nonzero coefficients d_km of D_k: scaling a big integer by the small
-    d_km is several times cheaper than multiplying it by the packed D_k.
+    The sums are `_convolve`'s small-scalar shifts.
     """
     top = max(abs(c) for p in series for c in p.coeffs)
     slot_bytes = ((top * _l1(den)).bit_length() + 2 + 7) // 8
     slot = 8 * slot_bytes
     packed = [pack_coefficients(p.coeffs, slot_bytes) for p in series]
-
-    def value(j: int) -> int:
-        e_j = 0
-        for k, p in enumerate(den.coeffs[: j + 1]):
-            e_j += sum(d * packed[j - k] << (slot * m) for m, d in enumerate(p.coeffs) if d)
-        return e_j
-
+    den_q = [_q_coeffs(c) for c in den.coeffs]
     cut = min(degree_bound + 2, len(packed))
-    if any(map(value, range(cut, len(packed)))):
+    if any(_convolve(den_q, packed, j, slot, 0) for j in range(cut, len(packed))):
         return None
-    return Polynomial(Polynomial(unpack_signed(value(j), slot_bytes)) for j in range(cut))
+    return Polynomial(
+        Polynomial(unpack_signed(_convolve(den_q, packed, j, slot, 0), slot_bytes))
+        for j in range(cut)
+    )
 
 
 def gf_height_area(
@@ -626,8 +666,10 @@ def specialize_q(gf: RationalGF, value: int) -> RationalGF:
     """Set q to the integer value in a bivariate generating function and reduce.
 
     The substituted fraction is fitted again from its own expansion
-    (`_refit`); a value that is not an int raises ValueError there.
+    (`_refit`).  ValueError unless value is an int: True would set q to 1.
     """
+    if type(value) is not int:
+        raise ValueError(f"q must be set to an int, got {value!r}")
     return _refit(_substitute(gf.numerator, value), _substitute(gf.denominator, value), fit_rational)
 
 

@@ -1,12 +1,13 @@
-"""Dense exact polynomials.
+"""Dense exact polynomials, and the packing that does their arithmetic.
 
 Coefficients are Python ints or (for bivariate work) nested Polynomial
-values, so arithmetic stays in the integers.  Products here are schoolbook
-convolutions.  Callers that multiply large polynomials pack them instead
-(`pack_coefficients`): the coefficients are laid out in fixed-width byte
-slots of one big integer, so CPython's subquadratic integer multiply does
-the convolution, and the balanced digits of the product are read back
-(`unpack_signed`).
+values.  A Polynomial is a value: it compares, hashes, evaluates and
+prints, but has no ring operators.  Callers do the arithmetic on packed
+integers instead (`pack_coefficients`): the coefficients are laid out in
+fixed-width byte slots of one big integer, its value at 2^(8 * slot_bytes),
+so sums, small-scalar shifts and CPython's subquadratic integer multiply
+act on every coefficient at once, and the balanced digits of the result
+are read back (`unpack_signed`).
 """
 
 from __future__ import annotations
@@ -60,65 +61,6 @@ class Polynomial:
     def __str__(self):
         return self.to_string()
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return self
-            other = Polynomial((other,))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = Polynomial((other,))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return Polynomial()
-            return Polynomial(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> Polynomial:
-        """Multiply by x^k."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if not self.coeffs:
-            return self
-        return Polynomial((0,) * k + self.coeffs)
-
     def evaluate(self, value):
         acc = 0
         for c in reversed(self.coeffs):
@@ -158,7 +100,6 @@ class Polynomial:
         return " ".join(parts)
 
 
-ZERO = Polynomial()
 ONE = Polynomial((1,))
 
 

@@ -3,8 +3,10 @@
 Each one computes something the package computes faster or by another
 route, so the tests can cross-check the two: the forward counting DP on the
 full automaton, the dense transfer matrix, a symbolic generating function by
-determinant elimination, the reversed characteristic polynomial, and the
-straightforward serializer and DOT writer that render one transition at a time.
+determinant elimination, the reversed characteristic polynomial, the
+straightforward serializer and DOT writer that render one transition at a
+time, and the schoolbook ring on Polynomial values (`poly_add`, `poly_mul`
+and their kin), which the package does on packed integers instead.
 """
 
 from __future__ import annotations
@@ -13,7 +15,67 @@ import json
 
 from polyrect import Automaton, Polynomial, SeriesTable, build
 from polyrect.genfunc import RationalGF
-from polyrect.polynomial import ONE, ZERO, unpack_coefficients
+from polyrect.polynomial import ONE, unpack_coefficients
+
+ZERO = Polynomial()
+
+
+def _lift(c) -> Polynomial:
+    """c as a Polynomial: an int is a constant."""
+    return c if isinstance(c, Polynomial) else Polynomial((c,))
+
+
+def poly_add(a, b):
+    """a + b for ints and Polynomials whose coefficients are either, nested."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a + b
+    a, b = _lift(a).coeffs, _lift(b).coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    return Polynomial(poly_add(c, b[i]) if i < len(b) else c for i, c in enumerate(a))
+
+
+def poly_neg(a):
+    """-a, coefficient by coefficient."""
+    return -a if isinstance(a, int) else Polynomial(poly_neg(c) for c in a.coeffs)
+
+
+def poly_sub(a, b):
+    """a - b."""
+    return poly_add(a, poly_neg(b))
+
+
+def poly_mul(a, b):
+    """a * b by the schoolbook convolution; an int factor scales."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a * b
+    a, b = _lift(a).coeffs, _lift(b).coeffs
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x and y:
+                out[i + j] = poly_add(out[i + j], poly_mul(x, y))
+    return Polynomial(out)
+
+
+def expand_reference(gf: RationalGF, n_terms: int, head=()) -> list:
+    """expand(gf, n_terms, head) by the schoolbook recurrence on nested Polynomials."""
+    num, den = gf.numerator.coeffs, gf.denominator.coeffs
+    out = list(head[:n_terms])
+    for j in range(len(out), n_terms):
+        acc = num[j] if j < len(num) else 0
+        for k in range(1, min(j, len(den) - 1) + 1):
+            acc = poly_sub(acc, poly_mul(den[k], out[j - k]))
+        out.append(acc)
+    return out
+
+
+def poly_prod(factors):
+    """The product of the factors, ONE for none."""
+    out = ONE
+    for f in factors:
+        out = poly_mul(out, f)
+    return out
 
 
 def serialize_reference(a: Automaton) -> bytes:
@@ -165,12 +227,12 @@ def _poly_det_bareiss(mat: list[list[Polynomial]]) -> Polynomial:
             row_i = mat[i]
             lead = row_i[k]
             for j in range(k + 1, n):
-                value = piv * row_i[j] - lead * mat[k][j]
+                value = poly_sub(poly_mul(piv, row_i[j]), poly_mul(lead, mat[k][j]))
                 row_i[j] = _exact_int_div(value, prev)
             row_i[k] = ZERO
         prev = piv
     result = mat[n - 1][n - 1]
-    return result if sign > 0 else -result
+    return result if sign > 0 else poly_neg(result)
 
 
 def gf_height_by_elimination(
@@ -192,7 +254,7 @@ def gf_height_by_elimination(
 
     def entry(i: int, j: int) -> Polynomial:
         base = ONE if i == j else ZERO
-        return base - x * m[i][j] if m[i][j] else base
+        return poly_sub(base, poly_mul(x, m[i][j])) if m[i][j] else base
 
     system = [[entry(i, j) for j in range(n)] for i in range(n)]
     den = _poly_det_bareiss([row[:] for row in system])
@@ -206,7 +268,7 @@ def gf_height_by_elimination(
     border_row = [Polynomial((-1,)) if i == 0 else ZERO for i in range(n)] + [ZERO]
     bordered.append(border_row)
     num = _poly_det_bareiss(bordered)
-    return RationalGF(den + num, den)
+    return RationalGF(poly_add(den, num), den)
 
 
 def reversed_charpoly(a: Automaton) -> Polynomial:

@@ -349,6 +349,25 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot write output file: ") and err.count("\n") == 1
 
 
+def test_closed_stdout_is_usage_error():
+    # the reader is gone before the first write, as in `polyrect series ... | true`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(polyrect.__file__).parents[1])}
+    try:
+        for args in (("series", "--b", "4", "--h-max", "300"), ("build", "--b", "3")):
+            done = subprocess.run(
+                [sys.executable, "-m", "polyrect.cli", *args],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+            assert done.returncode == 2, args
+            assert done.stderr.startswith("error: cannot write to stdout: "), done.stderr
+            assert done.stderr.count("\n") == 1
+            assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    finally:
+        os.close(write_end)
+
+
 def test_internal_error_is_not_a_usage_error(monkeypatch, capsys):
     def broken(cfg):
         raise ValueError("inverse of 0 mod p")

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
 import pytest
 
@@ -25,7 +25,17 @@ from polyrect.genfunc import (
 )
 from polyrect.polynomial import ONE
 
-from reference import forward_counts, gf_height_by_elimination, reversed_charpoly
+from reference import (
+    expand_reference,
+    forward_counts,
+    gf_height_by_elimination,
+    poly_add,
+    poly_mul,
+    poly_neg,
+    poly_prod,
+    poly_sub,
+    reversed_charpoly,
+)
 
 
 def test_rational_gf_invariants():
@@ -259,13 +269,16 @@ def test_sum_of_fractions_with_a_common_factor_is_reduced_exactly():
     # so the product of the denominators is not the reduced one
     x = Polynomial((0, 1))
     one_minus_x = Polynomial((1, -1))
-    first = RationalGF(x, one_minus_x * Polynomial((1, -2)))
-    second = RationalGF(x * x, one_minus_x * Polynomial((1, 3)))
+    first = RationalGF(x, poly_mul(one_minus_x, Polynomial((1, -2))))
+    second = RationalGF(poly_mul(x, x), poly_mul(one_minus_x, Polynomial((1, 3))))
     assert not _coprime(first.denominator, second.denominator)
-    den = first.denominator * second.denominator
-    num = den + first.numerator * second.denominator - second.numerator * first.denominator * 2
+    den = poly_mul(first.denominator, second.denominator)
+    num = poly_sub(
+        poly_add(den, poly_mul(first.numerator, second.denominator)),
+        poly_mul(poly_mul(second.numerator, first.denominator), 2),
+    )
     got = sum_fractions([(1, first), (-2, second)])
-    assert got.numerator * den == num * got.denominator
+    assert poly_mul(got.numerator, den) == poly_mul(num, got.denominator)
     assert got.denominator.degree == 3
     assert got.denominator.coeffs[0] == 1
     want = [a - 2 * b for a, b in zip(expand(first, 20), expand(second, 20))]
@@ -298,7 +311,7 @@ def test_elimination_backend_agrees(automaton):
     for width in (1, 2, 3):
         ge = gf_height_by_elimination(width, automaton=automaton(width))
         gh = gf_height(width, automaton=automaton(width))
-        assert ge.numerator * gh.denominator == gh.numerator * ge.denominator, width
+        assert poly_mul(ge.numerator, gh.denominator) == poly_mul(gh.numerator, ge.denominator), width
 
 
 def test_denominator_divides_reversed_charpoly(automaton):
@@ -309,7 +322,7 @@ def test_denominator_divides_reversed_charpoly(automaton):
         # den(0) = 1, so den divides charpoly exactly when the quotient's
         # expansion, truncated past deg charpoly, multiplies back to it
         quotient = Polynomial(expand(RationalGF(charpoly, den), charpoly.degree + 1))
-        assert quotient * den == charpoly, width
+        assert poly_mul(quotient, den) == charpoly, width
 
 
 def test_reversed_charpoly_constant_term(automaton):
@@ -321,7 +334,7 @@ def test_bivariate_width_two(automaton):
     q = Polynomial((0, 1))
     terms = expand(gf, 4)
     assert terms[0] == 1
-    assert terms[1] == q * q
+    assert terms[1] == poly_mul(q, q)
     assert terms[2] == Polynomial((0, 0, 0, 4, 1))
     assert terms[3] == Polynomial((0, 0, 0, 0, 8, 6, 1))
     assert gf.is_bivariate
@@ -364,29 +377,30 @@ def test_bivariate_sum_with_a_common_factor_is_reduced():
     # q x / (1 - q x)(1 - 2x) and x^2 / (1 - q x)(1 + q^2 x) share 1 - q x
     q = Polynomial((0, 1))
     one, zero = Polynomial((1,)), Polynomial()
-    shared = Polynomial((one, -q))
-    first = RationalGF(Polynomial((zero, q)), shared * Polynomial((one, Polynomial((-2,)))))
-    second = RationalGF(Polynomial((zero, zero, one)), shared * Polynomial((one, q * q)))
+    q_squared = poly_mul(q, q)
+    shared = Polynomial((one, poly_neg(q)))
+    first = RationalGF(Polynomial((zero, q)), poly_mul(shared, Polynomial((one, Polynomial((-2,))))))
+    second = RationalGF(Polynomial((zero, zero, one)), poly_mul(shared, Polynomial((one, q_squared))))
     assert not _coprime(first.denominator, second.denominator)
     got = sum_fractions([(1, first), (-2, second)])
     assert got.denominator.degree == 3
     assert got.denominator.coeffs[0] == ONE
-    want = [a - b * 2 for a, b in zip(expand(first, 20), expand(second, 20))]
-    want[0] = want[0] + 1
+    want = [poly_sub(a, poly_mul(b, 2)) for a, b in zip(expand(first, 20), expand(second, 20))]
+    want[0] = poly_add(want[0], 1)
     assert expand(got, 20) == want
     # coprime denominators in Z[q][x] are summed as they are
-    third = RationalGF(Polynomial((zero, one)), Polynomial((one, -(q * q))))
+    third = RationalGF(Polynomial((zero, one)), Polynomial((one, poly_neg(q_squared))))
     assert _coprime(first.denominator, third.denominator)
     assert sum_fractions([(1, first), (1, third)]).denominator.degree == 3
 
 
 def _schoolbook_sum(parts):
     """1 + sum(sign * P/Q) as (N, D), D = prod(Q), by the schoolbook product."""
-    den = prod((gf.denominator for _, gf in parts), start=ONE)
+    den = poly_prod(gf.denominator for _, gf in parts)
     num = den
     for i, (sign, gf) in enumerate(parts):
-        others = prod((g.denominator for j, (_, g) in enumerate(parts) if j != i), start=ONE)
-        num = num + gf.numerator * others * sign
+        others = poly_prod(g.denominator for j, (_, g) in enumerate(parts) if j != i)
+        num = poly_add(num, poly_mul(poly_mul(gf.numerator, others), sign))
     return num, den
 
 
@@ -405,7 +419,41 @@ def _random_part(rng, q_degree, shared=ONE):
     unit = 1 if q_degree < 0 else ONE
     num = Polynomial(_random_coefficient(rng, q_degree) for _ in range(rng.randint(1, 4)))
     den = Polynomial([unit] + [_random_coefficient(rng, q_degree) for _ in range(rng.randint(1, 3))])
-    return RationalGF(num or Polynomial((unit,)), den * shared)
+    return RationalGF(num or Polynomial((unit,)), poly_mul(den, shared))
+
+
+def test_bivariate_expand_matches_the_area_series():
+    for width in range(1, 6):
+        gf = gf_height_area(width)
+        area = list(count_area_series(width, 30).area_counts)
+        assert expand(gf, 31) == area, width
+        assert expand(gf, 31, area[:5]) == area, width
+
+
+def test_bivariate_expand_matches_the_schoolbook_expansion():
+    # coefficients above 2^64 and negative ones, q-degree 0..4; a head of
+    # random terms seeds the slot bound too
+    rng = random.Random(26001)
+    for q_degree in range(5):
+        for _ in range(12):
+            gf = _random_part(rng, q_degree)
+            want = expand_reference(gf, 12)
+            got = expand(gf, 12)
+            assert got == want
+            assert all(type(term) is Polynomial for term in got)
+            head = [_random_coefficient(rng, q_degree) for _ in range(3)]
+            assert expand(gf, 12, head) == expand_reference(gf, 12, head)
+            assert expand(gf, 0) == expand(gf, 0, head) == []
+
+
+def test_bivariate_expand_returns_polynomials_only():
+    # a zero numerator, or a denominator of x-degree 0, leaves no product to
+    # make a term a Polynomial; each term is one all the same
+    for num in (Polynomial(), Polynomial((ONE,)), Polynomial((ONE, Polynomial(), Polynomial((0, 3))))):
+        for den in (Polynomial((ONE,)), Polynomial((ONE, Polynomial((0, -1))))):
+            terms = expand(RationalGF(num, den), 6)
+            assert all(type(term) is Polynomial for term in terms), (num, den)
+            assert terms == expand_reference(RationalGF(num, den), 6)
 
 
 def test_sum_fractions_matches_the_schoolbook_sum():
@@ -417,7 +465,7 @@ def test_sum_fractions_matches_the_schoolbook_sum():
             num, den = _schoolbook_sum(parts)
             got = sum_fractions(parts)
             assert got.is_bivariate == (q_degree >= 0)
-            assert got.numerator * den == num * got.denominator
+            assert poly_mul(got.numerator, den) == poly_mul(num, got.denominator)
             dens = [gf.denominator for _, gf in parts]
             if all(_coprime(p, q) for i, p in enumerate(dens) for q in dens[i + 1 :]):
                 assert got == RationalGF(num, den)
@@ -427,7 +475,7 @@ def test_sum_fractions_refits_a_common_factor():
     # two parts share 1 - 3x (over Z) or 1 - q x (over Z[q]), so N/D is refitted
     rng = random.Random(24002)
     q = Polynomial((0, 1))
-    for q_degree, shared in ((-1, Polynomial((1, -3))), (1, Polynomial((ONE, -q)))):
+    for q_degree, shared in ((-1, Polynomial((1, -3))), (1, Polynomial((ONE, poly_neg(q))))):
         for _ in range(3):
             parts = [
                 (1, _random_part(rng, q_degree, shared)),
@@ -436,7 +484,7 @@ def test_sum_fractions_refits_a_common_factor():
             ]
             num, den = _schoolbook_sum(parts)
             got = sum_fractions(parts)
-            assert got.numerator * den == num * got.denominator
+            assert poly_mul(got.numerator, den) == poly_mul(num, got.denominator)
             assert got.denominator.degree < den.degree
 
 
@@ -449,8 +497,9 @@ def test_specialize_q_reduces():
     q = Polynomial((0, 1))
     one = Polynomial((1,))
     # (1 - q^2 x) / (1 - q x)(1 + q x) has a common factor at q = 1
-    num = Polynomial((one, -(q * q)))
-    den = Polynomial((one, Polynomial(()), -(q * q)))
+    minus_q_squared = poly_neg(poly_mul(q, q))
+    num = Polynomial((one, minus_q_squared))
+    den = Polynomial((one, Polynomial(()), minus_q_squared))
     gf = RationalGF(num, den)
     collapsed = specialize_q(gf, 1)
     assert collapsed.numerator == 1
@@ -458,6 +507,14 @@ def test_specialize_q_reduces():
     # q = 1/2 would leave rational coefficients
     with pytest.raises(ValueError):
         specialize_q(gf_height_area(2), 0.5)
+
+
+def test_specialize_q_rejects_a_value_that_is_not_an_int():
+    # True would set q to 1 and return the height GF without a word
+    gf = gf_height_area(2)
+    for value in (True, 1.5, "2"):
+        with pytest.raises(ValueError, match="q must be set to an int"):
+            specialize_q(gf, value)
 
 
 def test_bivariate_slot_grows_until_the_coefficient_fits(monkeypatch):
@@ -497,7 +554,7 @@ def test_bivariate_fit_survives_a_degenerate_point(monkeypatch):
     gf = _fit_bivariate(series, 2, 1)
     q = Polynomial((0, 1))
     assert gf.numerator.coeffs == (ONE, Polynomial((16,)))
-    assert gf.denominator.coeffs == (ONE, Polynomial(), -q)
+    assert gf.denominator.coeffs == (ONE, Polynomial(), poly_neg(q))
     assert tried == [1, 2]
 
 
@@ -526,7 +583,7 @@ def test_bivariate_fit_degree_bounds():
     series = [Polynomial()] * 3 + [Polynomial((0,) * (j - 2) + (1,)) for j in range(3, 8)]
     gf = _fit_bivariate(series, 2, 1)
     assert gf.numerator.coeffs == (Polynomial(), Polynomial(), Polynomial(), q)
-    assert gf.denominator.coeffs == (ONE, -q)
+    assert gf.denominator.coeffs == (ONE, poly_neg(q))
     with pytest.raises(FitError, match="insufficient terms"):
         _fit_bivariate(series[:6], 2, 1)
     with pytest.raises(FitError, match="insufficient terms"):
@@ -616,5 +673,5 @@ def test_proved_numerator_rejects_perturbations_that_vanish_at_a_power_of_two(au
     den = gf.denominator.coeffs
     bound = max(gf.denominator.degree, gf.numerator.degree - 1)
     for s in range(8, 520, 8):
-        hidden = den[-1] + Polynomial((-(1 << s), 1))
+        hidden = poly_add(den[-1], Polynomial((-(1 << s), 1)))
         assert _proved_numerator(Polynomial(den[:-1] + (hidden,)), series, bound) is None, s
