@@ -13,9 +13,9 @@ was stepped first takes the image's steps reflected, without stepping.
 While building, a state is the int word_id << 2 | left << 1 | right; one
 LabeledWord per word, and with it word validation, and one AutomatonState per
 state are made at the end.  For the same reason serialize() and export_dot()
-format each word's row shape once.  deserialize() compares a file that lists
-the formula's state count with serialize(build(b)); only other input is
-decoded pair by pair.
+format each word's row shape once.  deserialize() checks one rule against one
+exploration: a valid file's states are closed under steps and all reachable
+from state 0, so they are exactly build()'s states, listed in some order.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from .errors import (
 )
 from .record import Record
 from .rowconfig import MAX_WIDTH, RowConfig, check_width, letter_runs
-from .states import (
-    AutomatonState, LabeledWord, initial_state, is_accepting, word_labels, word_masks,
-)
+from .states import AutomatonState, LabeledWord, initial_state, is_accepting, word_labels
 from .transition import advance, mirror, reversed_masks
 
 FORMAT_VERSION = 1
@@ -107,12 +105,12 @@ class Automaton(Record):
         return None if t < 0 else t
 
 
-def _explore(width: int, words: list, keys: list[int], max_states: int) -> list[array]:
-    """Transition rows of keys, appending every newly reached state to keys.
+def _explore(width: int, max_states: int) -> Automaton:
+    """build() without its checks of width and ceiling.
 
-    A key is word_id << 2 | left << 1 | right, where words[word_id] is the
-    state's kernel word; words met for the first time are appended to words.
-    Walking keys while it grows is the breadth-first search.
+    While exploring, a state is the key word_id << 2 | left << 1 | right,
+    where words[word_id] is its kernel word; walking keys while it grows is
+    the search.  Raises ResourceLimitError on reaching more than max_states.
 
     A word's defined steps are two flat arrays, letter ranks ascending and
     target bases word_id << 2 | touches.  A word whose mirror image already
@@ -125,10 +123,12 @@ def _explore(width: int, words: list, keys: list[int], max_states: int) -> list[
     ]
     flip = reversed_masks(width)
     flipped_rank = [flip[bits] - 1 for bits in range(1, 1 << width)]
-    word_ids = {word: i for i, word in enumerate(words)}
+    words: list[tuple[int, ...]] = [()]
+    word_ids = {(): 0}
     memo: dict[int, tuple[array, array]] = {}
     mirrored: dict[int, int] = {}  # target base -> its mirror image's base
-    index = {key: i for i, key in enumerate(keys)}
+    keys = [0]
+    index = {0: 0}
     rows = []
     for key in keys:
         steps = memo.get(key >> 2)
@@ -171,7 +171,10 @@ def _explore(width: int, words: list, keys: list[int], max_states: int) -> list[
                 keys.append(base | flags)
             row[rank] = j
         rows.append(row)
-    return rows
+    labeled = [LabeledWord(word_labels(word, width)) for word in words]
+    states = tuple(AutomatonState(labeled[key >> 2], key & 2 > 0, key & 1 > 0) for key in keys)
+    accepting = frozenset(i for i, s in enumerate(states) if is_accepting(s))
+    return Automaton(width, states, accepting, tuple(rows))
 
 
 def check_ceiling(width: int, max_states: int) -> None:
@@ -199,13 +202,7 @@ def build(width: int, max_states: int = DEFAULT_STATE_CEILING) -> Automaton:
     exceeds max_states.
     """
     check_ceiling(width, max_states)
-    words: list[tuple[int, ...]] = [()]
-    keys = [0]
-    rows = _explore(width, words, keys, max_states)
-    labeled = [LabeledWord(word_labels(word, width)) for word in words]
-    states = tuple(AutomatonState(labeled[key >> 2], key & 2 > 0, key & 1 > 0) for key in keys)
-    accepting = frozenset(i for i, s in enumerate(states) if is_accepting(s))
-    return Automaton(width, states, accepting, tuple(rows))
+    return _explore(width, max_states)
 
 
 def _render_word(word: LabeledWord, width: int) -> str:
@@ -349,21 +346,20 @@ def _parse_rows(raw_transitions: list, width: int, n: int) -> list[array]:
     return rows
 
 
-def _state_rows(width: int, states: list) -> list[array]:
-    """The rows the transition map gives states, each step staying among them."""
-    ids: dict[LabeledWord, int] = {}
-    keys = [ids.setdefault(s.word, len(ids)) << 2 | s.left_touched << 1 | s.right_touched
-            for s in states]
-    words = [word_masks(word.labels) for word in ids]
-    try:
-        return _explore(width, words, keys, len(states))
-    except ResourceLimitError as exc:
-        raise AutomatonInvariantError("a step leaves the listed states") from exc
-
-
-def _recomputed(width: int, states: list, raw_accepting: list, want_rows, rows) -> Automaton:
-    """The automaton of want_rows, the `_state_rows` of states, once rows equal
-    them and the accepting set and reachability are checked."""
+def _checked_rows(built: Automaton, states: list, raw_accepting: list, rows) -> Automaton:
+    """The automaton of states, once they are built's states in some order,
+    rows are built's rows in that order and raw_accepting its accepting states."""
+    listed = {s: i for i, s in enumerate(states)}
+    order = [listed.get(s, -1) for s in built.states]  # each built state's listed index
+    if -1 in order:
+        raise AutomatonInvariantError("a step leaves the listed states")
+    if len(states) > len(order):
+        raise AutomatonInvariantError("serialized automaton has unreachable states")
+    want_rows = list(built.transitions)
+    if order != list(range(len(order))):
+        renumber = order + [-1]  # renumber[-1] keeps an undefined letter undefined
+        for i, row in zip(order, built.transitions):
+            want_rows[i] = array("i", map(renumber.__getitem__, row))
     for i, (want, have) in enumerate(zip(want_rows, rows)):
         if want != have:
             bits = 1 + next(k for k in range(len(want)) if want[k] != have[k])
@@ -372,15 +368,7 @@ def _recomputed(width: int, states: list, raw_accepting: list, want_rows, rows) 
     accepting = frozenset(i for i, s in enumerate(states) if is_accepting(s))
     if frozenset(raw_accepting) != accepting:
         raise AutomatonInvariantError("accepting set does not match the states")
-    seen = {-1, 0}  # -1 is an undefined letter
-    queue = [0]
-    while queue:
-        new = set(want_rows[queue.pop()]) - seen
-        seen |= new
-        queue.extend(new)
-    if len(seen) != len(states) + 1:
-        raise AutomatonInvariantError("serialized automaton has unreachable states")
-    return Automaton(width, tuple(states), accepting, tuple(want_rows))
+    return Automaton(built.width, tuple(states), accepting, tuple(want_rows))
 
 
 def deserialize(data: bytes | bytearray | memoryview | str) -> Automaton:
@@ -396,8 +384,9 @@ def deserialize(data: bytes | bytearray | memoryview | str) -> Automaton:
     When the header before the last ',"transitions":' lists exactly
     state_count_formula(b) states, the input, up to trailing JSON whitespace,
     is compared with serialize(build(b)); if equal, that automaton is
-    returned.  Any other input is decoded in full and checked pair by pair,
-    against build's rows when it lists build's states.
+    returned.  Any other input is decoded in full and checked pair by pair
+    against that build, or else one capped at the listed state count: build's
+    rows, renumbered into the listed order, must equal the file's.
     """
     if not isinstance(data, str):
         try:
@@ -421,10 +410,12 @@ def deserialize(data: bytes | bytearray | memoryview | str) -> Automaton:
         raise AutomatonFormatError(f"bad json: {exc}") from exc
     width, states = _checked_states(doc)
     rows = _parse_rows(doc["transitions"], width, len(states))
-    # equal states have equal words, so the same width and the same rows
-    same = built is not None and built.states == tuple(states)
-    want_rows = built.transitions if same else _state_rows(width, states)
-    return _recomputed(width, states, doc["accepting"], want_rows, rows)
+    if built is None or built.width != width:
+        try:
+            built = _explore(width, len(states))
+        except ResourceLimitError as exc:
+            raise AutomatonInvariantError("a step leaves the listed states") from exc
+    return _checked_rows(built, states, doc["accepting"], rows)
 
 
 def export_dot(a: Automaton) -> str:

@@ -133,7 +133,8 @@ def expand(gf: RationalGF, n_terms: int, head: Sequence = ()) -> list:
     """First n_terms power-series coefficients of the rational function.
 
     head holds terms already known to be the first ones; the expansion
-    carries on from them.  ValueError unless n_terms is an int >= 0.  Each
+    carries on from them.  ValueError unless n_terms is an int >= 0 and each
+    head term an int, or over Z[q] an int or a Polynomial of ints.  Each
     term is S_j = N_j - sum_(k >= 1) D_k * S_(j-k), with D_0 = 1.  Over Z[q]
     every new term is a Polynomial, computed at q = 2^s on packed integers
     by `_convolve`, as `_proved_numerator` does.  Its slot is sized before
@@ -146,8 +147,14 @@ def expand(gf: RationalGF, n_terms: int, head: Sequence = ()) -> list:
     """
     if type(n_terms) is not int or n_terms < 0:
         raise ValueError(f"n_terms must be an int >= 0, got {n_terms!r}")
+    bivariate = gf.is_bivariate
+    kinds = "an int or a Polynomial of ints" if bivariate else "an int"
+    for term in head:
+        if not (type(term) is int or bivariate and type(term) is Polynomial
+                and all(type(c) is int for c in term.coeffs)):
+            raise ValueError(f"head term {term!r} is not {kinds}")
     out = list(head[:n_terms])
-    if gf.is_bivariate:
+    if bivariate:
         return out + _expand_packed(gf, out, n_terms)
     num = gf.numerator.coeffs
     den = gf.denominator.coeffs

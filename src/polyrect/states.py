@@ -105,9 +105,9 @@ class LabeledWord(Record):
 
     __slots__ = ("labels",)
 
-    def __init__(self, labels: tuple[int, ...]):
+    def __init__(self, labels: Sequence[int]):
+        labels = tuple(labels)  # a list would compare unequal and not hash
         object.__setattr__(self, "labels", labels)
-        labels = self.labels
         bound = max_label(len(labels))
         for a in labels:
             if type(a) is not int or a < 0 or a > bound:

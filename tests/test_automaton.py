@@ -552,23 +552,26 @@ def test_canonical_input_explores_once_and_parses_no_pair(monkeypatch, automaton
         assert calls == [width]
 
 
-@pytest.mark.parametrize("width", range(2, 6))
-def test_reordered_states_load_through_the_full_parse(monkeypatch, automaton, width):
-    # the same automaton with its non-initial states listed in reverse order
-    a = automaton(width)
+def _reversed(a):
+    """The same automaton with its non-initial states listed in reverse order."""
     new = [0] + list(range(a.n_states - 1, 0, -1))  # new index of each state
     old = sorted(range(a.n_states), key=new.__getitem__)
-    reordered = Automaton(
-        width,
+    return Automaton(
+        a.width,
         tuple(a.states[i] for i in old),
         frozenset(new[i] for i in a.accepting),
         tuple(array("i", [new[t] if t >= 0 else -1 for t in a.transitions[i]]) for i in old),
     )
+
+
+@pytest.mark.parametrize("width", range(2, 6))
+def test_reordered_states_load_through_the_full_parse(monkeypatch, automaton, width):
+    reordered = _reversed(automaton(width))
     calls = []
     _spied(monkeypatch, calls)
     assert deserialize(serialize(reordered)) == reordered
-    # build's states differ from the listed ones, so the listed ones are explored too
-    assert calls == [width, "parse", width]
+    # the canonical attempt's build is renumbered into the listed order
+    assert calls == [width, "parse"]
 
 
 def test_build_peak_memory_stays_near_its_table():
@@ -598,6 +601,67 @@ def test_step_leaving_the_listed_states_is_rejected(width):
     doc["accepting"] = [i for i in doc["accepting"] if i != last]
     with pytest.raises(AutomatonInvariantError, match="^a step leaves the listed states$"):
         deserialize(json.dumps(doc, separators=(",", ":")).encode())
+
+
+def _missing_a_state(a):
+    """a's file with one state dropped and the rest listed in reverse order after state 0."""
+    doc = json.loads(serialize(_reversed(a)))
+    del doc["states"][1], doc["transitions"][1]
+    doc["transitions"] = [[[bits, min(t, 1)] for bits, t in row] for row in doc["transitions"]]
+    doc["accepting"] = []
+    return json.dumps(doc, separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_reordered_file_missing_a_state_is_rejected(width):
+    with pytest.raises(AutomatonInvariantError, match="^a step leaves the listed states$"):
+        deserialize(_missing_a_state(build(width)))
+
+
+def test_later_states_key_is_checked_against_the_reused_build(monkeypatch):
+    # the header lists build(2)'s six states, so its build is reused, but a
+    # "states" key after the last "transitions" lists five of them
+    short = json.loads(_missing_a_state(build(2)))
+    head = serialize(build(2)).rpartition(b',"transitions":')[0]
+    tail = {"transitions": short["transitions"], "states": short["states"]}
+    data = head + b"," + json.dumps(tail, separators=(",", ":")).encode()[1:]
+    calls = []
+    _spied(monkeypatch, calls)
+    with pytest.raises(AutomatonInvariantError, match="^a step leaves the listed states$"):
+        deserialize(data)
+    assert calls == [2, "parse"]
+
+
+def test_each_load_explores_once(monkeypatch, automaton):
+    # canonical, build order with spaces, reordered, and a state short
+    a = automaton(4)
+    files = [
+        serialize(a),
+        json.dumps(json.loads(serialize(a))).encode(),
+        serialize(_reversed(a)),
+        _missing_a_state(a),
+    ]
+    calls = []
+    _spied(monkeypatch, calls)
+    for data in files:
+        calls.clear()
+        try:
+            deserialize(data)
+        except AutomatonInvariantError:
+            pass
+        assert [c for c in calls if c != "parse"] == [4], calls
+
+
+def test_reordered_wrong_target_reports_the_listed_numbering(automaton):
+    reordered = _reversed(automaton(5))
+    rows = [array("i", row) for row in reordered.transitions]
+    letter = next(k for k, t in enumerate(rows[40]) if t >= 0)
+    want = reordered.states[rows[40][letter]]
+    rows[40][letter] = (rows[40][letter] + 1) % reordered.n_states
+    faulty = Automaton(5, reordered.states, reordered.accepting, tuple(rows))
+    with pytest.raises(AutomatonInvariantError) as info:
+        deserialize(serialize(faulty))
+    assert str(info.value) == f"row 40 letter {letter + 1} should map to {want}"
 
 
 def test_export_dot():

@@ -64,6 +64,21 @@ def test_expand_basics():
             expand(gf, n_terms)
 
 
+def test_expand_rejects_a_head_term_that_is_not_an_int():
+    gf = RationalGF(ONE, Polynomial((1, -1)))
+    assert expand(gf, 4, [1, 1]) == [1, 1, 1, 1]
+    for term in (True, 1.0, 1.5, "1", None, ONE, Polynomial((1, 2))):
+        with pytest.raises(ValueError, match="^head term .* is not an int$"):
+            expand(gf, 4, [term])
+    area = gf_height_area(2)
+    want = expand(area, 4)
+    assert expand(area, 4, want[:2]) == want
+    assert expand(area, 4, [1]) == want  # the constant term as an int
+    for term in (True, 1.0, Polynomial((1.0,)), Polynomial((True,)), Polynomial((ONE,)), [1]):
+        with pytest.raises(ValueError, match="^head term .* is not an int or a Polynomial of ints$"):
+            expand(area, 4, [term])
+
+
 def test_fit_geometric():
     gf = fit_rational([1, 2, 4, 8, 16, 32], 2)
     assert gf.numerator == 1

@@ -129,6 +129,16 @@ def test_labeled_word_validation():
             LabeledWord(labels)
 
 
+def test_labeled_word_keeps_a_list_as_a_tuple():
+    word = LabeledWord([1, 0, 2])
+    assert word.labels == (1, 0, 2) and type(word.labels) is tuple
+    assert word == LabeledWord((1, 0, 2))
+    assert hash(word) == hash(LabeledWord((1, 0, 2)))
+    state = AutomatonState(LabeledWord([0, 1, 1]), False, True)
+    assert state == AutomatonState(LabeledWord((0, 1, 1)), False, True)
+    assert len({state, AutomatonState(LabeledWord((0, 1, 1)), False, True)}) == 1
+
+
 def test_state_flag_invariants():
     word = LabeledWord((1, 0, 0))
     AutomatonState(word, True, False)
