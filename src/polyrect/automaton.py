@@ -12,8 +12,9 @@ reflection maps the transition map to itself, so a word whose mirror image
 was stepped first takes the image's steps reflected, without stepping.
 While building, a state is the int word_id << 2 | left << 1 | right; one
 LabeledWord per word, and with it word validation, and one AutomatonState per
-state are made at the end.  For the same reason serialize() and export_dot()
-format each word's row shape once.  deserialize() checks one rule against one
+state are made at the end.  serialize() and export_dot() render one state's
+row at a time, from a template per defined-letter pattern; the CLI writes
+those chunks as they come.  deserialize() checks one rule against one
 exploration: a valid file's states are closed under steps and all reachable
 from state 0, so they are exactly build()'s states, listed in some order.
 """
@@ -21,7 +22,9 @@ from state 0, so they are exactly build()'s states, listed in some order.
 from __future__ import annotations
 
 import json
+import sys
 from array import array
+from collections.abc import Iterator
 from itertools import compress
 from math import comb
 
@@ -80,7 +83,12 @@ def state_count_formula(width: int) -> int:
 
 
 class Automaton(Record):
-    """Built automaton: states in discovery order, dense transition table."""
+    """Built automaton: states in discovery order, dense transition table.
+
+    transitions holds one array('i') row per state; slot bits - 1 holds the
+    target index of the letter with those row bits, or -1 (any negative
+    value) when it is undefined.
+    """
 
     __slots__ = ("width", "states", "accepting", "transitions")
 
@@ -219,34 +227,35 @@ def _parse_word(text: str, width: int) -> tuple[int, ...]:
     return tuple(map(int, parts))
 
 
+# where a row entry's most significant byte sits in the row's bytes, and a
+# table mapping that byte to 1 when the entry is defined: non-negative, so
+# the byte is below 0x80
+_ITEMSIZE = array("i").itemsize
+_HIGH_BYTE = _ITEMSIZE - 1 if sys.byteorder == "little" else 0
+_DEFINED = bytes(int(b < 0x80) for b in range(256))
+
+
 def _row_shapes(a: Automaton, make):
     """Per state, (make(selector), targets) for the selector of its defined letters.
 
-    States sharing a kernel word share their defined letters, so make runs
-    once per word.  A row keeps its word's shape only if it has as many -1s
-    as the shape leaves undefined and no negative target where it defines
-    one; a hand-made row that differs gets a shape of its own.
+    A row's selector is its own defined-letter pattern, one byte 0 or 1 per
+    letter, read from the array('i') bytes; make runs once per distinct
+    pattern, so a hand-made row gets the right template by construction.
     """
     shapes = {}
-    for s, row in zip(a.states, a.transitions):
-        known = shapes.get(s.word)
-        if known is not None:
-            selector, undefined, template = known
-            targets = tuple(compress(row, selector))
-            if row.count(-1) == undefined and min(targets, default=0) >= 0:
-                yield template, targets
-                continue
-        selector = [t >= 0 for t in row]
-        template = make(selector)
-        shapes[s.word] = selector, selector.count(False), template
+    for row in a.transitions:
+        selector = row.tobytes()[_HIGH_BYTE::_ITEMSIZE].translate(_DEFINED)
+        template = shapes.get(selector)
+        if template is None:
+            template = shapes[selector] = make(selector)
         yield template, tuple(compress(row, selector))
 
 
-def serialize(a: Automaton) -> bytes:
-    """Versioned JSON encoding; byte-identical for equal automata.
+def serialize_chunks(a: Automaton) -> Iterator[bytes]:
+    """serialize(a) in pieces: the JSON header, one row per state, the tail.
 
     The transitions are spliced in as text after the JSON-encoded header,
-    each row filling its word's "[[1,%d],[3,%d],...]".
+    each row filling the template of its defined letters, "[[1,%d],[3,%d],...]".
     """
     doc = {
         "version": FORMAT_VERSION,
@@ -258,13 +267,19 @@ def serialize(a: Automaton) -> bytes:
         "accepting": sorted(a.accepting),
         "transitions": 0,
     }
-    head = json.dumps(doc, separators=(",", ":"))[:-2]  # up to the placeholder "0}"
-    pairs = ["[%d,%%d]" % bits for bits in range(1, 1 << a.width)]
-    rows = ",".join(
-        template % targets
-        for template, targets in _row_shapes(a, lambda sel: f"[{','.join(compress(pairs, sel))}]")
-    )
-    return f"{head}[{rows}]}}".encode("ascii")
+    # up to the placeholder "0}"
+    yield json.dumps(doc, separators=(",", ":"))[:-2].encode("ascii") + b"["
+    pairs = [b"[%d,%%d]" % bits for bits in range(1, 1 << a.width)]
+    sep = b""
+    for template, targets in _row_shapes(a, lambda sel: b"[%s]" % b",".join(compress(pairs, sel))):
+        yield sep + template % targets
+        sep = b","
+    yield b"]}"
+
+
+def serialize(a: Automaton) -> bytes:
+    """Versioned JSON encoding; byte-identical for equal automata."""
+    return b"".join(serialize_chunks(a))
 
 
 def _checked_states(doc) -> tuple[int, list[AutomatonState]]:
@@ -371,6 +386,28 @@ def _checked_rows(built: Automaton, states: list, raw_accepting: list, rows) -> 
     return Automaton(built.width, tuple(states), accepting, tuple(want_rows))
 
 
+def _utf8(data) -> str:
+    try:
+        return str(data, "utf-8")
+    except (UnicodeDecodeError, TypeError) as exc:  # not utf-8, or not bytes-like
+        raise AutomatonFormatError(f"not utf-8: {exc}") from exc
+
+
+def _is_serialization(data: str | bytes | bytearray, a: Automaton) -> bool:
+    """Whether data is serialize(a) and then only JSON whitespace, compared in
+    place one chunk at a time: bytes against the ASCII chunks, str against
+    their text."""
+    text = isinstance(data, str)
+    pos = 0
+    for chunk in serialize_chunks(a):
+        if text:
+            chunk = chunk.decode("ascii")
+        if not data.startswith(chunk, pos):
+            return False
+        pos += len(chunk)
+    return not data[pos:].strip(" \t\n\r" if text else b" \t\n\r")
+
+
 def deserialize(data: bytes | bytearray | memoryview | str) -> Automaton:
     """Parse and fully re-validate a serialized automaton.
 
@@ -382,28 +419,32 @@ def deserialize(data: bytes | bytearray | memoryview | str) -> Automaton:
     non-canonical word) AutomatonInvariantError.
 
     When the header before the last ',"transitions":' lists exactly
-    state_count_formula(b) states, the input, up to trailing JSON whitespace,
-    is compared with serialize(build(b)); if equal, that automaton is
-    returned.  Any other input is decoded in full and checked pair by pair
-    against that build, or else one capped at the listed state count: build's
-    rows, renumbered into the listed order, must equal the file's.
+    state_count_formula(b) states, the input is compared with
+    serialize(build(b)) chunk by chunk, in place: a str, bytes or bytearray
+    is neither decoded nor copied (another bytes-like object is decoded
+    first), and only JSON whitespace may follow.  If equal, that automaton
+    is returned.  Any other input is decoded in full and checked pair by
+    pair against that build, or else one capped at the listed state count:
+    build's rows, renumbered into the listed order, must equal the file's.
     """
-    if not isinstance(data, str):
-        try:
-            data = str(data, "utf-8")
-        except (UnicodeDecodeError, TypeError) as exc:  # not utf-8, or not bytes-like
-            raise AutomatonFormatError(f"not utf-8: {exc}") from exc
+    if not isinstance(data, (str, bytes, bytearray)):
+        data = _utf8(data)  # other bytes-like objects have no startswith
+    text = isinstance(data, str)
     built = None  # build's automaton of the width the header names
     try:
-        head = json.loads(data.rpartition(',"transitions":')[0] + "}")
-        width, n = head["b"], len(head["states"])
-        if type(width) is int and 1 <= width <= MAX_WIDTH and n == state_count_formula(width):
-            built = build(width, n)
-            if serialize(built).decode("ascii") == data.rstrip(" \t\n\r"):
-                return built
+        cut = data.rfind(',"transitions":' if text else b',"transitions":')
+        if cut >= 0:
+            head = json.loads((data[:cut] if text else data[:cut].decode()) + "}")
+            width, n = head["b"], len(head["states"])
+            if type(width) is int and 1 <= width <= MAX_WIDTH and n == state_count_formula(width):
+                built = build(width, n)
+                if _is_serialization(data, built):
+                    return built
     except (ValueError, TypeError, LookupError, RecursionError):  # the full parse reports it
         pass
 
+    if not text:
+        data = _utf8(data)
     try:
         doc = json.loads(data)
     except (ValueError, RecursionError) as exc:  # a decode error, or too deep or too long a number
@@ -418,26 +459,26 @@ def deserialize(data: bytes | bytearray | memoryview | str) -> Automaton:
     return _checked_rows(built, states, doc["accepting"], rows)
 
 
-def export_dot(a: Automaton) -> str:
-    """Graphviz rendering: accepting states doubled, initial state marked."""
-    lines = [
-        "digraph automaton {",
-        "  rankdir=TB;",
-        '  __start [shape=point, label=""];',
-    ]
+def export_dot_chunks(a: Automaton) -> Iterator[str]:
+    """export_dot(a) in pieces: the header, one line per state, then each
+    state's edges, then the closing brace."""
+    yield 'digraph automaton {\n  rankdir=TB;\n  __start [shape=point, label=""];\n'
     for i, s in enumerate(a.states):
         shape = "doublecircle" if i in a.accepting else "circle"
-        lines.append(f'  q{i} [shape={shape}, label="{s}"];')
-    lines.append("  __start -> q0;")
+        yield f'  q{i} [shape={shape}, label="{s}"];\n'
+    yield "  __start -> q0;\n"
     labels = [format(bits, f"0{a.width}b") for bits in range(1, 1 << a.width)]
 
     def make(selector):
-        return "\n".join(
-            f'  {{source}} -> q%d [label="{label}"];' for label in compress(labels, selector)
+        return "".join(
+            f'  {{source}} -> q%d [label="{label}"];\n' for label in compress(labels, selector)
         )
 
     for i, (template, targets) in enumerate(_row_shapes(a, make)):
-        if targets:
-            lines.append(template.replace("{source}", f"q{i}") % targets)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield template.replace("{source}", f"q{i}") % targets
+    yield "}\n"
+
+
+def export_dot(a: Automaton) -> str:
+    """Graphviz rendering: accepting states doubled, initial state marked."""
+    return "".join(export_dot_chunks(a))

@@ -46,9 +46,12 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterator
+from itertools import chain
 
 from .automaton import (
-    DEFAULT_STATE_CEILING, build, check_ceiling, export_dot, serialize, state_count_formula,
+    DEFAULT_STATE_CEILING, build, check_ceiling, export_dot_chunks, serialize_chunks,
+    state_count_formula,
 )
 from .counting import count_area_series, count_series
 from .errors import FitError, ResourceLimitError
@@ -108,9 +111,9 @@ def _run_states(ns: argparse.Namespace) -> tuple[int, str]:
     )
 
 
-def _run_build(ns: argparse.Namespace) -> tuple[int, bytes]:
+def _run_build(ns: argparse.Namespace) -> tuple[int, Iterator[bytes]]:
     a = build(ns.b, ns.max_states)
-    return 0, serialize(a) + b"\n"
+    return 0, chain(serialize_chunks(a), [b"\n"])
 
 
 def _run_count(ns: argparse.Namespace) -> tuple[int, str]:
@@ -200,9 +203,9 @@ def _run_verify(ns: argparse.Namespace) -> tuple[int, str]:
     return (MISMATCH if failed else 0), "".join(lines)
 
 
-def _run_export_dot(ns: argparse.Namespace) -> tuple[int, str]:
+def _run_export_dot(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
     a = build(ns.b, ns.max_states)
-    return 0, export_dot(a)
+    return 0, export_dot_chunks(a)
 
 
 def _run_accepts(ns: argparse.Namespace) -> tuple[int, str]:
@@ -251,10 +254,61 @@ def _usage(message: str) -> int:
     return USAGE_ERROR
 
 
+class _OutputError(Exception):
+    """Writing the output failed; the OSError is its one argument."""
+
+
+def _emit(ns: argparse.Namespace, chunks) -> None:
+    """Write chunks, all str or all bytes, to --output or stdout as they come.
+
+    A failed open or write raises _OutputError.  Whatever raises, a partly
+    written --output file is removed; stdout keeps what was written.
+    """
+    out = None
+    try:
+        for chunk in chunks:
+            try:
+                if out is None:
+                    binary = isinstance(chunk, bytes)
+                    if ns.output:
+                        out = open(ns.output, "wb" if binary else "w")
+                    else:
+                        out = sys.stdout.buffer if binary else sys.stdout
+                out.write(chunk)
+            except OSError as exc:
+                raise _OutputError(exc) from exc
+        try:
+            out.close() if ns.output else out.flush()
+        except OSError as exc:
+            raise _OutputError(exc) from exc
+    except BaseException:
+        if ns.output and out is not None:
+            try:
+                out.close()  # its flush may fail again; the exception raised says why
+            except OSError:
+                pass
+            # a regular file only: not a device such as /dev/null, nor a symlink
+            if os.path.isfile(ns.output) and not os.path.islink(ns.output):
+                os.remove(ns.output)
+        raise
+
+
 def run(ns: argparse.Namespace) -> int:
-    """Execute one command; returns the process exit status."""
+    """Execute one command; returns the process exit status.
+
+    A command's output is str or bytes, or for build and export-dot an
+    iterator of chunks written as they are rendered.  An error while
+    rendering exits as it would before any output.
+    """
     try:
         status, payload = _HANDLERS[ns.command](ns)
+        _emit(ns, [payload] if isinstance(payload, (str, bytes)) else payload)
+    except _OutputError as exc:
+        if ns.output:
+            return _usage(f"cannot write output file: {exc}")
+        # the interpreter flushes stdout again at exit; let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _usage(f"cannot write to stdout: {exc}")
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RESOURCE
@@ -267,20 +321,6 @@ def run(ns: argparse.Namespace) -> int:
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL
-    try:
-        if ns.output:
-            with open(ns.output, "wb" if isinstance(payload, bytes) else "w") as fh:
-                fh.write(payload)
-        else:
-            out = sys.stdout.buffer if isinstance(payload, bytes) else sys.stdout
-            out.write(payload)
-            out.flush()
-    except OSError as exc:
-        if ns.output:
-            return _usage(f"cannot write output file: {exc}")
-        # the interpreter flushes stdout again at exit; let that write go nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return _usage(f"cannot write to stdout: {exc}")
     return status
 
 

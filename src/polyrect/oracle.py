@@ -103,7 +103,12 @@ def _low_planes(bits: int):
     """Over k < 2^bits: the plane of each bit i (bit k set when k has bit i),
     the masks of the k with popcount a, and the all-ones plane."""
     full = (1 << (1 << bits)) - 1
-    planes = tuple((full // ((1 << (1 << i)) + 1)) << (1 << i) for i in range(bits))
+    # plane i repeats 2^i clear bits, then 2^i set ones: one byte 0xaa, 0xcc
+    # or 0xf0 for i < 3, else 2^(i-3) zero bytes, then as many 0xff bytes
+    patterns = [b"\xaa", b"\xcc", b"\xf0"]
+    patterns += [bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3)) for i in range(3, bits)]
+    size = max(1, (1 << bits) >> 3)
+    planes = tuple(int.from_bytes(p * (size // len(p)), "little") & full for p in patterns[:bits])
     weights = [1]
     for i in range(bits):
         shifted = [w << (1 << i) for w in weights]

@@ -4,6 +4,7 @@ import re
 import sys
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,7 @@ from polyrect import (
     state_count_formula,
 )
 from polyrect import automaton as automaton_module
+from polyrect.cli import main
 from polyrect.automaton import _explore, _parse_rows, catalan, runs_of_ones
 
 from reference import export_dot_reference, serialize_reference, transfer_matrix
@@ -422,7 +424,8 @@ def test_deserialize_accepts_str_input():
 
 
 def test_deserialize_takes_any_bytes_like_input(monkeypatch):
-    # bytearray and memoryview take the canonical path, as bytes and str do
+    # bytearray and memoryview take the canonical path, as bytes and str do,
+    # with or without trailing whitespace
     a = build(3)
     data = serialize(a)
 
@@ -430,8 +433,10 @@ def test_deserialize_takes_any_bytes_like_input(monkeypatch):
         raise AssertionError("the canonical input took the full parse")
 
     monkeypatch.setattr(automaton_module, "_checked_states", full_parse)
-    for form in (data, bytearray(data), memoryview(data), data.decode()):
-        assert deserialize(form) == a
+    for suffix in (b"", b"\n", b" \t\n\r", b"\r\n" * 50):  # any trailing JSON whitespace
+        text = data + suffix
+        for form in (text, bytearray(text), memoryview(text), text.decode()):
+            assert deserialize(form) == a
     monkeypatch.undo()
     assert deserialize(bytearray(json.dumps(json.loads(data)).encode())) == a
     for bad in (5, None, 2.5, [1], bytearray(b"\xff\xfe")):
@@ -487,6 +492,51 @@ def test_compact_faults_report_as_the_full_parse(automaton, width, mutate, suffi
     with pytest.raises(error) as info:
         deserialize(json.dumps(doc, separators=(",", ":")).encode() + suffix)
     assert type(info.value) is error and str(info.value) == message
+
+
+# serialize(build(4)) with one byte replaced: in state 1's word (offset 74),
+# in row 0's first target (1492) and in the last row's last target (4476).
+# The messages were read at the code that compared the decoded whole text.
+@pytest.mark.parametrize("offset, byte, error, message", [
+    (74, b"3", AutomatonInvariantError, "invalid state '3001': label 3 out of range 0..2"),
+    (74, b"x", AutomatonFormatError, "bad word string 'x001' for width 4"),
+    (1492, b"3", AutomatonInvariantError, "row 0 letter 1 should map to (0001,F,T)"),
+    (1492, b"x", AutomatonFormatError, "bad json: Expecting value: line 1 column 1493 (char 1492)"),
+    (4476, b"3", AutomatonInvariantError, "row 39 letter 15 should map to (1111,T,T)"),
+    (4476, b"x", AutomatonFormatError, "bad json: Expecting ',' delimiter: line 1 column 4477 (char 4476)"),
+])
+def test_one_changed_byte_reports_as_the_full_parse(offset, byte, error, message):
+    data = serialize(build(4))
+    mutated = data[:offset] + byte + data[offset + 1:]
+    for form in (mutated, bytearray(mutated), memoryview(mutated), mutated.decode()):
+        with pytest.raises(error) as info:
+            deserialize(form)
+        assert type(info.value) is error and str(info.value) == message, type(form)
+
+
+@pytest.mark.parametrize("offset", [0, 74, 1492, 4476])
+def test_canonical_file_that_is_not_utf8_is_rejected(offset):
+    data = serialize(build(4))
+    with pytest.raises(AutomatonFormatError) as info:
+        deserialize(data[:offset] + b"\xff" + data[offset + 1:])
+    assert str(info.value) == (
+        f"not utf-8: 'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte"
+    )
+    with pytest.raises(AutomatonFormatError, match="^not utf-8: 'utf-8' codec can't decode byte 0xff in position 0"):
+        deserialize(data.decode().encode("utf-16"))
+
+
+@pytest.mark.parametrize("suffix, message", [
+    (b" x", "bad json: Extra data: line 1 column 4483 (char 4482)"),
+    (b"\x0c", "bad json: Extra data: line 1 column 4482 (char 4481)"),
+    (b"\n{}", "bad json: Extra data: line 2 column 1 (char 4482)"),
+])
+def test_canonical_file_with_trailing_data_is_rejected(suffix, message):
+    data = serialize(build(4)) + suffix
+    for form in (data, bytearray(data), data.decode()):
+        with pytest.raises(AutomatonFormatError) as info:
+            deserialize(form)
+        assert str(info.value) == message
 
 
 def test_earlier_transitions_key_is_overridden_by_the_last():
@@ -580,13 +630,32 @@ def test_build_peak_memory_stays_near_its_table():
     # 776 548 bytes, 2.45x the table, against 8.1x for a list of (rank, base)
     # tuples per word; the bound of 4x leaves a margin of about 1.6x.
     table = state_count_formula(7) * ((1 << 7) - 1) * 4
+    assert _traced_peak(lambda: build(7)) < 4 * table
+
+
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        build(7)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * table
+
+
+# Against build(7)'s own traced peak (852 456 bytes): a canonical load peaked
+# at 1.25x, and the CLI build writing to a file at 1.07-1.26x, rendering one
+# row at a time; holding the whole text, they peaked at 3.06x and 2.34-2.53x.
+# The bound of 1.75x leaves a margin of about 1.4x.
+def test_canonical_load_peak_memory_stays_near_build():
+    data = serialize(build(7)) + b"\n"
+    assert _traced_peak(lambda: deserialize(data)) < 1.75 * _traced_peak(lambda: build(7))
+
+
+def test_cli_build_peak_memory_stays_near_build(tmp_path):
+    path = str(tmp_path / "a.json")
+    peak = _traced_peak(lambda: main(["build", "--b", "7", "--output", path]))
+    assert peak < 1.75 * _traced_peak(lambda: build(7))
+    assert deserialize(Path(path).read_bytes()) == build(7)
 
 
 @pytest.mark.parametrize("width", [2, 3])

@@ -349,6 +349,17 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot write output file: ") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["build", "export-dot", "series"])
+def test_full_device_is_usage_error_and_kept(capsys, command):
+    # every write fails; the device is no regular file, so it is not removed
+    argv = [command, "--b", "3", "--output", "/dev/full"] + (["--h-max", "3"] if command == "series" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output file: ") and err.count("\n") == 1
+    assert os.path.exists("/dev/full")
+
+
 def test_closed_stdout_is_usage_error():
     # the reader is gone before the first write, as in `polyrect series ... | true`
     read_end, write_end = os.pipe()
@@ -400,6 +411,35 @@ def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err == "error: out of memory\n"
+
+
+def _failing_after_one_chunk(exc, chunk):
+    def chunks(a):
+        yield chunk
+        raise exc
+
+    return chunks
+
+
+@pytest.mark.parametrize("command, renderer, chunk", [
+    ("build", "serialize_chunks", b'{"version":1'),
+    ("export-dot", "export_dot_chunks", "digraph automaton {\n"),
+])
+@pytest.mark.parametrize("exc, status, message", [
+    (MemoryError(), 3, "error: out of memory\n"),
+    (ValueError("bad row"), 4, "error: internal error: ValueError: bad row\n"),
+])
+def test_failure_while_streaming_removes_the_output(
+    monkeypatch, tmp_path, capsys, command, renderer, chunk, exc, status, message,
+):
+    monkeypatch.setattr(cli, renderer, _failing_after_one_chunk(exc, chunk))
+    target = tmp_path / "out"
+    code, out, err = run(capsys, command, "--b", "3", "--output", str(target))
+    assert (code, out, err) == (status, "", message)
+    assert not target.exists()
+    # stdout keeps what was written before the failure
+    code, out, err = run(capsys, command, "--b", "3")
+    assert (code, out, err) == (status, chunk if isinstance(chunk, str) else chunk.decode(), message)
 
 
 def test_width_out_of_range_is_usage_error():

@@ -226,3 +226,16 @@ def test_orbit_histogram_matches_every_pattern_walk():
             for a, weight in enumerate(weights, base.bit_count()):
                 hist[a] = hist.get(a, 0) + (hits & weight).bit_count()
         assert brute_force_area_histogram(b, h) == {a: c for a, c in hist.items() if c}, (b, h)
+
+
+@pytest.mark.parametrize("bits", [*range(13), 16])
+def test_low_planes_match_their_definition(bits):
+    # bit k of plane i is bit i of k; weights[a] holds the k with popcount a
+    planes, weights, full = oracle._low_planes(bits)
+    n = 1 << bits
+    assert full == (1 << n) - 1 and len(planes) == bits and len(weights) == bits + 1
+    for i, plane in enumerate(planes):
+        assert format(plane, f"0{n}b")[::-1] == "".join(str(k >> i & 1) for k in range(n)), i
+    popcounts = [k.bit_count() for k in range(n)]
+    for a, weight in enumerate(weights):
+        assert format(weight, f"0{n}b")[::-1] == "".join(str(int(c == a)) for c in popcounts), a
