@@ -36,13 +36,14 @@ The POLYRECT_MAX_STATES environment variable overrides the default state
 ceiling; --max-states overrides both.  Every command checks it against the
 projected state count of its width's automaton before it starts, the
 counting commands too, though they count on far smaller word quotients.
+The checks run in this order: the arguments (exit 2), then the ceiling
+(exit 3), then the command's own input, so accepts with a width over the
+ceiling exits 3 before it reads its stack file.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -72,11 +73,8 @@ def _json_text(obj) -> str:
 
 
 def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    # every field is a header word or an int, so none needs quoting
+    return "".join(",".join(map(str, row)) + "\n" for row in chain([header], rows))
 
 
 def _gf_payload(ns: argparse.Namespace, gf) -> str:
@@ -93,7 +91,6 @@ def _gf_payload(ns: argparse.Namespace, gf) -> str:
 
 
 def _run_states(ns: argparse.Namespace) -> tuple[int, str]:
-    check_ceiling(ns.b, ns.max_states)
     formula = state_count_formula(ns.b)
     enumerated = len(enumerate_valid_states(ns.b))
     reachable = build(ns.b, ns.max_states).n_states
@@ -117,7 +114,6 @@ def _run_build(ns: argparse.Namespace) -> tuple[int, Iterator[bytes]]:
 
 
 def _run_count(ns: argparse.Namespace) -> tuple[int, str]:
-    check_ceiling(ns.b, ns.max_states)
     value = count_series(ns.b, ns.h).counts[ns.h]
     if ns.format == "json":
         return 0, _json_text({"b": ns.b, "h": ns.h, "count": value})
@@ -127,7 +123,6 @@ def _run_count(ns: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_series(ns: argparse.Namespace) -> tuple[int, str]:
-    check_ceiling(ns.b, ns.max_states)
     counts = count_series(ns.b, ns.h_max).counts
     if ns.format == "json":
         return 0, _json_text(
@@ -148,7 +143,6 @@ def _area_rows(area_counts) -> list[list[int]]:
 
 
 def _run_area_series(ns: argparse.Namespace) -> tuple[int, str]:
-    check_ceiling(ns.b, ns.max_states)
     table = count_area_series(ns.b, ns.h_max)
     if ns.format == "json":
         return 0, _json_text(
@@ -177,8 +171,8 @@ def _run_area_gf(ns: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_verify(ns: argparse.Namespace) -> tuple[int, str]:
-    check_ceiling(ns.b, ns.max_states)
-    table = count_area_series(ns.b, ns.h_max)
+    # the oracle checks no height past its cell limit, so none is counted
+    table = count_area_series(ns.b, min(ns.h_max, ORACLE_CELL_LIMIT // ns.b))
     lines = []
     failed = False
     for h in range(1, ns.h_max + 1):
@@ -225,7 +219,6 @@ def _run_accepts(ns: argparse.Namespace) -> tuple[int, str]:
     if any(line.count("1") == 0 for line in rows):
         # no letter exists for an empty row, so no run can accept the stack
         return MISMATCH, "rejected\n"
-    check_ceiling(ns.b, ns.max_states)
     state = initial_state(ns.b)
     for line in rows:
         state = step(state, RowConfig.from_string(line))
@@ -301,6 +294,7 @@ def run(ns: argparse.Namespace) -> int:
     rendering exits as it would before any output.
     """
     try:
+        check_ceiling(ns.b, ns.max_states)
         status, payload = _HANDLERS[ns.command](ns)
         _emit(ns, [payload] if isinstance(payload, (str, bytes)) else payload)
     except _OutputError as exc:

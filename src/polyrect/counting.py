@@ -306,8 +306,12 @@ def _unpacked(packed: Sequence[int], slot_bytes: int) -> list[Polynomial]:
     return [Polynomial([0] * h + unpack_coefficients(x, slot_bytes)) for h, x in enumerate(packed)]
 
 
-def group_area_series(rows: Sequence[Row], width: int, h_max: int) -> list[Polynomial]:
-    """A width's series refined by area: one polynomial in q per height."""
+def group_area_series(rows: Sequence[Row], h_max: int) -> list[Polynomial]:
+    """A width's series refined by area: one polynomial in q per height.
+
+    Its width is the rows' largest fill: the full row's word fills every cell.
+    """
+    width = max(fill for _, fill, _ in rows)
     # its coefficients are below (2^width - 1)^h_max, so this slot never overflows
     slot_bytes = _area_slot_bytes(width * max(h_max, 1) + 8)
     return _unpacked(group_series(rows, h_max, 8 * slot_bytes), slot_bytes)

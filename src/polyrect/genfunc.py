@@ -435,10 +435,7 @@ def sum_fractions(parts: Sequence[tuple[int, RationalGF]]) -> RationalGF:
     """
     parts = [(sign, gf) for sign, gf in parts if gf.numerator]
     # no coefficient of a product exceeds the product of the L1 norms
-    norms = [_l1(gf.denominator) for _, gf in parts]
-    bound = prod(norms)
-    for i, (sign, gf) in enumerate(parts):
-        bound += abs(sign) * _l1(gf.numerator) * prod(norms[:i] + norms[i + 1 :])
+    bound = _sum([(abs(sign), _l1(gf.numerator), _l1(gf.denominator)) for sign, gf in parts])[0]
     slot_bytes = (bound.bit_length() + 8) // 8
     # a q-degree of N or D is at most the sum of the parts' largest ones
     stride = 1 + sum(
@@ -583,10 +580,9 @@ def _denominator_at(
     recurrence length L.  Once a group's modulus has more than
     (q_bound + 1) * s + 1 bits, its symmetric lift is read back as balanced
     base-2^s digits (module docstring).  None when the candidate leaves the
-    x-degree or q-degree bound, or the primes run out.  L is at most
-    max(deg D, deg N + 1) over Q(q), as D stays a recurrence at any q and
-    modulo any prime, so FitError when it is longer than the bound or half
-    the terms allow.
+    x-degree or q-degree bound.  L is at most max(deg D, deg N + 1) over
+    Q(q), as D stays a recurrence at any q and modulo any prime, so FitError
+    when it is longer than the bound or half the terms allow.
     """
     slot = 8 * slot_bytes
     values = [pack_coefficients(s.coeffs, slot_bytes) for s in series]
@@ -600,7 +596,6 @@ def _denominator_at(
             if den.degree > degree_bound or max(d.degree for d in den.coeffs) > q_bound:
                 return None
             return den
-    return None
 
 
 def _proved_numerator(
@@ -661,10 +656,9 @@ def gf_height_area(
             f"area generating functions are desk-scale for width <= {AREA_WIDTH_LIMIT}"
         )
     parts = []
-    # width_groups lists the widths width, width - 1 and width - 2 in order
-    for d, (sign, rows) in enumerate(width_groups(width)):
+    for sign, rows in width_groups(width):
         k = len(rows) - 1
-        series = group_area_series(rows, width - d, 2 * k + 1)
+        series = group_area_series(rows, 2 * k + 1)
         parts.append((sign, _fit_bivariate(series, k, sum(fill for _, fill, _ in rows))))
     return sum_fractions(parts)
 

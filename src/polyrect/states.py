@@ -227,10 +227,7 @@ def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
             a[i] = v
             yield from rec(i + 1, max(mx, v))
 
-    if n == 0:
-        yield ()
-    else:
-        yield from rec(0, -1)
+    yield from rec(0, -1)
 
 
 def enumerate_valid_states(width: int) -> list[AutomatonState]:

@@ -371,6 +371,23 @@ def test_deserialize_rejects_bad_transition_entries(pair, error, prefix):
         deserialize(json.dumps(doc).encode())
 
 
+@pytest.mark.parametrize("key, index, value, prefix", [
+    ("states", None, [], "states must be a nonempty list"),
+    ("states", None, {}, "states must be a nonempty list"),
+    ("accepting", None, {}, "accepting must be a list"),
+    ("states", 1, 5, "bad state entry 5"),
+    ("transitions", 1, 5, "transition row 1 must be a list"),
+])
+def test_deserialize_rejects_bad_shapes(key, index, value, prefix):
+    doc = json.loads(serialize(build(2)))
+    if index is None:
+        doc[key] = value
+    else:
+        doc[key][index] = value
+    with pytest.raises(AutomatonFormatError, match="^" + re.escape(prefix)):
+        deserialize(json.dumps(doc).encode())
+
+
 def tampered(mutate):
     doc = json.loads(serialize(build(2)))
     mutate(doc)

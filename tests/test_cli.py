@@ -54,6 +54,11 @@ def test_count(capsys):
     assert out == "86995\n"
 
 
+def test_count_json(capsys):
+    code, out, _ = run(capsys, "count", "--b", "2", "--h", "3", "--format", "json")
+    assert (code, out) == (0, '{"b":2,"count":15,"h":3}\n')
+
+
 def test_count_csv(capsys):
     code, out, _ = run(capsys, "count", "--b", "2", "--h", "3", "--format", "csv")
     assert (code, out) == (0, "h,count\n3,15\n")
@@ -238,6 +243,37 @@ def test_verify_skips_beyond_oracle_ceiling(capsys):
     assert lines[4].startswith("b=6 h=5: skipped")
 
 
+def test_verify_counts_only_the_heights_it_checks(monkeypatch, capsys):
+    asked = []
+
+    def spy(b, h_max):
+        asked.append(h_max)
+        return counting.count_area_series(b, h_max)
+
+    monkeypatch.setattr("polyrect.cli.count_area_series", spy)
+    code, out, _ = run(capsys, "verify", "--b", "4", "--h-max", "100")
+    assert (code, asked) == (0, [6])
+    assert out == "".join(
+        [f"b=4 h={h}: pass\n" for h in range(1, 7)]
+        + [f"b=4 h={h}: skipped (oracle ceiling 24 cells)\n" for h in range(7, 101)]
+    )
+
+
+def test_verify_reports_a_mismatch(monkeypatch, capsys):
+    real = cli.brute_force_area_histogram
+
+    def wrong_at_three(b, h):
+        hist = real(b, h)
+        if h == 3:
+            hist[b * h] += 1
+        return hist
+
+    monkeypatch.setattr("polyrect.cli.brute_force_area_histogram", wrong_at_three)
+    code, out, _ = run(capsys, "verify", "--b", "2", "--h-max", "4")
+    assert code == 1
+    assert out == "b=2 h=1: pass\nb=2 h=2: pass\nb=2 h=3: FAIL (automaton 15, oracle 16)\nb=2 h=4: pass\n"
+
+
 def test_accepts_figure_stack(tmp_path, capsys):
     path = tmp_path / "stack.txt"
     path.write_text("\n".join(FIG_ROWS) + "\n")
@@ -302,6 +338,13 @@ def test_accepts_respects_state_ceiling(tmp_path, capsys):
     path = tmp_path / "stack.txt"
     path.write_text("111\n")
     code, out, err = run(capsys, "accepts", "--b", "3", "--stack", str(path), "--max-states", "5")
+    assert (code, out) == (3, "")
+    assert err == "error: width 3 projects 16 states, ceiling is 5\n"
+
+
+def test_accepts_checks_the_ceiling_before_reading_the_stack(tmp_path, capsys):
+    missing = str(tmp_path / "nope.txt")
+    code, out, err = run(capsys, "accepts", "--b", "3", "--stack", missing, "--max-states", "5")
     assert (code, out) == (3, "")
     assert err == "error: width 3 projects 16 states, ceiling is 5\n"
 
@@ -446,6 +489,18 @@ def test_width_out_of_range_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["states", "--b", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--b", "2", "--h", "-1"], "heights must be nonnegative"),
+    (["series", "--b", "2", "--h-max", "-1"], "heights must be nonnegative"),
+    (["states", "--b", "2", "--max-states", "0"], "--max-states must be positive"),
+])
+def test_bad_height_or_ceiling_is_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_missing_flag_is_usage_error(capsys):
@@ -606,15 +661,22 @@ def test_cli_import_loads_no_fractions_or_decimal():
     assert done.stdout == "[]\n"
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    # the records are plain classes, so no command pays for these at startup;
-    # -S keeps site's own imports (typing, on some installs) out of the check
-    code = (
-        "import sys, polyrect.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
-    )
+def _loaded_by_cli_import(names):
+    """Which of names `import polyrect.cli` loads; -S keeps site's own imports
+    (typing, on some installs) out of the check."""
+    code = f"import sys, polyrect.cli; print(sorted({set(names)!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(polyrect.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # the records are plain classes, so no command pays for these at startup
+    assert _loaded_by_cli_import({"dataclasses", "inspect", "typing"}) == "[]\n"
+
+
+def test_cli_import_loads_no_csv():
+    # the CSV output joins header words and ints, which never need quoting
+    assert _loaded_by_cli_import({"csv"}) == "[]\n"

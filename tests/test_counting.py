@@ -229,6 +229,8 @@ def test_reflection_class_counts():
         rows = word_quotient(width)
         assert len(rows) == size, width
         assert rows[0][:2] == (False, 0), width
+        # the full row's word fills the width: group_area_series reads it there
+        assert max(fill for _, fill, _ in rows) == width, width
 
 
 def test_degree_bound_is_the_gf_degree(automaton):

@@ -112,6 +112,8 @@ def test_are_equivalent():
     assert are_equivalent((0, 2, 0, 1), (0, 1, 0, 2))
     assert not are_equivalent((0, 1, 0, 1), (0, 1, 0, 2))
     assert not are_equivalent((1, 0), (1, 0, 0))
+    assert are_equivalent(LabeledWord((1, 0, 2)), (2, 0, 1))
+    assert not are_equivalent((1, 0, 1), LabeledWord((1, 0, 2)))
 
 
 def test_labeled_word_validation():
@@ -162,6 +164,9 @@ def test_is_valid_triplet():
     assert not is_valid_triplet((0, 0), True, False)
     assert is_valid_triplet((1, 0), True, False)
     assert not is_valid_triplet((1, 0), False, True)
+    # the right flag alone: the left cell is empty and needs no flag
+    assert is_valid_triplet((0, 1), False, True)
+    assert not is_valid_triplet((0, 1), False, False)
     assert not is_valid_triplet((1, 2, 0), True, True)
     assert not is_valid_triplet((1, 0, 2, 0, 1, 0, 2), True, True)
     with pytest.raises(ValueError):

@@ -125,6 +125,11 @@ def test_step_undefined_when_component_dies():
     assert step(s, RowConfig.from_string("10")) is None
 
 
+def test_step_rejects_a_row_of_another_width():
+    with pytest.raises(ValueError, match="^width mismatch: 3 vs 2$"):
+        step(initial_state(3), RowConfig.from_string("11"))
+
+
 def test_step_sets_flags_monotonically():
     s = initial_state(3)
     after = step(s, RowConfig.from_string("010"))
