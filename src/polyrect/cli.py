@@ -30,7 +30,8 @@ stack, or a failed GF fit (gf, area-gf, and series or count tall enough to
 fit a width's series); 2 usage error, including an unreadable stack file,
 an unwritable --output file or a closed stdout; 3 resource ceiling hit or
 memory exhausted; 4 internal error (a bug, such as a failed lumping check,
-reported without a traceback).  Diagnostics go to stderr.
+reported without a traceback); 130 interrupted (Ctrl-C).  Diagnostics go to
+stderr.
 
 The POLYRECT_MAX_STATES environment variable overrides the default state
 ceiling; --max-states overrides both.  Every command checks it against the
@@ -312,6 +313,9 @@ def run(ns: argparse.Namespace) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return RESOURCE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports it
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL
@@ -333,18 +337,6 @@ _ARGUMENTS = {
 }
 
 
-def _default_ceiling() -> int:
-    """The --max-states default: POLYRECT_MAX_STATES, else DEFAULT_STATE_CEILING."""
-    env_ceiling = os.environ.get("POLYRECT_MAX_STATES", str(DEFAULT_STATE_CEILING))
-    try:
-        default_ceiling = int(env_ceiling)
-    except ValueError:
-        raise SystemExit(_usage(f"POLYRECT_MAX_STATES must be an integer, got {env_ceiling!r}"))
-    if default_ceiling <= 0:
-        raise SystemExit(_usage(f"POLYRECT_MAX_STATES must be positive, got {env_ceiling!r}"))
-    return default_ceiling
-
-
 def _add_arguments(
     p: argparse.ArgumentParser, *, height=False, h_max=False, stack=False, fmts=("text", "json"),
 ) -> None:
@@ -361,7 +353,7 @@ def _add_arguments(
     if fmts:
         p.add_argument("--format", choices=fmts, default=fmts[0])
     p.add_argument("--output", metavar="FILE")
-    p.add_argument("--max-states", type=int, default=_default_ceiling())
+    p.add_argument("--max-states", type=int)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -386,7 +378,16 @@ def _checked(ns: argparse.Namespace) -> argparse.Namespace:
         raise SystemExit(_usage(f"--b must be in 1..{MAX_WIDTH}"))
     if getattr(ns, "h", 0) < 0 or getattr(ns, "h_max", 0) < 0:
         raise SystemExit(_usage("heights must be nonnegative"))
-    if ns.max_states <= 0:
+    if ns.max_states is None:
+        # read only without the flag, which overrides it
+        env = os.environ.get("POLYRECT_MAX_STATES", str(DEFAULT_STATE_CEILING))
+        try:
+            ns.max_states = int(env)
+        except ValueError:
+            raise SystemExit(_usage(f"POLYRECT_MAX_STATES must be an integer, got {env!r}"))
+        if ns.max_states <= 0:
+            raise SystemExit(_usage(f"POLYRECT_MAX_STATES must be positive, got {env!r}"))
+    elif ns.max_states <= 0:
         raise SystemExit(_usage("--max-states must be positive"))
     return ns
 

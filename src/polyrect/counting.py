@@ -53,10 +53,10 @@ slots, and a step is integer addition and subtraction.  Each w[c] is then
 the integer its row's plain sum gives, and so is the signed sum over the
 widths: term h is the area polynomial over q^h, so unpacking prepends h
 zeros.  Its coefficients are inscribed counts, nonnegative and at most the
-height's count, so `count_area_series` sizes its slot from the counts of a
-plain DP run on the same plans first, and checks that each polynomial sums
-to its count, which a slot overflow breaks.  `group_area_series` sizes its
-slot a priori.
+height's count, so `area_series`, which gives the area series of both
+`count_area_series` and `genfunc.gf_height_area`, sizes its slot from the
+counts of a plain DP run on the same plans first, and checks that each
+polynomial sums to its count, which a slot overflow breaks.
 """
 
 from __future__ import annotations
@@ -301,20 +301,30 @@ def _area_slot_bytes(bits: int) -> int:
     return (bits + 7) // 8
 
 
-def _unpacked(packed: Sequence[int], slot_bytes: int) -> list[Polynomial]:
-    """Each term h of an area DP as a polynomial: h zeros, then its slots."""
-    return [Polynomial([0] * h + unpack_coefficients(x, slot_bytes)) for h, x in enumerate(packed)]
+def area_series(
+    groups: Iterable[tuple[int, Sequence[Row]]], h_max: int, constant: int
+) -> tuple[list[int], list[Polynomial]]:
+    """The signed sum of groups' series to h_max, plain and refined by area.
 
-
-def group_area_series(rows: Sequence[Row], h_max: int) -> list[Polynomial]:
-    """A width's series refined by area: one polynomial in q per height.
-
-    Its width is the rows' largest fill: the full row's word fills every cell.
+    groups gives (sign, word quotient) pairs; constant is added at h = 0.
+    Returns (counts, polynomials in q).  The slot is sized from the largest
+    count of a plain pass on the same plans; ValueError when a polynomial
+    does not sum to its count, which a slot overflow breaks (module docstring).
     """
-    width = max(fill for _, fill, _ in rows)
-    # its coefficients are below (2^width - 1)^h_max, so this slot never overflows
-    slot_bytes = _area_slot_bytes(width * max(h_max, 1) + 8)
-    return _unpacked(group_series(rows, h_max, 8 * slot_bytes), slot_bytes)
+    plans = [(sign, rows, _plan(rows, h_max)) for sign, rows in groups]
+    counts = [constant] + [0] * h_max
+    for sign, rows, plan in plans:
+        for h, t in enumerate(group_series(rows, h_max, plan=plan)):
+            counts[h] += sign * t
+    slot_bytes = _area_slot_bytes(max(counts).bit_length())
+    packed = [constant] + [0] * h_max
+    for sign, rows, plan in plans:
+        for h, acc in enumerate(group_series(rows, h_max, 8 * slot_bytes, plan)):
+            packed[h] += sign * acc
+    polys = [Polynomial([0] * h + unpack_coefficients(x, slot_bytes)) for h, x in enumerate(packed)]
+    if [sum(poly.coeffs) for poly in polys] != counts:
+        raise ValueError("an area polynomial does not sum to its count: a slot overflowed")
+    return counts, polys
 
 
 def count_area_series(b: int | Automaton, h_max: int) -> SeriesTable:
@@ -326,19 +336,7 @@ def count_area_series(b: int | Automaton, h_max: int) -> SeriesTable:
     if type(h_max) is not int or h_max < 0:
         raise ValueError(f"h_max must be an int >= 0, got {h_max!r}")
     width = _width(b)
-    groups = [(sign, rows, _plan(rows, h_max)) for sign, rows in width_groups(width)]
-    counts = [1] + [0] * h_max
-    packed = [1] + [0] * h_max
-    for sign, rows, plan in groups:
-        for h, t in enumerate(group_series(rows, h_max, plan=plan)):
-            counts[h] += sign * t
-    slot_bytes = _area_slot_bytes(max(counts).bit_length())
-    for sign, rows, plan in groups:
-        for h, acc in enumerate(group_series(rows, h_max, 8 * slot_bytes, plan)):
-            packed[h] += sign * acc
-    polys = _unpacked(packed, slot_bytes)
-    if [sum(poly.coeffs) for poly in polys] != counts:
-        raise ValueError("an area polynomial does not sum to its count: a slot overflowed")
+    counts, polys = area_series(width_groups(width), h_max, 1)
     return SeriesTable(width, tuple(counts), tuple(polys))
 
 

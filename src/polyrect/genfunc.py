@@ -79,7 +79,7 @@ from math import prod
 from operator import mul
 
 from .automaton import Automaton, DEFAULT_STATE_CEILING, check_ceiling
-from .counting import group_area_series, group_series, width_groups
+from .counting import area_series, group_series, width_groups
 from .errors import FitError, ResourceLimitError
 from .polynomial import (
     ONE,
@@ -658,7 +658,7 @@ def gf_height_area(
     parts = []
     for sign, rows in width_groups(width):
         k = len(rows) - 1
-        series = group_area_series(rows, 2 * k + 1)
+        _, series = area_series([(1, rows)], 2 * k + 1, 0)
         parts.append((sign, _fit_bivariate(series, k, sum(fill for _, fill, _ in rows))))
     return sum_fractions(parts)
 

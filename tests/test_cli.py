@@ -367,6 +367,15 @@ def test_accepts_bad_row_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_accepts_empty_stack_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "stack.txt"
+    path.write_text("\n  \n\t\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["accepts", "--b", "2", "--stack", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: stack file contains no rows\n")
+
+
 def test_accepts_missing_file_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["accepts", "--b", "2", "--stack", str(tmp_path / "nope.txt")])
@@ -456,6 +465,15 @@ def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
     assert err == "error: out of memory\n"
 
 
+def test_interrupt_is_one_line(monkeypatch, capsys):
+    def interrupted(ns):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._HANDLERS, "series", interrupted)
+    code, out, err = run(capsys, "series", "--b", "2", "--h-max", "3")
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+
+
 def _failing_after_one_chunk(exc, chunk):
     def chunks(a):
         yield chunk
@@ -471,6 +489,7 @@ def _failing_after_one_chunk(exc, chunk):
 @pytest.mark.parametrize("exc, status, message", [
     (MemoryError(), 3, "error: out of memory\n"),
     (ValueError("bad row"), 4, "error: internal error: ValueError: bad row\n"),
+    (KeyboardInterrupt(), 130, "error: interrupted\n"),
 ])
 def test_failure_while_streaming_removes_the_output(
     monkeypatch, tmp_path, capsys, command, renderer, chunk, exc, status, message,
@@ -570,6 +589,21 @@ def test_bad_env_ceiling_is_usage_error(monkeypatch, capsys):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
+def test_flag_overrides_a_bad_env_ceiling(monkeypatch, capsys):
+    monkeypatch.setenv("POLYRECT_MAX_STATES", "abc")
+    code, out, err = run(capsys, "count", "--b", "3", "--h", "2", "--max-states", "50")
+    assert (code, out, err) == (0, "15\n", "")
+
+
+def test_help_never_reads_the_env_ceiling(monkeypatch, capsys):
+    monkeypatch.setenv("POLYRECT_MAX_STATES", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: polyrect") and out.err == ""
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_nonpositive_env_ceiling_is_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("POLYRECT_MAX_STATES", value)
@@ -613,17 +647,19 @@ def test_failed_lumping_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_area_slot_overflow_is_an_internal_error(monkeypatch, capsys):
-    # one-byte slots cannot hold the area counts at b = 5, h = 20: the carries
-    # lower each overflowing polynomial's coefficient sum below its count
+    # one-byte slots cannot hold the area counts at b = 5, h = 20, nor those
+    # of A_5's fit: the carries lower each overflowing polynomial's
+    # coefficient sum below its count
     monkeypatch.setattr(counting, "_area_slot_bytes", lambda bits: 1)
     with pytest.raises(ValueError, match="slot overflowed"):
         counting.count_area_series(5, 20)
-    code, out, err = run(capsys, "area-series", "--b", "5", "--h-max", "20")
-    assert code == 4
-    assert out == ""
-    assert err.startswith("error: internal error: ValueError: an area polynomial does not sum")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
+    for argv in (["area-series", "--h-max", "20"], ["area-gf"]):
+        code, out, err = run(capsys, *argv, "--b", "5")
+        assert code == 4, argv
+        assert out == "", argv
+        assert err.startswith("error: internal error: ValueError: an area polynomial does not sum")
+        assert err.count("\n") == 1, argv
+        assert "Traceback" not in err, argv
 
 
 def test_counting_commands_never_build(monkeypatch, capsys):

@@ -229,7 +229,7 @@ def test_reflection_class_counts():
         rows = word_quotient(width)
         assert len(rows) == size, width
         assert rows[0][:2] == (False, 0), width
-        # the full row's word fills the width: group_area_series reads it there
+        # the full row's word fills the width
         assert max(fill for _, fill, _ in rows) == width, width
 
 

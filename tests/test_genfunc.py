@@ -613,7 +613,7 @@ def _width_fit(width):
     """A width's word quotient, its area series, its fill sum F and its fit."""
     rows = counting.word_quotient(width)
     k = len(rows) - 1
-    series = counting.group_area_series(rows, 2 * k + 1)
+    _, series = counting.area_series([(1, rows)], 2 * k + 1, 0)
     fills = sum(fill for _, fill, _ in rows)
     return rows, series, fills, _fit_bivariate(series, k, fills)
 
