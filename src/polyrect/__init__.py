@@ -45,19 +45,11 @@ from .rowconfig import MAX_WIDTH, RowConfig, enumerate_alphabet
 from .states import (
     AutomatonState,
     LabeledWord,
-    are_equivalent,
-    canonicalize,
     enumerate_valid_states,
     initial_state,
     is_accepting,
-    is_valid_triplet,
 )
-from .transition import (
-    continuation_allowed,
-    horizontal_connexity,
-    step,
-    vertical_connexity,
-)
+from .transition import step
 
 __version__ = "0.1.0"
 
@@ -79,12 +71,9 @@ __all__ = [
     "RowConfig",
     "SeriesTable",
     "accepts",
-    "are_equivalent",
     "brute_force_area_histogram",
     "brute_force_count",
     "build",
-    "canonicalize",
-    "continuation_allowed",
     "count_area_series",
     "count_series",
     "deserialize",
@@ -95,15 +84,12 @@ __all__ = [
     "fit_rational",
     "gf_height",
     "gf_height_area",
-    "horizontal_connexity",
     "initial_state",
     "is_accepting",
     "is_inscribed_polyomino",
-    "is_valid_triplet",
     "sample_accepted_stacks",
     "serialize",
     "specialize_q",
     "state_count_formula",
     "step",
-    "vertical_connexity",
 ]

@@ -35,7 +35,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .record import Record
-from .rowconfig import MAX_WIDTH, RowConfig, check_width, letter_runs
+from .rowconfig import MAX_WIDTH, check_width, letter_runs
 from .states import AutomatonState, LabeledWord, initial_state, is_accepting, word_labels
 from .transition import advance, mirror, reversed_masks
 
@@ -49,37 +49,25 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def runs_of_ones(k: int) -> int:
-    """Number of maximal blocks of 1s in the binary expansion of k >= 1."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    return (k & ~(k >> 1)).bit_count()
-
-
 def state_count_formula(width: int) -> int:
     """Exact number of valid states for the given width.
 
-    1 for the initial state, plus one term per nonempty fill mask k: the
-    Catalan number of its run count (the non-crossing groupings of the runs),
-    doubled once when the rightmost cell is empty (free right flag) and once
-    when the leftmost cell is empty (free left flag).
+    1 for the initial state, plus one term per nonempty fill mask: the
+    Catalan number of its run count r (the non-crossing groupings of the
+    runs), doubled once when the leftmost cell is empty (free left flag) and
+    once when the rightmost cell is empty (free right flag).  Of the width-w
+    masks with r runs, C(w - 1, 2r - 2) fill both end cells, 2 C(w - 1, 2r - 1)
+    fill exactly one and C(w - 1, 2r) fill neither, so the sum runs over r.
     """
     if type(width) is not int or not 0 <= width <= 62:
         raise ValueError(f"width must be in 0..62, got {width!r}")
-    total = 1
-    half = 1 << (width - 1) if width else 0
-    cache: dict[int, int] = {}
-    for k in range(1, 1 << width):
-        r = runs_of_ones(k)
-        c = cache.get(r)
-        if c is None:
-            c = cache[r] = catalan(r)
-        if k % 2 == 0:
-            c *= 2
-        if k < half:
-            c *= 2
-        total += c
-    return total
+    if not width:
+        return 1
+    n = width - 1
+    return 1 + sum(
+        catalan(r) * (comb(n, 2 * r - 2) + 4 * comb(n, 2 * r - 1) + 4 * comb(n, 2 * r))
+        for r in range(1, n // 2 + 2)
+    )
 
 
 class Automaton(Record):
@@ -102,15 +90,6 @@ class Automaton(Record):
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def target(self, state_index: int, row: RowConfig) -> int | None:
-        """Index of the successor state, or None when undefined."""
-        if row.width != self.width:
-            raise ValueError(f"width mismatch: {row.width} vs {self.width}")
-        if not 0 <= state_index < self.n_states:
-            raise IndexError(f"state index {state_index} out of range 0..{self.n_states - 1}")
-        t = self.transitions[state_index][row.bits - 1]
-        return None if t < 0 else t
 
 
 def _explore(width: int, max_states: int) -> Automaton:

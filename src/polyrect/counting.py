@@ -96,10 +96,6 @@ class SeriesTable(Record):
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "area_counts", area_counts)
 
-    @property
-    def h_max(self) -> int:
-        return len(self.counts) - 1
-
 
 def _word_rows(width: int) -> Iterable[tuple[int, Row]]:
     """(class, row) of each word of width w, breadth-first from ().

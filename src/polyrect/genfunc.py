@@ -119,9 +119,6 @@ class RationalGF(Record):
         dd = self.denominator.degree
         return dn, dd, max(dn, dd)
 
-    def to_text(self) -> str:
-        return f"({self.numerator.to_string()}) / ({self.denominator.to_string()})"
-
     def to_json_obj(self) -> dict:
         return {
             "num": [json_ready(c) for c in self.numerator.coeffs],

@@ -47,11 +47,6 @@ class GridSubset(Record):
         if type(self.cells) is not int or not 0 <= self.cells < (1 << (self.width * self.height)):
             raise ValueError("cell mask out of range")
 
-    def filled(self, row: int, col: int) -> bool:
-        if not (0 <= row < self.height and 0 <= col < self.width):
-            raise IndexError(f"cell ({row}, {col}) outside the {self.width}x{self.height} grid")
-        return bool((self.cells >> (row * self.width + col)) & 1)
-
 
 @lru_cache(maxsize=None)
 def _masks(width: int, height: int):

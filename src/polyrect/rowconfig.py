@@ -43,19 +43,11 @@ class RowConfig(Record):
     def __str__(self) -> str:
         return format(self.bits, f"0{self.width}b")
 
-    @property
-    def cells(self) -> tuple[int, ...]:
-        """Cell occupancies left to right."""
-        return tuple((self.bits >> (self.width - 1 - i)) & 1 for i in range(self.width))
-
     def touches_left(self) -> bool:
         return bool((self.bits >> (self.width - 1)) & 1)
 
     def touches_right(self) -> bool:
         return bool(self.bits & 1)
-
-    def filled_count(self) -> int:
-        return self.bits.bit_count()
 
 
 def letter_runs(bits: int) -> tuple[int, ...]:

@@ -5,11 +5,19 @@ same connected component of everything read so far) together with two flags
 recording whether the left and right sides of the bounding rectangle have been
 touched.  Words are kept in canonical form: first occurrences of nonzero
 labels read 1, 2, 3, ... from left to right.
+
+The LabeledWord and AutomatonState constructors enforce every validity
+condition (Separation, Non-crossing, canonical labels, the side-flag rules),
+so each value of either type is a valid state.  word_masks() and
+word_labels() convert to and from the kernel form that transition.advance()
+runs on, the one transition in the package; the paper's three-phase
+transition and its canonical relabeling live in tests/reference.py as the
+reference the kernel is checked against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .record import Record
 from .rowconfig import letter_runs
@@ -63,20 +71,6 @@ def canonical_ok(labels: Sequence[int]) -> bool:
                 return False
             seen += 1
     return True
-
-
-def first_occurrence_relabel(labels: Sequence[int]) -> tuple[int, ...]:
-    """Rename nonzero labels in order of first appearance, one left-to-right pass."""
-    mapping: dict[int, int] = {}
-    out = []
-    for a in labels:
-        if not a:
-            out.append(0)
-            continue
-        if a not in mapping:
-            mapping[a] = len(mapping) + 1
-        out.append(mapping[a])
-    return tuple(out)
 
 
 def word_masks(labels: Sequence[int]) -> tuple[int, ...]:
@@ -156,52 +150,6 @@ class AutomatonState(Record):
 def initial_state(width: int) -> AutomatonState:
     """All-empty word with both flags down."""
     return AutomatonState(LabeledWord((0,) * width), False, False)
-
-
-def is_valid_triplet(labels: Sequence[int], left: bool, right: bool) -> bool:
-    """Check the four state-validity conditions on a raw label sequence.
-
-    Empty row: the all-zero word carries no flags.  Inscription: a filled
-    border cell forces its flag.  Separation and Non-crossing as above.
-    """
-    if not labels:
-        raise ValueError("labels must be nonempty")
-    bound = max_label(len(labels))
-    for a in labels:
-        if type(a) is not int or a < 0 or a > bound:
-            raise ValueError(f"label {a!r} out of range 0..{bound}")
-    if not any(labels):
-        return not left and not right
-    if labels[0] and not left:
-        return False
-    if labels[-1] and not right:
-        return False
-    return separation_ok(labels) and non_crossing_ok(labels)
-
-
-def canonicalize(labels: Sequence[int]) -> LabeledWord:
-    """Canonical representative of the labeling-equivalence class.
-
-    First-occurrence renaming is the lexicographically least relabeling, so a
-    single pass suffices.  Rejects sequences violating Separation or
-    Non-crossing; those belong to no equivalence class.
-    """
-    if not separation_ok(labels):
-        raise ValueError(f"separation violated: {tuple(labels)}")
-    if not non_crossing_ok(labels):
-        raise ValueError(f"crossing components: {tuple(labels)}")
-    return LabeledWord(first_occurrence_relabel(labels))
-
-
-def are_equivalent(a: Sequence[int] | LabeledWord, b: Sequence[int] | LabeledWord) -> bool:
-    """Same zero positions and same component structure up to label renaming."""
-    if isinstance(a, LabeledWord):
-        a = a.labels
-    if isinstance(b, LabeledWord):
-        b = b.labels
-    if len(a) != len(b):
-        return False
-    return canonicalize(a) == canonicalize(b)
 
 
 def is_accepting(state: AutomatonState) -> bool:

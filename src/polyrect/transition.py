@@ -1,15 +1,13 @@
 """The transition map: feed one row to a state, get the successor state.
 
-The paper's three phases, kept as the reference the kernel is tested
-against.  Continuation: every current component must receive at least one
-cell of the new row, else the row kills a component and the transition is
-undefined.  Vertical: each new cell inherits the label above it, or a fresh
-label if the cell above is empty.  Horizontal: cells adjacent in the new row
-are connected, so runs sharing a letter merge transitively and the result is
-relabeled canonically.
-
-step() and the automaton run advance() instead: a word is one cell mask per
-component in leftmost-cell order, so canonical by construction.
+One kernel, advance(), runs every transition: step(), build(), deserialize()
+and counting.  A kernel word is one cell mask per component in leftmost-cell
+order, so canonical by construction.  A component that receives no cell of
+the new row makes the transition undefined; otherwise the runs of the row
+that one old component touches merge into one new component.  The paper
+states the same map as three phases (continuation, vertical connexity,
+horizontal connexity); tests/reference.py keeps them as the reference step()
+is checked against.
 """
 
 from __future__ import annotations
@@ -17,94 +15,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .rowconfig import RowConfig, letter_runs
-from .states import (
-    AutomatonState, LabeledWord, first_occurrence_relabel, word_labels, word_masks,
-)
+from .states import AutomatonState, LabeledWord, word_labels, word_masks
 
-__all__ = [
-    "continuation_allowed",
-    "vertical_connexity",
-    "horizontal_connexity",
-    "step",
-]
-
-
-def continuation_allowed(word: LabeledWord, row: RowConfig) -> bool:
-    """True when every nonzero label of word sits above a filled cell of row."""
-    if word.width != row.width:
-        raise ValueError(f"width mismatch: {word.width} vs {row.width}")
-    cells = row.cells
-    alive = set()
-    for label, filled in zip(word.labels, cells):
-        if label and filled:
-            alive.add(label)
-    for label in word.labels:
-        if label and label not in alive:
-            return False
-    return True
-
-
-def vertical_connexity(word: LabeledWord, row: RowConfig) -> tuple[int, ...]:
-    """Raw label sequence for the new row before horizontal merging.
-
-    Empty new cell: 0.  Filled cell under a filled cell: the label above.
-    Filled cell under an empty cell: a fresh label, one larger than anything
-    used so far (in the old word or the sequence built so far); consecutive
-    uncovered cells therefore get distinct fresh labels, and the horizontal
-    phase merges them.  The result may violate Separation and may use labels
-    beyond the canonical bound; only horizontal_connexity restores the word
-    invariants.
-    """
-    if not continuation_allowed(word, row):
-        raise ValueError(f"transition undefined: {word} cannot continue into {row}")
-    cells = row.cells
-    old = word.labels
-    highest = max(old)
-    out: list[int] = []
-    for label, filled in zip(old, cells):
-        if not filled:
-            out.append(0)
-        elif label:
-            out.append(label)
-        else:
-            highest += 1
-            out.append(highest)
-    return tuple(out)
-
-
-def horizontal_connexity(raw: Sequence[int]) -> LabeledWord:
-    """Merge runs that share a letter, transitively, and relabel canonically.
-
-    Runs are the maximal blocks of nonzero cells.  Letters within one run are
-    all connected, so a union-find over letters (uniting along each run) makes
-    two runs equivalent exactly when a chain of shared letters links them.
-    Merged groups are numbered by their leftmost run, which is precisely the
-    canonical first-occurrence order.
-    """
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    prev = 0
-    for label in raw:
-        if label and label not in parent:
-            parent[label] = label
-        if label and prev:
-            union(prev, label)
-        prev = label
-
-    return LabeledWord(first_occurrence_relabel([find(a) if a else 0 for a in raw]))
+__all__ = ["step"]
 
 
 def advance(word: tuple[int, ...], bits: int, runs: tuple[int, ...]) -> tuple[int, ...] | None:

@@ -1,23 +1,119 @@
 """Reference implementations that only the tests use.
 
 Each one computes something the package computes faster or by another
-route, so the tests can cross-check the two: the forward counting DP on the
-full automaton, the dense transfer matrix, a symbolic generating function by
-determinant elimination, the reversed characteristic polynomial, the
+route, so the tests can cross-check the two: the paper's three-phase
+transition (continuation, vertical connexity, horizontal connexity) with
+its canonical relabeling, which step() and its mask kernel
+transition.advance() must match; the forward counting DP on the full
+automaton; the dense transfer matrix; a symbolic generating function by
+determinant elimination; the reversed characteristic polynomial; the
 straightforward serializer and DOT writer that render one transition at a
-time, and the schoolbook ring on Polynomial values (`poly_add`, `poly_mul`
+time; and the schoolbook ring on Polynomial values (`poly_add`, `poly_mul`
 and their kin), which the package does on packed integers instead.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 
-from polyrect import Automaton, Polynomial, SeriesTable, build
+from polyrect import Automaton, LabeledWord, Polynomial, RowConfig, SeriesTable, build
 from polyrect.genfunc import RationalGF
 from polyrect.polynomial import ONE, unpack_coefficients
 
 ZERO = Polynomial()
+
+
+def first_occurrence_relabel(labels: Sequence[int]) -> tuple[int, ...]:
+    """Rename nonzero labels in order of first appearance, one left-to-right pass."""
+    mapping: dict[int, int] = {}
+    out = []
+    for a in labels:
+        if not a:
+            out.append(0)
+            continue
+        if a not in mapping:
+            mapping[a] = len(mapping) + 1
+        out.append(mapping[a])
+    return tuple(out)
+
+
+def continuation_allowed(word: LabeledWord, row: RowConfig) -> bool:
+    """True when every nonzero label of word sits above a filled cell of row."""
+    if word.width != row.width:
+        raise ValueError(f"width mismatch: {word.width} vs {row.width}")
+    cells = [c == "1" for c in str(row)]
+    alive = set()
+    for label, filled in zip(word.labels, cells):
+        if label and filled:
+            alive.add(label)
+    for label in word.labels:
+        if label and label not in alive:
+            return False
+    return True
+
+
+def vertical_connexity(word: LabeledWord, row: RowConfig) -> tuple[int, ...]:
+    """Raw label sequence for the new row before horizontal merging.
+
+    Empty new cell: 0.  Filled cell under a filled cell: the label above.
+    Filled cell under an empty cell: a fresh label, one larger than anything
+    used so far (in the old word or the sequence built so far); consecutive
+    uncovered cells therefore get distinct fresh labels, and the horizontal
+    phase merges them.  The result may violate Separation and may use labels
+    beyond the canonical bound; only horizontal_connexity restores the word
+    invariants.
+    """
+    if not continuation_allowed(word, row):
+        raise ValueError(f"transition undefined: {word} cannot continue into {row}")
+    cells = [c == "1" for c in str(row)]
+    old = word.labels
+    highest = max(old)
+    out: list[int] = []
+    for label, filled in zip(old, cells):
+        if not filled:
+            out.append(0)
+        elif label:
+            out.append(label)
+        else:
+            highest += 1
+            out.append(highest)
+    return tuple(out)
+
+
+def horizontal_connexity(raw: Sequence[int]) -> LabeledWord:
+    """Merge runs that share a letter, transitively, and relabel canonically.
+
+    Runs are the maximal blocks of nonzero cells.  Letters within one run are
+    all connected, so a union-find over letters (uniting along each run) makes
+    two runs equivalent exactly when a chain of shared letters links them.
+    Merged groups are numbered by their leftmost run, which is precisely the
+    canonical first-occurrence order.
+    """
+    parent: dict[int, int] = {}
+
+    def find(a: int) -> int:
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    prev = 0
+    for label in raw:
+        if label and label not in parent:
+            parent[label] = label
+        if label and prev:
+            union(prev, label)
+        prev = label
+
+    return LabeledWord(first_occurrence_relabel([find(a) if a else 0 for a in raw]))
 
 
 def _lift(c) -> Polynomial:
@@ -164,7 +260,8 @@ def validate_table(table: SeriesTable) -> None:
     """Assert the invariants of a series table."""
     if not table.counts or table.counts[0] != 1:
         raise AssertionError("counts[0] must be the conventional 1")
-    for h in range(2, table.h_max):
+    h_max = len(table.counts) - 1
+    for h in range(2, h_max):
         if table.counts[h + 1] < table.counts[h]:
             raise AssertionError(f"counts must be monotone from h=2, broken at {h}")
     if table.area_counts is None:
@@ -173,7 +270,7 @@ def validate_table(table: SeriesTable) -> None:
         raise AssertionError("area table length mismatch")
     if table.area_counts[0] != 1:
         raise AssertionError("area_counts[0] must be the constant 1")
-    for h in range(1, table.h_max + 1):
+    for h in range(1, h_max + 1):
         poly = table.area_counts[h]
         if poly.evaluate(1) != table.counts[h]:
             raise AssertionError(f"area polynomial at h={h} does not sum to the count")

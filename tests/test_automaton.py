@@ -16,7 +16,6 @@ from polyrect import (
     AutomatonState,
     LabeledWord,
     ResourceLimitError,
-    RowConfig,
     build,
     deserialize,
     export_dot,
@@ -27,7 +26,7 @@ from polyrect import (
 )
 from polyrect import automaton as automaton_module
 from polyrect.cli import main
-from polyrect.automaton import _explore, _parse_rows, catalan, runs_of_ones
+from polyrect.automaton import _explore, _parse_rows, catalan
 
 from reference import export_dot_reference, serialize_reference, transfer_matrix
 
@@ -67,13 +66,21 @@ def test_catalan():
         catalan(-1)
 
 
-def test_runs_of_ones():
-    assert runs_of_ones(1) == 1
-    assert runs_of_ones(0b1011) == 2
-    assert runs_of_ones(0b10101) == 3
-    assert runs_of_ones(0b1111) == 1
-    with pytest.raises(ValueError):
-        runs_of_ones(0)
+def test_state_count_formula_matches_the_mask_loop():
+    # one term per nonempty fill mask k: Catalan of its run count, doubled
+    # for each empty end cell
+    for width in range(17):
+        total = 1
+        for k in range(1, 1 << width):
+            c = catalan((k & ~(k >> 1)).bit_count())
+            if not k & 1:
+                c *= 2
+            if not k >> (width - 1):
+                c *= 2
+            total += c
+        assert state_count_formula(width) == total, width
+    # the top of the documented range returns
+    assert state_count_formula(62) > state_count_formula(61)
 
 
 def test_state_count_formula_table():
@@ -98,8 +105,7 @@ def test_build_width_one():
     assert a.n_states == 2
     assert [str(s) for s in a.states] == ["(0,F,F)", "(1,T,T)"]
     assert a.accepting == frozenset({1})
-    assert a.target(0, RowConfig(1, 1)) == 1
-    assert a.target(1, RowConfig(1, 1)) == 1
+    assert [row[0] for row in a.transitions] == [1, 1]
 
 
 def test_build_width_two_explicit():
@@ -114,30 +120,15 @@ def test_build_width_two_explicit():
     ]
     assert a.accepting == frozenset({3, 4, 5})
     # from the initial state the three letters discover 01, 10, 11 in order
-    assert [a.target(0, RowConfig(2, bits)) for bits in (1, 2, 3)] == [1, 2, 3]
+    assert list(a.transitions[0]) == [1, 2, 3]
     # [01, 10] loses the component: undefined
-    assert a.target(1, RowConfig(2, 2)) is None
+    assert a.transitions[1][2 - 1] < 0
 
 
 def test_reachable_matches_formula():
     # empirical regression check; the counting results never assume it
     for width in range(1, 6):
         assert build(width).n_states == state_count_formula(width)
-
-
-def test_target_width_mismatch():
-    a = build(2)
-    with pytest.raises(ValueError):
-        a.target(0, RowConfig(3, 1))
-
-
-def test_target_rejects_indices_outside_the_states():
-    a = build(3)
-    assert a.target(0, RowConfig(3, 7)) is not None
-    a.target(a.n_states - 1, RowConfig(3, 7))
-    for index in (-1, -a.n_states, a.n_states):
-        with pytest.raises(IndexError):
-            a.target(index, RowConfig(3, 7))
 
 
 def test_build_rejects_bad_width():

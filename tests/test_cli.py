@@ -367,6 +367,19 @@ def test_accepts_bad_row_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_accepts_blank_line_between_rows_is_a_bad_row(tmp_path, capsys):
+    # only trailing blank lines end the file; any other blank line is a row
+    path = tmp_path / "stack.txt"
+    for text in ("1\n\n1\n", "1\n  \n1\n", "\n1\n"):
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["accepts", "--b", "1", "--stack", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: stack row '' is not a 0/1 word of width 1\n")
+    path.write_text("1\n1\n\n \t\n")
+    assert run(capsys, "accepts", "--b", "1", "--stack", str(path)) == (0, "accepted\n", "")
+
+
 def test_accepts_empty_stack_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "stack.txt"
     path.write_text("\n  \n\t\n")

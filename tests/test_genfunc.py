@@ -49,7 +49,7 @@ def test_rational_gf_invariants():
 def test_degrees_and_text():
     gf = RationalGF(Polynomial((1, -2)), Polynomial((1, 0, 3)))
     assert gf.degrees() == (1, 2, 2)
-    assert gf.to_text() == "(1 - 2*x) / (1 + 3*x^2)"
+    assert (gf.numerator.to_string(), gf.denominator.to_string()) == ("1 - 2*x", "1 + 3*x^2")
     assert gf.to_json_obj() == {"num": [1, -2], "den": [1, 0, 3]}
 
 

@@ -13,11 +13,12 @@ def test_from_string_round_trip():
 def test_bits_leftmost_is_most_significant():
     row = RowConfig.from_string("100")
     assert row.bits == 4
-    assert RowConfig(3, 1).cells == (0, 0, 1)
+    assert str(RowConfig(3, 1)) == "001"
 
 
 def test_cells():
-    assert RowConfig.from_string("10110").cells == (1, 0, 1, 1, 0)
+    # str() lists the cells left to right, the leftmost from the highest bit
+    assert str(RowConfig(5, 0b10110)) == "10110"
 
 
 def test_touches():
@@ -26,11 +27,6 @@ def test_touches():
     assert RowConfig.from_string("001").touches_right()
     assert not RowConfig.from_string("010").touches_left()
     assert not RowConfig.from_string("010").touches_right()
-
-
-def test_filled_count():
-    assert RowConfig.from_string("10110").filled_count() == 3
-    assert RowConfig.from_string("1").filled_count() == 1
 
 
 @pytest.mark.parametrize("text", ["", "102", "ab", "1 0"])

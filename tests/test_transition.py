@@ -6,15 +6,14 @@ from polyrect import (
     AutomatonState,
     LabeledWord,
     RowConfig,
-    continuation_allowed,
     enumerate_valid_states,
-    horizontal_connexity,
     initial_state,
     step,
-    vertical_connexity,
 )
 from polyrect.rowconfig import enumerate_alphabet, letter_runs
 from polyrect.states import max_label, word_labels, word_masks
+
+from reference import continuation_allowed, horizontal_connexity, vertical_connexity
 
 
 def word(text):
@@ -159,7 +158,7 @@ def test_step_preserves_validity_on_random_states():
                 assert got.left_touched >= s.left_touched
                 assert got.right_touched >= s.right_touched
                 assert max(got.word.labels) <= bound
-                filled = {i for i, c in enumerate(row.cells) if c}
+                filled = {i for i, c in enumerate(str(row)) if c == "1"}
                 assert {i for i, a in enumerate(got.word.labels) if a} == filled
 
 
