@@ -117,6 +117,17 @@ def test_canonicalize_idempotent():
             assert first_occurrence_relabel(once) == once
 
 
+def test_canonicalize_rejects_invalid():
+    # a labeling that breaks Separation or Non-crossing has no canonical form:
+    # renaming its labels cannot mend it, so LabeledWord rejects the relabeling
+    assert not separation_ok((1, 2))
+    with pytest.raises(ValueError):
+        LabeledWord(first_occurrence_relabel((1, 2)))
+    assert not non_crossing_ok((1, 0, 2, 0, 1, 0, 2))
+    with pytest.raises(ValueError):
+        LabeledWord(first_occurrence_relabel((1, 0, 2, 0, 1, 0, 2)))
+
+
 def test_labeled_word_validation():
     LabeledWord((0, 1, 1, 0, 2))
     with pytest.raises(ValueError):
