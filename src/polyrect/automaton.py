@@ -333,6 +333,8 @@ def _parse_rows(raw_transitions: list, width: int, n: int) -> list[array]:
             bits, target = pair
             if not 1 <= bits <= n_letters:
                 raise AutomatonFormatError(f"letter {bits} out of range in row {i}")
+            if row[bits - 1] >= 0:
+                raise AutomatonFormatError(f"letter {bits} repeated in row {i}")
             if not 0 <= target < n:
                 raise AutomatonInvariantError(f"target {target} out of range in row {i}")
             row[bits - 1] = target

@@ -209,9 +209,9 @@ def _run_accepts(ns: argparse.Namespace) -> tuple[int, str]:
             raw = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_usage(f"cannot read stack file: {exc}"))
-    rows = [line.strip() for line in raw.splitlines()]
-    while rows and not rows[-1]:
-        rows.pop()  # trailing blank lines end the file; any other is a bad row
+    rows = raw.splitlines()
+    while rows and not rows[-1].strip():
+        rows.pop()  # trailing blank lines end the file; every other line is a row as written
     if not rows:
         raise SystemExit(_usage("stack file contains no rows"))
     for line in rows:

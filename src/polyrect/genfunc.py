@@ -398,19 +398,12 @@ def fit_rational(
     return RationalGF(Polynomial(num), Polynomial(c))
 
 
-def gf_height(
-    width: int,
-    *,
-    max_states: int = DEFAULT_STATE_CEILING,
-    automaton: Automaton | None = None,
-) -> RationalGF:
+def gf_height(width: int, *, max_states: int = DEFAULT_STATE_CEILING) -> RationalGF:
     """Generating function of counts by height, proved width by width.
 
     Each of A_b, A_(b-1) and A_(b-2) is fitted on exactly 2k + 2 exact
     terms with degree bound k, its word quotient's class count less one,
-    and the fits are summed with their signs (module docstring).  The
-    automaton argument is accepted and ignored: the counts come from the
-    word quotients.
+    and the fits are summed with their signs (module docstring).
     """
     check_ceiling(width, max_states)
     parts = []
@@ -673,4 +666,4 @@ def specialize_q(gf: RationalGF, value: int) -> RationalGF:
 
 def _substitute(f: Polynomial, value: int) -> Polynomial:
     """f in Z[q][x] with q set to value."""
-    return f.map_coefficients(lambda c: c.evaluate(value) if isinstance(c, Polynomial) else c)
+    return Polynomial([c.evaluate(value) if isinstance(c, Polynomial) else c for c in f.coeffs])

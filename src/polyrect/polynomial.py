@@ -12,8 +12,10 @@ are read back (`unpack_signed`).
 
 from __future__ import annotations
 
+from .record import Record
 
-class Polynomial:
+
+class Polynomial(Record):
     """Immutable dense polynomial, lowest-degree coefficient first."""
 
     __slots__ = ("coeffs",)
@@ -24,12 +26,6 @@ class Polynomial:
         while n and not coeffs[n - 1]:
             n -= 1
         object.__setattr__(self, "coeffs", coeffs[:n])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        return Polynomial, (self.coeffs,)
 
     @property
     def degree(self) -> int:
@@ -67,11 +63,8 @@ class Polynomial:
             acc = acc * value + c
         return acc
 
-    def map_coefficients(self, fn) -> Polynomial:
-        return Polynomial(tuple(fn(c) for c in self.coeffs))
-
-    def to_string(self, var: str = "x", inner_var: str = "q") -> str:
-        """Render lowest degree first, e.g. '1 - 2*x + 3*x^2'."""
+    def to_string(self, var: str = "x") -> str:
+        """Render lowest degree first, e.g. '1 - 2*x + 3*x^2'; a nested coefficient in q."""
         if not self.coeffs:
             return "0"
         parts: list[str] = []
@@ -80,7 +73,7 @@ class Polynomial:
                 continue
             power = "" if j == 0 else (var if j == 1 else f"{var}^{j}")
             if isinstance(c, Polynomial):
-                inner = c.to_string(inner_var)
+                inner = c.to_string("q")
                 body = f"({inner})" if (" " in inner or inner.startswith("-")) else inner
                 text = body if not power else (power if body == "1" else f"{body}*{power}")
                 sign = "+"

@@ -109,13 +109,13 @@ def convolve(a, b):
     return out
 
 
-def test_criterion_03_width_two_closed_form(automaton):
+def test_criterion_03_width_two_closed_form():
     # numerator 2x^3 + 3x^2 - 2x + 1 over (x - 1)(x^2 + 2x - 1), ascending
     num = [1, -2, 3, 2]
     den = convolve([-1, 1], [-1, 2, 1])
     assert den[0] == 1
     want = long_division(num, den, 30)
-    gf = gf_height(2, automaton=automaton(2))
+    gf = gf_height(2)
     assert expand(gf, 30) == want
     fitted = fit_rational(want, 6)
     assert fitted.numerator.coeffs == tuple(num)
@@ -149,11 +149,11 @@ def test_criterion_05_transpose(automaton):
     print("PASS criterion 5: transpose symmetry for all b,h <= 6")
 
 
-def test_criterion_06_gf_degrees(automaton):
+def test_criterion_06_gf_degrees():
     claimed = {3: 9, 4: 20, 5: 49, 6: 112}
     start = time.perf_counter()
     for b, want in claimed.items():
-        gf = gf_height(b, automaton=automaton(b))
+        gf = gf_height(b)
         dn, dd, dm = gf.degrees()
         if want not in (dn, dd, dm):
             pytest.fail(
@@ -193,7 +193,7 @@ def test_criterion_09_bivariate_consistency(automaton):
     for b in (3, 4):
         bivariate = gf_height_area(b, automaton=automaton(b))
         collapsed = specialize_q(bivariate, 1)
-        direct = gf_height(b, automaton=automaton(b))
+        direct = gf_height(b)
         assert expand(collapsed, 20) == expand(direct, 20), b
     print("PASS criterion 9: area GF collapses to the height GF at q=1 for b=3,4")
 

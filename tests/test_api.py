@@ -43,6 +43,9 @@ PUBLIC_NAMES = [
     "step",
 ]
 
+# Polynomial's public attributes: a method added or removed shows here
+POLYNOMIAL_NAMES = ["coeffs", "degree", "evaluate", "to_string"]
+
 
 def test_public_surface():
     assert sorted(polyrect.__all__) == PUBLIC_NAMES
@@ -50,3 +53,4 @@ def test_public_surface():
     for module in (polyrect, transition):
         for name in module.__all__:
             getattr(module, name)  # AttributeError when a listed name is gone
+    assert sorted(n for n in dir(polyrect.Polynomial) if not n.startswith("_")) == POLYNOMIAL_NAMES

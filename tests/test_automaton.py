@@ -477,6 +477,10 @@ def _first_entry(pair):
     return mutate
 
 
+def _wrong_pair_first(doc):
+    doc["transitions"][0].insert(0, [1, 5])  # row 0 then maps letter 1 twice, rightly last
+
+
 @pytest.mark.parametrize("width, mutate, suffix, error, message", [
     (5, _wrong_target, b"", AutomatonInvariantError, "row 40 letter 20 should map to (10200,T,T)"),
     (5, _wrong_target, b" ", AutomatonInvariantError, "row 40 letter 20 should map to (10200,T,T)"),
@@ -490,7 +494,8 @@ def _first_entry(pair):
     (2, _first_entry([1, True]), b"", AutomatonFormatError, "bad transition entry [1, True] in row 0"),
     (2, _first_entry([4, 1]), b"", AutomatonFormatError, "letter 4 out of range in row 0"),
     (2, _first_entry([1, 6]), b"", AutomatonInvariantError, "target 6 out of range in row 0"),
-    (2, _first_entry([2, 1]), b"", AutomatonInvariantError, "row 0 letter 1 should map to (01,F,T)"),
+    (2, _first_entry([1, 2]), b"", AutomatonInvariantError, "row 0 letter 1 should map to (01,F,T)"),
+    (2, _wrong_pair_first, b"", AutomatonFormatError, "letter 1 repeated in row 0"),
 ])
 def test_compact_faults_report_as_the_full_parse(automaton, width, mutate, suffix, error, message):
     # these texts keep serialize()'s layout, so each is tried as canonical first
@@ -553,7 +558,9 @@ def test_earlier_transitions_key_is_overridden_by_the_last():
     assert deserialize(bogus) == a
     assert deserialize(serialize(a) + b" ") == a
     with pytest.raises(AutomatonInvariantError, match=re.escape("row 0 letter 1 should map to (01,F,T)")):
-        deserialize(bogus.replace(b"[[1,", b"[[2,", 1))
+        deserialize(bogus.replace(b"[[1,1]", b"[[1,2]", 1))
+    with pytest.raises(AutomatonFormatError, match="^letter 1 repeated in row 0$"):
+        deserialize(bogus.replace(b"[[1,1]", b"[[1,5],[1,1]", 1))
 
 
 def test_canonical_input_skips_the_pair_parse(monkeypatch, automaton):

@@ -368,15 +368,18 @@ def test_accepts_bad_row_is_usage_error(tmp_path, capsys):
 
 
 def test_accepts_blank_line_between_rows_is_a_bad_row(tmp_path, capsys):
-    # only trailing blank lines end the file; any other blank line is a row
+    # only trailing blank lines end the file; every other line is a row as
+    # written, so a blank or padded one is not a 0/1 word
     path = tmp_path / "stack.txt"
-    for text in ("1\n\n1\n", "1\n  \n1\n", "\n1\n"):
+    for text, row in (("1\n\n1\n", ""), ("1\n  \n1\n", "  "), ("\n1\n", ""), (" 1 \n\t1\n", " 1 ")):
         path.write_text(text)
         with pytest.raises(SystemExit) as exc:
             main(["accepts", "--b", "1", "--stack", str(path)])
         assert exc.value.code == 2
-        assert capsys.readouterr() == ("", "error: stack row '' is not a 0/1 word of width 1\n")
+        assert capsys.readouterr() == ("", f"error: stack row {row!r} is not a 0/1 word of width 1\n")
     path.write_text("1\n1\n\n \t\n")
+    assert run(capsys, "accepts", "--b", "1", "--stack", str(path)) == (0, "accepted\n", "")
+    path.write_bytes(b"1\r\n1\r\n\r\n")  # a CRLF ending is no part of its row
     assert run(capsys, "accepts", "--b", "1", "--stack", str(path)) == (0, "accepted\n", "")
 
 

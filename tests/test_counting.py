@@ -233,9 +233,9 @@ def test_reflection_class_counts():
         assert max(fill for _, fill, _ in rows) == width, width
 
 
-def test_degree_bound_is_the_gf_degree(automaton):
+def test_degree_bound_is_the_gf_degree():
     for width, k in enumerate(DEGREE_BOUNDS[:7], 1):
-        assert gf_height(width, automaton=automaton(width)).degrees()[2] == k, width
+        assert gf_height(width).degrees()[2] == k, width
 
 
 def test_window_groups_are_all_columns_groups_of_three_widths():
@@ -378,7 +378,7 @@ def test_fit_needs_two_k_plus_two_terms(automaton):
         with pytest.raises(FitError, match="insufficient terms"):
             fit_rational(counts[: 2 * k + 1], k)
         gf = fit_rational(counts[: 2 * k + 2], k)
-        assert gf == gf_height(width, automaton=a)
+        assert gf == gf_height(width)
         assert expand(gf, 4 * k + 1) == counts, width
 
 

@@ -195,7 +195,7 @@ def test_small_primes_change_no_fit(automaton, monkeypatch):
     # recurrence, and its only fit 3^7 / (1 - x/3) is not integral.
     # The 46 primes are all there is: a FitError case that uses them up
     # ends for that reason, not at the limit (see test_fit_limit_ends_search)
-    heights = {b: gf_height(b, automaton=automaton(b)) for b in range(1, 5)}
+    heights = {b: gf_height(b) for b in range(1, 5)}
     area = gf_height_area(2, automaton=automaton(2))
     lengths: dict[tuple, list[int]] = {}
     real = genfunc._min_lfsr_mod
@@ -223,14 +223,14 @@ def test_small_primes_change_no_fit(automaton, monkeypatch):
     with pytest.raises(FitError, match="insufficient terms"):
         fit_rational([3 ** (7 - k) for k in range(8)], 2)
     for b, gf in heights.items():
-        assert gf_height(b, automaton=automaton(b)) == gf, b
+        assert gf_height(b) == gf, b
     assert gf_height_area(2, automaton=automaton(2)) == area
     assert any(len(set(seen)) > 1 for seen in lengths.values())
     assert max(len(seen) for seen in lengths.values()) >= 5
 
 
-def test_gf_height_width_two(automaton):
-    gf = gf_height(2, automaton=automaton(2))
+def test_gf_height_width_two():
+    gf = gf_height(2)
     assert gf.numerator.coeffs == (1, -2, 3, 2)
     assert gf.denominator.coeffs == (1, -3, 1, 1)
     assert expand(gf, 6) == [1, 1, 5, 15, 39, 97]
@@ -239,7 +239,7 @@ def test_gf_height_width_two(automaton):
 def test_gf_height_matches_series(automaton):
     for width in (1, 2, 3, 4):
         a = automaton(width)
-        gf = gf_height(width, automaton=a)
+        gf = gf_height(width)
         n = 25
         assert expand(gf, n + 1) == list(forward_counts(a, n)), width
 
@@ -253,7 +253,7 @@ def test_gf_height_is_fixed_by_two_n_plus_two_terms(automaton):
         counts = list(forward_counts(a, 4 * n))
         with pytest.raises(FitError, match="insufficient terms"):
             fit_rational(counts[: 2 * n + 1], n)
-        assert expand(gf_height(width, automaton=a), 4 * n + 1) == counts, width
+        assert expand(gf_height(width), 4 * n + 1) == counts, width
 
 
 def test_fits_build_the_quotient_once(monkeypatch):
@@ -273,9 +273,9 @@ def test_fits_build_the_quotient_once(monkeypatch):
     assert built == [4, 3, 2, 3, 2, 1, 4, 3, 2]
 
 
-def test_gf_height_numerator_denominator_coprime(automaton):
+def test_gf_height_numerator_denominator_coprime():
     for width in (1, 2, 3, 4):
-        gf = gf_height(width, automaton=automaton(width))
+        gf = gf_height(width)
         assert _coprime(gf.numerator, gf.denominator), width
 
 
@@ -325,14 +325,14 @@ def test_window_group_denominators_are_coprime_mod_p(automaton):
 def test_elimination_backend_agrees(automaton):
     for width in (1, 2, 3):
         ge = gf_height_by_elimination(width, automaton=automaton(width))
-        gh = gf_height(width, automaton=automaton(width))
+        gh = gf_height(width)
         assert poly_mul(ge.numerator, gh.denominator) == poly_mul(gh.numerator, ge.denominator), width
 
 
 def test_denominator_divides_reversed_charpoly(automaton):
     for width in (2, 3, 4):
         a = automaton(width)
-        den = gf_height(width, automaton=a).denominator
+        den = gf_height(width).denominator
         charpoly = reversed_charpoly(a)
         # den(0) = 1, so den divides charpoly exactly when the quotient's
         # expansion, truncated past deg charpoly, multiplies back to it
@@ -365,7 +365,7 @@ def test_bivariate_collapses_at_q_one(automaton):
     for width in (1, 2, 3, 4, 5):
         gf = gf_height_area(width, automaton=automaton(width))
         collapsed = specialize_q(gf, 1)
-        direct = gf_height(width, automaton=automaton(width))
+        direct = gf_height(width)
         assert expand(collapsed, 20) == expand(direct, 20), width
         if width < 2:
             continue

@@ -35,6 +35,9 @@ def test_immutability():
     p = Polynomial((1, 2))
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    assert p == Polynomial((1, 2)) and p.coeffs == (1, 2)
 
 
 def test_copy_and_pickle_round_trips():
