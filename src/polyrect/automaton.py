@@ -169,8 +169,8 @@ def check_ceiling(width: int, max_states: int) -> None:
 
     ValueError for the width or a max_states that is not an int,
     ResourceLimitError when the projected state count exceeds max_states.
-    Counting builds no automaton, but keeps this ceiling, so every command
-    stops at the same widths.
+    `build` applies it itself, and `cli.run` before every command, so every
+    command stops at the same widths though counting builds no automaton.
     """
     check_width(width)
     if type(max_states) is not int:
@@ -285,6 +285,8 @@ def _checked_states(doc) -> tuple[int, list[AutomatonState]]:
     for entry in raw_accepting:
         if type(entry) is not int:
             raise AutomatonFormatError(f"bad accepting entry {entry!r}")
+    if len(set(raw_accepting)) != len(raw_accepting):
+        raise AutomatonFormatError("accepting lists a state twice")
     if not isinstance(raw_transitions, list) or len(raw_transitions) != len(raw_states):
         raise AutomatonFormatError("transitions must list one row per state")
 

@@ -162,12 +162,12 @@ def _run_area_series(ns: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_gf(ns: argparse.Namespace) -> tuple[int, str]:
-    gf = gf_height(ns.b, max_states=ns.max_states)
+    gf = gf_height(ns.b)
     return 0, _gf_payload(ns, gf)
 
 
 def _run_area_gf(ns: argparse.Namespace) -> tuple[int, str]:
-    gf = gf_height_area(ns.b, max_states=ns.max_states)
+    gf = gf_height_area(ns.b)
     return 0, _gf_payload(ns, gf)
 
 

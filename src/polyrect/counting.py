@@ -62,8 +62,6 @@ polynomial sums to its count, which a slot overflow breaks.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import compress
-from operator import eq
 
 from .automaton import Automaton
 from .polynomial import Polynomial, unpack_coefficients
@@ -168,7 +166,18 @@ def dp_plan(rows: Sequence[Row]) -> list[tuple[int, int, list[int], list[int]]]:
     distance between target multisets, rooted at the empty row.
     """
     targets = [out for _, _, out in rows]
-    span, low, codes = _unary_codes(targets)
+    span = max((out[-1] for out in targets if out), default=0) + 1
+    # bit t + k * span of a row's code is set when target t occurs more than
+    # k times in the row, so the bit count of two codes' XOR is their L1 distance
+    codes = []
+    for out in targets:
+        code = k = 0
+        prev = -1
+        for t in out:
+            k = k + 1 if t == prev else 0
+            code |= 1 << (t + k * span)
+            prev = t
+        codes.append(code)
     # best[j]: distance from row j to the tree so far, len(row j) from the root
     best = list(map(len, targets))
     parent = [-1] * len(targets)
@@ -180,7 +189,7 @@ def dp_plan(rows: Sequence[Row]) -> list[tuple[int, int, list[int], list[int]]]:
         p = parent[i]
         code = codes[i]
         theirs = codes[p] if p >= 0 else 0
-        plan.append((i, p, _fields(code & ~theirs, span, low), _fields(theirs & ~code, span, low)))
+        plan.append((i, p, _fields(code & ~theirs, span), _fields(theirs & ~code, span)))
         for j in left:
             d = (code ^ codes[j]).bit_count()
             if d < best[j]:
@@ -189,37 +198,12 @@ def dp_plan(rows: Sequence[Row]) -> list[tuple[int, int, list[int], list[int]]]:
     return plan
 
 
-def _unary_codes(group: list[list[int]]) -> tuple[int, int, list[int]]:
-    """Each sorted row as an int whose bit count of XOR is the L1 distance.
-
-    Returns (span, low, codes).  Bit t - low + k * span of a row's code is
-    set when target t occurs more than k times in the row.
-    """
-    low = min((targets[0] for targets in group if targets), default=0)
-    span = max((targets[-1] for targets in group if targets), default=0) - low + 1
-    unit = [0] * low + [1 << t for t in range(span)]
-    codes = []
-    for targets in group:
-        distinct = set(targets)
-        code = sum(map(unit.__getitem__, distinct))
-        shift = 0
-        while len(distinct) < len(targets):
-            # each value that equals its predecessor: one copy of each less
-            rest = targets[1:]
-            targets = list(compress(rest, map(eq, targets, rest)))
-            distinct = set(targets)
-            shift += span
-            code += sum(map(unit.__getitem__, distinct)) << shift
-        codes.append(code)
-    return span, low, codes
-
-
-def _fields(bits: int, span: int, low: int) -> list[int]:
+def _fields(bits: int, span: int) -> list[int]:
     """The targets a code's set bits stand for, with repeats."""
     targets = []
     while bits:
         top = bits.bit_length() - 1
-        targets.append(low + top % span)
+        targets.append(top % span)
         bits ^= 1 << top
     return targets
 

@@ -78,7 +78,7 @@ from itertools import combinations, count, islice
 from math import prod
 from operator import mul
 
-from .automaton import Automaton, DEFAULT_STATE_CEILING, check_ceiling
+from .automaton import Automaton
 from .counting import area_series, group_series, width_groups
 from .errors import FitError, ResourceLimitError
 from .polynomial import (
@@ -89,6 +89,7 @@ from .polynomial import (
     unpack_signed,
 )
 from .record import Record
+from .rowconfig import check_width
 
 AREA_WIDTH_LIMIT = 6
 
@@ -398,14 +399,15 @@ def fit_rational(
     return RationalGF(Polynomial(num), Polynomial(c))
 
 
-def gf_height(width: int, *, max_states: int = DEFAULT_STATE_CEILING) -> RationalGF:
+def gf_height(width: int) -> RationalGF:
     """Generating function of counts by height, proved width by width.
 
     Each of A_b, A_(b-1) and A_(b-2) is fitted on exactly 2k + 2 exact
     terms with degree bound k, its word quotient's class count less one,
-    and the fits are summed with their signs (module docstring).
+    and the fits are summed with their signs (module docstring).  ValueError
+    unless width is an int in 1..MAX_WIDTH.
     """
-    check_ceiling(width, max_states)
+    check_width(width)
     parts = []
     for sign, rows in width_groups(width):
         k = len(rows) - 1
@@ -621,12 +623,7 @@ def _proved_numerator(
     )
 
 
-def gf_height_area(
-    width: int,
-    *,
-    max_states: int = DEFAULT_STATE_CEILING,
-    automaton: Automaton | None = None,
-) -> RationalGF:
+def gf_height_area(width: int, *, automaton: Automaton | None = None) -> RationalGF:
     """Bivariate generating function by height and area, proved width by width.
 
     Coefficients are exact integer polynomials in q.  Each of A_b, A_(b-1)
@@ -637,10 +634,11 @@ def gf_height_area(
     classes' fills bounds the denominator's degree in q (module docstring).
     The fits are summed with their signs, in lowest terms over Q(q) once
     the denominators are proved coprime (`sum_fractions`).  The automaton
-    argument is accepted and ignored.  Desk-scale widths only; the guard is
-    a resource ceiling, not a correctness bound.
+    argument is accepted and ignored.  ValueError unless width is an int in
+    1..MAX_WIDTH; desk-scale widths only, and that guard is a resource
+    ceiling, not a correctness bound.
     """
-    check_ceiling(width, max_states)
+    check_width(width)
     if width > AREA_WIDTH_LIMIT:
         raise ResourceLimitError(
             f"area generating functions are desk-scale for width <= {AREA_WIDTH_LIMIT}"

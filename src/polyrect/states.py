@@ -17,10 +17,10 @@ reference the kernel is checked against.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .record import Record
-from .rowconfig import letter_runs
+from .rowconfig import MAX_WIDTH, letter_runs
 
 
 def max_label(width: int) -> int:
@@ -163,19 +163,12 @@ def is_accepting(state: AutomatonState) -> bool:
     )
 
 
-def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+def _growth_strings(n: int) -> list[tuple[int, ...]]:
     """Restricted growth strings of length n: every set partition, first-occurrence numbered."""
-    a = [0] * n
-
-    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(a)
-            return
-        for v in range(mx + 2):
-            a[i] = v
-            yield from rec(i + 1, max(mx, v))
-
-    yield from rec(0, -1)
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (v,) for s in strings for v in range(max(s, default=-1) + 2)]
+    return strings
 
 
 def enumerate_valid_states(width: int) -> list[AutomatonState]:
@@ -187,8 +180,8 @@ def enumerate_valid_states(width: int) -> list[AutomatonState]:
     masks ascending, partition strings in generation order, left flag before
     right flag.
     """
-    if type(width) is not int or width < 0:
-        raise ValueError(f"width must be an int >= 0, got {width!r}")
+    if type(width) is not int or not 0 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be in 0..{MAX_WIDTH}, got {width!r}")
     if width == 0:
         return [AutomatonState(LabeledWord(()), False, False)]
     states = [initial_state(width)]

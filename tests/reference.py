@@ -8,13 +8,16 @@ transition.advance() must match; the forward counting DP on the full
 automaton; the dense transfer matrix; a symbolic generating function by
 determinant elimination; the reversed characteristic polynomial; the
 straightforward serializer and DOT writer that render one transition at a
-time; and the schoolbook ring on Polynomial values (`poly_add`, `poly_mul`
-and their kin), which the package does on packed integers instead.
+time; the schoolbook ring on Polynomial values (`poly_add`, `poly_mul`
+and their kin), which the package does on packed integers instead; and the
+weight of a minimum spanning tree over a quotient's target multisets, which
+`counting.dp_plan` builds on bit codes.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Sequence
 
 from polyrect import Automaton, LabeledWord, Polynomial, RowConfig, SeriesTable, build
@@ -391,3 +394,21 @@ def reversed_charpoly(a: Automaton) -> Polynomial:
             prod[i][i] += ck
         work = prod
     return Polynomial(coeffs)
+
+
+def mst_weight(rows) -> int:
+    """Weight of a minimum spanning tree (Prim) over the rows' target
+    multisets and the empty multiset, under the L1 distance."""
+    nodes = [Counter()] + [Counter(out) for _, _, out in rows]
+
+    def distance(a: Counter, b: Counter) -> int:
+        return sum((a - b).values()) + sum((b - a).values())
+
+    best = {j: distance(nodes[0], nodes[j]) for j in range(1, len(nodes))}
+    total = 0
+    while best:
+        i = min(best, key=best.__getitem__)
+        total += best.pop(i)
+        for j in best:
+            best[j] = min(best[j], distance(nodes[i], nodes[j]))
+    return total

@@ -19,7 +19,6 @@ from polyrect import (
     build,
     deserialize,
     export_dot,
-    gf_height,
     serialize,
     initial_state,
     state_count_formula,
@@ -147,13 +146,9 @@ def test_state_ceiling_must_be_an_int():
     for bad in ("x", True, 2.0, None):
         with pytest.raises(ValueError, match="max_states must be an int"):
             build(3, bad)
-        with pytest.raises(ValueError, match="max_states must be an int"):
-            gf_height(3, max_states=bad)
     for ceiling in (0, -1):
         with pytest.raises(ResourceLimitError):
             build(3, ceiling)
-        with pytest.raises(ResourceLimitError):
-            gf_height(3, max_states=ceiling)
 
 
 def test_transfer_matrix_counts_letters():
@@ -376,6 +371,15 @@ def test_deserialize_rejects_bad_shapes(key, index, value, prefix):
     else:
         doc[key][index] = value
     with pytest.raises(AutomatonFormatError, match="^" + re.escape(prefix)):
+        deserialize(json.dumps(doc).encode())
+
+
+def test_deserialize_rejects_a_state_accepted_twice():
+    # a full parse: the repeat makes the document no serialization
+    doc = json.loads(serialize(build(3)))
+    assert 7 in doc["accepting"]
+    doc["accepting"].append(7)
+    with pytest.raises(AutomatonFormatError, match="^accepting lists a state twice"):
         deserialize(json.dumps(doc).encode())
 
 

@@ -33,7 +33,7 @@ from polyrect.counting import (
 from polyrect.rowconfig import MAX_WIDTH, enumerate_alphabet, letter_runs
 from polyrect.transition import advance
 
-from reference import forward_area_counts, forward_counts, validate_table
+from reference import forward_area_counts, forward_counts, mst_weight, validate_table
 
 # K for b = 1..9, the word quotients' classes less their initial ones: the
 # degree bound of the generating functions, against the state counts 2, 6,
@@ -366,6 +366,15 @@ def test_dp_plan_rebuilds_every_row():
             targets += sum(len(out) for _, _, out in rows)
         if width >= 5:
             assert additions <= 0.35 * targets, width
+
+
+def test_dp_plan_is_a_minimum_spanning_tree():
+    # a step takes the tree's weight in additions and subtractions, and no
+    # spanning tree over the target multisets weighs less
+    for width in range(1, 7):
+        rows = word_quotient(width)
+        plan = dp_plan(rows)
+        assert sum(len(plus) + len(minus) for _, _, plus, minus in plan) == mst_weight(rows), width
 
 
 def test_fit_needs_two_k_plus_two_terms(automaton):

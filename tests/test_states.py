@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from polyrect import (
+    MAX_WIDTH,
     AutomatonState,
     LabeledWord,
     enumerate_valid_states,
@@ -202,6 +203,13 @@ def test_enumerate_width_zero():
 def test_enumerate_rejects_bools_and_non_ints():
     for width in (True, False, 2.0, "2", None):
         with pytest.raises(ValueError):
+            enumerate_valid_states(width)
+
+
+def test_enumerate_rejects_widths_outside_zero_to_max_width():
+    # width MAX_WIDTH + 1 has about 12.1 million valid states to enumerate
+    for width in (-1, MAX_WIDTH + 1, True):
+        with pytest.raises(ValueError, match=f"width must be in 0..{MAX_WIDTH}"):
             enumerate_valid_states(width)
 
 
