@@ -1,10 +1,10 @@
 """Exact enumeration of polyominoes inscribed in a rectangle.
 
 A stack of row configurations encodes a polyomino drawn row by row inside a
-b x h rectangle.  A finite automaton over labeled rows recognizes exactly the
-stacks that form one connected polyomino touching all four sides, which turns
-counting into linear algebra: series by height, series refined by area, and
-verified rational generating functions for both.
+b x h rectangle; a finite automaton over labeled rows recognizes exactly the
+stacks that form one connected polyomino touching all four sides.  Series by
+height, series refined by area and verified rational generating functions
+for both are counted on each width's word quotient, by inclusion-exclusion.
 """
 
 from .automaton import (

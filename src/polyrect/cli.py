@@ -9,7 +9,7 @@ series      count table for heights 0..h-max
 area-series count table refined by area (polynomials in q)
 gf          verified generating function by height
 area-gf     verified bivariate generating function by height and area
-verify      compare automaton counts and histograms against brute force
+verify      compare counts and area histograms against brute force
 export-dot  write the automaton graph in DOT format
 accepts     run one stack file through the automaton
 
@@ -134,13 +134,9 @@ def _run_series(ns: argparse.Namespace) -> tuple[int, str]:
     return 0, "".join(f"{h}\t{c}\n" for h, c in enumerate(counts))
 
 
-def _area_rows(area_counts) -> list[list[int]]:
-    rows = []
-    for h, poly in enumerate(area_counts):
-        for n, c in enumerate(poly.coeffs):
-            if c:
-                rows.append([h, n, c])
-    return rows
+def _terms(poly) -> list[list[int]]:
+    """[n, c] for each nonzero coefficient c of q^n."""
+    return [[n, c] for n, c in enumerate(poly.coeffs) if c]
 
 
 def _run_area_series(ns: argparse.Namespace) -> tuple[int, str]:
@@ -150,14 +146,12 @@ def _run_area_series(ns: argparse.Namespace) -> tuple[int, str]:
             {
                 "b": ns.b,
                 "h_max": ns.h_max,
-                "area_counts": [
-                    [[n, c] for _, n, c in _area_rows([poly])]
-                    for poly in table.area_counts
-                ],
+                "area_counts": [_terms(poly) for poly in table.area_counts],
             }
         )
     if ns.format == "csv":
-        return 0, _csv_text(["h", "n", "coefficient"], _area_rows(table.area_counts))
+        rows = ([h, *term] for h, poly in enumerate(table.area_counts) for term in _terms(poly))
+        return 0, _csv_text(["h", "n", "coefficient"], rows)
     return 0, "".join(f"{h}\t{poly.to_string('q')}\n" for h, poly in enumerate(table.area_counts))
 
 
@@ -184,9 +178,7 @@ def _run_verify(ns: argparse.Namespace) -> tuple[int, str]:
             continue
         # the histogram sums to the count, so one oracle scan checks both
         expected_hist = brute_force_area_histogram(ns.b, h)
-        got_hist = {
-            n: c for n, c in enumerate(table.area_counts[h].coeffs) if c
-        }
+        got_hist = dict(_terms(table.area_counts[h]))
         if got_hist != expected_hist:
             got, expected = sum(got_hist.values()), sum(expected_hist.values())
             failed = True
@@ -205,11 +197,12 @@ def _run_export_dot(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
 
 def _run_accepts(ns: argparse.Namespace) -> tuple[int, str]:
     try:
-        with open(ns.stack, "r", encoding="ascii") as fh:
+        with open(ns.stack, "r", encoding="ascii", newline="") as fh:
             raw = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_usage(f"cannot read stack file: {exc}"))
-    rows = raw.splitlines()
+    # newline="" keeps a lone "\r" in its row; only a CRLF ending's "\r" is no part of it
+    rows = [line.removesuffix("\r") for line in raw.split("\n")]
     while rows and not rows[-1].strip():
         rows.pop()  # trailing blank lines end the file; every other line is a row as written
     if not rows:
@@ -231,17 +224,18 @@ def _run_accepts(ns: argparse.Namespace) -> tuple[int, str]:
     return (0 if ok else MISMATCH), ("accepted\n" if ok else "rejected\n")
 
 
-_HANDLERS = {
-    "states": _run_states,
-    "build": _run_build,
-    "count": _run_count,
-    "series": _run_series,
-    "area-series": _run_area_series,
-    "gf": _run_gf,
-    "area-gf": _run_area_gf,
-    "verify": _run_verify,
-    "export-dot": _run_export_dot,
-    "accepts": _run_accepts,
+# each command's handler and arguments: a --h, a --h-max, a --stack, and its --format choices
+_COMMANDS = {
+    "states": (_run_states, {}),
+    "build": (_run_build, {"fmts": ()}),
+    "count": (_run_count, {"height": True, "fmts": ("text", "json", "csv")}),
+    "series": (_run_series, {"h_max": True, "fmts": ("text", "json", "csv")}),
+    "area-series": (_run_area_series, {"h_max": True, "fmts": ("text", "json", "csv")}),
+    "gf": (_run_gf, {}),
+    "area-gf": (_run_area_gf, {}),
+    "verify": (_run_verify, {"h_max": True, "fmts": ()}),
+    "export-dot": (_run_export_dot, {"fmts": ()}),
+    "accepts": (_run_accepts, {"stack": True, "fmts": ()}),
 }
 
 
@@ -298,7 +292,7 @@ def run(ns: argparse.Namespace) -> int:
     """
     try:
         check_ceiling(ns.b, ns.max_states)
-        status, payload = _HANDLERS[ns.command](ns)
+        status, payload = _COMMANDS[ns.command][0](ns)
         _emit(ns, [payload] if isinstance(payload, (str, bytes)) else payload)
     except _OutputError as exc:
         if ns.output:
@@ -324,25 +318,10 @@ def run(ns: argparse.Namespace) -> int:
     return status
 
 
-# each command's arguments: a --h, a --h-max, a --stack, and its --format choices
-_ARGUMENTS = {
-    "states": {},
-    "build": {"fmts": ()},
-    "count": {"height": True, "fmts": ("text", "json", "csv")},
-    "series": {"h_max": True, "fmts": ("text", "json", "csv")},
-    "area-series": {"h_max": True, "fmts": ("text", "json", "csv")},
-    "gf": {},
-    "area-gf": {},
-    "verify": {"h_max": True, "fmts": ()},
-    "export-dot": {"fmts": ()},
-    "accepts": {"stack": True, "fmts": ()},
-}
-
-
 def _add_arguments(
     p: argparse.ArgumentParser, *, height=False, h_max=False, stack=False, fmts=("text", "json"),
 ) -> None:
-    """Add one command's arguments (its _ARGUMENTS entry) to p, the command's
+    """Add one command's arguments (its _COMMANDS entry) to p, the command's
     own parser or its subparser in the full parser."""
     p.add_argument("--b", type=int, required=True, metavar="WIDTH",
                    help=f"rectangle width, 1..{MAX_WIDTH}")
@@ -370,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Count polyominoes inscribed in a b x h rectangle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, kinds in _ARGUMENTS.items():
+    for name, (_, kinds) in _COMMANDS.items():
         _add_arguments(sub.add_parser(name), **kinds)
     return parser
 
@@ -407,9 +386,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     name = argv[0] if argv else None
     stray = True
-    if name in _ARGUMENTS:
+    if name in _COMMANDS:
         parser = argparse.ArgumentParser(prog=f"polyrect {name}")
-        _add_arguments(parser, **_ARGUMENTS[name])
+        _add_arguments(parser, **_COMMANDS[name][1])
         ns, stray = parser.parse_known_args(argv[1:])
         ns.command = name
     if stray:

@@ -246,8 +246,11 @@ def group_series(
     return terms
 
 
-def _width(b: int | Automaton) -> int:
-    """b's width, read from an Automaton or given; ValueError unless an int in 1..MAX_WIDTH."""
+def _width(b: int | Automaton, h_max: int) -> int:
+    """b's width, read from an Automaton or given; ValueError unless h_max is
+    an int >= 0 and the width an int in 1..MAX_WIDTH."""
+    if type(h_max) is not int or h_max < 0:
+        raise ValueError(f"h_max must be an int >= 0, got {h_max!r}")
     return check_width(getattr(b, "width", b))
 
 
@@ -258,11 +261,9 @@ def count_series(b: int | Automaton, h_max: int) -> SeriesTable:
     whose fit pays (FIT_SPAN) takes its terms past 2k + 1 from the fit of
     its first 2k + 2 (module docstring).
     """
-    if type(h_max) is not int or h_max < 0:
-        raise ValueError(f"h_max must be an int >= 0, got {h_max!r}")
     from .genfunc import expand, fit_rational  # genfunc imports this module
 
-    width = _width(b)
+    width = _width(b, h_max)
     counts = [1] + [0] * h_max
     for sign, rows in width_groups(width):
         k = len(rows) - 1
@@ -313,9 +314,7 @@ def count_area_series(b: int | Automaton, h_max: int) -> SeriesTable:
     b is a width, or an Automaton of which only the width is read.
     ValueError when a polynomial does not sum to its count (module docstring).
     """
-    if type(h_max) is not int or h_max < 0:
-        raise ValueError(f"h_max must be an int >= 0, got {h_max!r}")
-    width = _width(b)
+    width = _width(b, h_max)
     counts, polys = area_series(width_groups(width), h_max, 1)
     return SeriesTable(width, tuple(counts), tuple(polys))
 

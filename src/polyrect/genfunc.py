@@ -86,6 +86,7 @@ from .polynomial import (
     Polynomial,
     json_ready,
     pack_coefficients,
+    signed_slot_bytes,
     unpack_signed,
 )
 from .record import Record
@@ -138,10 +139,9 @@ def expand(gf: RationalGF, n_terms: int, head: Sequence = ()) -> list:
     by `_convolve`, as `_proved_numerator` does.  Its slot is sized before
     the first product, from the same recurrence on L1 norms with D's signs
     dropped: B_j = |N_j|_1 + sum_(k >= 1) |D_k|_1 * B_(j-k), seeded by the
-    head's norms, bounds |S_j|_1 by induction, so with s >= bitlen(max B_j)
-    + 2 every q-coefficient of every term lies strictly inside
-    (-2^(s-1), 2^(s-1)), and the balanced base-2^s digits of S_j(2^s) are
-    exactly its q-coefficients (`unpack_signed`).
+    head's norms, bounds |S_j|_1 by induction, so at the slot
+    `signed_slot_bytes(max B_j)` the balanced base-2^s digits of S_j(2^s)
+    are exactly its q-coefficients (`unpack_signed`).
     """
     if type(n_terms) is not int or n_terms < 0:
         raise ValueError(f"n_terms must be an int >= 0, got {n_terms!r}")
@@ -174,7 +174,7 @@ def _expand_packed(gf: RationalGF, head: list, n_terms: int) -> list[Polynomial]
     for j in range(len(head), n_terms):
         b = sum(map(abs, num[j])) if j < len(num) else 0
         bounds.append(b + sum(map(mul, den_norms[1 : j + 1], bounds[j - 1 :: -1])))
-    slot_bytes = (max(bounds, default=0).bit_length() + 2 + 7) // 8
+    slot_bytes = signed_slot_bytes(max(bounds, default=0))
     slot = 8 * slot_bytes
     packed = [pack_coefficients(t, slot_bytes) for t in terms]
     for j in range(len(head), n_terms):
@@ -428,7 +428,7 @@ def sum_fractions(parts: Sequence[tuple[int, RationalGF]]) -> RationalGF:
     parts = [(sign, gf) for sign, gf in parts if gf.numerator]
     # no coefficient of a product exceeds the product of the L1 norms
     bound = _sum([(abs(sign), _l1(gf.numerator), _l1(gf.denominator)) for sign, gf in parts])[0]
-    slot_bytes = (bound.bit_length() + 8) // 8
+    slot_bytes = signed_slot_bytes(bound)
     # a q-degree of N or D is at most the sum of the parts' largest ones
     stride = 1 + sum(
         max(len(_q_coeffs(c)) for c in gf.numerator.coeffs + gf.denominator.coeffs) - 1
@@ -550,7 +550,7 @@ def _fit_bivariate(series: Sequence[Polynomial], degree_bound: int, q_bound: int
     limit_bits = _limit_bits(max(abs(c) for s in series for c in s.coeffs), degree_bound)
     p = next(_primes())
     at_one, _ = _min_lfsr_mod([sum(s.coeffs) for s in series], p)
-    slot_bytes = (max(map(abs, _symmetric(at_one, p))).bit_length() + 2 + 7) // 8
+    slot_bytes = signed_slot_bytes(2 * max(map(abs, _symmetric(at_one, p))))
     while True:
         den = _denominator_at(series, degree_bound, q_bound, slot_bytes)
         if den is not None:
@@ -601,16 +601,15 @@ def _proved_numerator(
     a wrong den is rejected at the first nonzero one, before any numerator
     term is computed.  Each coefficient of E_j is at most
     B = sum_k |D_k|_1 * max_h |S_h|_inf in absolute value.  Substitute
-    q = 2^s with s >= bitlen(B) + 2 (whole bytes), so every coefficient
-    lies strictly inside (-2^(s-1), 2^(s-1)).  Balanced base-2^s digits are
-    unique, so the digits of E_j(2^s) are the q-coefficients of E_j, and
+    q = 2^s at the slot `signed_slot_bytes(B)`.  Balanced base-2^s digits
+    are unique, so the digits of E_j(2^s) are the q-coefficients of E_j, and
     E_j(2^s) = 0 holds exactly when E_j = 0: one integer per term decides
     the identity in Z[q], a proof over the checked terms, not a sampled test.
 
     The sums are `_convolve`'s small-scalar shifts.
     """
     top = max(abs(c) for p in series for c in p.coeffs)
-    slot_bytes = ((top * _l1(den)).bit_length() + 2 + 7) // 8
+    slot_bytes = signed_slot_bytes(top * _l1(den))
     slot = 8 * slot_bytes
     packed = [pack_coefficients(p.coeffs, slot_bytes) for p in series]
     den_q = [_q_coeffs(c) for c in den.coeffs]

@@ -152,6 +152,15 @@ def unpack_signed(value: int, slot_bytes: int) -> list[int]:
     return [d - half for d in unpack_coefficients(value + offset, slot_bytes)]
 
 
+def signed_slot_bytes(bound: int) -> int:
+    """Fewest whole bytes per slot at which `unpack_signed` reads back every |c| <= bound.
+
+    One bit over bitlen(bound) is enough: |c| <= bound < 2^bitlen(bound)
+    <= 2^(s-1) when s = 8 * slot_bytes >= bitlen(bound) + 1.
+    """
+    return (bound.bit_length() + 8) // 8
+
+
 def json_ready(c):
     """Coefficient as a JSON-safe value: an int, or a nested list for a Polynomial."""
     if isinstance(c, Polynomial):

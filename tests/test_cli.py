@@ -369,9 +369,13 @@ def test_accepts_bad_row_is_usage_error(tmp_path, capsys):
 
 def test_accepts_blank_line_between_rows_is_a_bad_row(tmp_path, capsys):
     # only trailing blank lines end the file; every other line is a row as
-    # written, so a blank or padded one is not a 0/1 word
+    # written, so a blank or padded one is not a 0/1 word.  Only "\n" ends a
+    # line: a vertical tab, a separator or a lone "\r" stays in its row
     path = tmp_path / "stack.txt"
-    for text, row in (("1\n\n1\n", ""), ("1\n  \n1\n", "  "), ("\n1\n", ""), (" 1 \n\t1\n", " 1 ")):
+    for text, row in (
+        ("1\n\n1\n", ""), ("1\n  \n1\n", "  "), ("\n1\n", ""), (" 1 \n\t1\n", " 1 "),
+        ("1\x0b1\n", "1\x0b1"), ("1\x1c1\n", "1\x1c1"), ("1\r1\n", "1\r1"),
+    ):
         path.write_text(text)
         with pytest.raises(SystemExit) as exc:
             main(["accepts", "--b", "1", "--stack", str(path)])
@@ -451,7 +455,7 @@ def test_internal_error_is_not_a_usage_error(monkeypatch, capsys):
     def broken(cfg):
         raise ValueError("inverse of 0 mod p")
 
-    monkeypatch.setitem(cli._HANDLERS, "gf", broken)
+    monkeypatch.setitem(cli._COMMANDS, "gf", (broken, cli._COMMANDS["gf"][1]))
     code, out, err = run(capsys, "gf", "--b", "2")
     assert code == 4
     assert out == ""
@@ -474,7 +478,7 @@ def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
     def exhausted(cfg):
         raise MemoryError
 
-    monkeypatch.setitem(cli._HANDLERS, "build", exhausted)
+    monkeypatch.setitem(cli._COMMANDS, "build", (exhausted, cli._COMMANDS["build"][1]))
     code, out, err = run(capsys, "build", "--b", "2")
     assert code == 3
     assert out == ""
@@ -485,7 +489,7 @@ def test_interrupt_is_one_line(monkeypatch, capsys):
     def interrupted(ns):
         raise KeyboardInterrupt
 
-    monkeypatch.setitem(cli._HANDLERS, "series", interrupted)
+    monkeypatch.setitem(cli._COMMANDS, "series", (interrupted, cli._COMMANDS["series"][1]))
     code, out, err = run(capsys, "series", "--b", "2", "--h-max", "3")
     assert (code, out, err) == (130, "", "error: interrupted\n")
 
@@ -552,7 +556,7 @@ def _usage_output(capsys, parser, argv):
     return exc.value.code, out.out, out.err
 
 
-@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_parser_builds_only_the_named_command(command, capsys):
     # main builds only the subcommand its argv names; help and usage errors
     # must read as with every subcommand built
@@ -569,6 +573,16 @@ def test_parser_builds_only_the_named_command(command, capsys):
             main(argv)
         out = capsys.readouterr()
         assert (exc.value.code, out.out, out.err) == want, argv
+
+
+def test_command_list_cannot_drift():
+    # the docstring's Commands block, the command table and the full parser
+    # name the same commands in the same order
+    block = cli.__doc__.split("Commands\n--------\n")[1].split("\n\n")[0]
+    names = [line.split()[0] for line in block.splitlines()]
+    assert names == list(cli._COMMANDS)
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == names
 
 
 def test_valid_command_builds_one_parser(monkeypatch, capsys):

@@ -10,6 +10,7 @@ from polyrect.polynomial import (
     ONE,
     json_ready,
     pack_coefficients,
+    signed_slot_bytes,
     unpack_coefficients,
     unpack_signed,
 )
@@ -152,6 +153,16 @@ def test_unpack_signed_inverts_pack():
             got = unpack_signed(pack_coefficients(coeffs, slot_bytes), slot_bytes)
             assert Polynomial(got) == Polynomial(coeffs)
     assert Polynomial(unpack_signed(0, 4)) == Polynomial()
+
+
+def test_signed_slot_bytes_leaves_one_bit():
+    for k in (1, 2, 3):
+        for bound, want in (((1 << (8 * k - 1)) - 1, k), (1 << (8 * k - 1), k + 1)):
+            slot_bytes = signed_slot_bytes(bound)
+            assert slot_bytes == want
+            got = unpack_signed(pack_coefficients([bound, -bound], slot_bytes), slot_bytes)
+            assert Polynomial(got) == Polynomial([bound, -bound])
+    assert signed_slot_bytes(0) == 1
 
 
 def test_nested_coefficients():
